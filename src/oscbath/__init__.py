@@ -25,8 +25,9 @@ from .scenarios import (TOOL_VERSION, RunManifest, Scenario, preset,
                         run_sweep, scenario_from_dict, scenario_to_dict)
 from .wootters import (QubitEmbedding, TwoQubitDensityMatrix,
                        build_density_matrix, crosscheck,
-                       factored_product_eigenvalues, product_eigenvalues,
-                       qubit_embedding, spin_flip, wootters_concurrence)
+                       factored_product_eigenvalues, oracle_residuals,
+                       product_eigenvalues, qubit_embedding, spin_flip,
+                       wootters_concurrence)
 from .checks import CheckResult, run_verification
 
 __version__ = TOOL_VERSION
@@ -44,7 +45,8 @@ __all__ = [
     "asymptotic_concurrence", "concurrence_series",
     "QubitEmbedding", "TwoQubitDensityMatrix", "qubit_embedding",
     "build_density_matrix", "spin_flip", "wootters_concurrence",
-    "product_eigenvalues", "factored_product_eigenvalues", "crosscheck",
+    "product_eigenvalues", "factored_product_eigenvalues", "oracle_residuals",
+    "crosscheck",
     "Scenario", "RunManifest", "preset", "preset_names", "preset_document",
     "scenario_from_dict", "scenario_to_dict", "run_scenario", "run_sweep",
     "CheckResult", "run_verification", "TOOL_VERSION",

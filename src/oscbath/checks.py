@@ -17,7 +17,7 @@ from .model import (SystemConfig, build_bath_grid, centered_bipartition,
                     normalize_superposition)
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import build_generator, evolve_exact, evolve_rk4, norm_residual
-from .wootters import crosscheck
+from .wootters import crosscheck, oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
 
@@ -122,11 +122,8 @@ def run_verification(config: dict | None = None,
 
     def oracle():
         series = concurrence_series(state["traj"], init, partition)
-        worst = 0.0
-        for i in range(len(series.times)):
-            worst = max(worst, crosscheck(init, min(float(series.xi[i]), 1.0),
-                                          float(series.theta_b[i]),
-                                          float(series.theta_c[i])))
+        worst = float(oracle_residuals(init, series.xi, series.theta_b,
+                                       series.theta_c).max())
         rng = np.random.default_rng(int(cfg["seed"]))
         for _ in range(int(cfg["draws"])):
             a = complex(rng.normal(), rng.normal())

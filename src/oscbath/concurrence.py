@@ -18,11 +18,8 @@ from .observables import excitation_profile
 from .propagation import AmplitudeTrajectory
 
 __all__ = [
-    "ConcurrenceSeries",
-    "distinguishability",
-    "concurrence_closed_form",
-    "asymptotic_concurrence",
-    "concurrence_series",
+    "ConcurrenceSeries", "distinguishability", "concurrence_closed_form",
+    "asymptotic_concurrence", "concurrence_series",
 ]
 
 # physical trajectories satisfy xi + theta_b + theta_c = 1 far below this;
@@ -30,21 +27,29 @@ __all__ = [
 PHYSICAL_SUM_TOL = 1e-3
 
 
-def _check_unit_range(name: str, value: float) -> float:
+def _check_unit_range(name: str, value):
     # tolerate sub-roundoff excursions from trajectory arithmetic
-    if -1e-12 <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + 1e-12:
-        return 1.0
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
+    value = np.asarray(value, dtype=float)
+    bad = ~((value >= -1e-12) & (value <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {np.extract(bad, value)[0]}")
+    return np.clip(value, 0.0, 1.0)
 
 
-def _distinguishability_from_log(log_o0: float, theta_p: float) -> float:
-    if theta_p == 0.0 or log_o0 == 0.0:
-        return 0.0
-    return math.sqrt(-math.expm1(2.0 * theta_p * log_o0))
+def _kernel(lo: float, prefactor: float, xi, theta_b, theta_c):
+    """d_b, d_c and C = prefactor * o0^xi * d_b * d_c, elementwise, with
+    lo = ln o0 and d = sqrt(1 - o0^(2 theta)).
+
+    Subtracting from 0.0 rather than negating gives d = +0.0 at o0 = 1.
+    """
+    d_b, d_c = np.sqrt(0.0 - np.expm1(2.0 * lo * np.stack(
+        np.broadcast_arrays(theta_b, theta_c))))
+    return d_b, d_c, prefactor * np.exp(xi * lo) * d_b * d_c
+
+
+def _init_kernel(init: SuperpositionInit, xi, theta_b, theta_c):
+    prefactor = 2.0 * abs(init.a * init.b) * init.norm_const ** 2
+    return _kernel(init.log_overlap.real, prefactor, xi, theta_b, theta_c)
 
 
 def distinguishability(o0: float, theta_p: float) -> float:
@@ -54,40 +59,34 @@ def distinguishability(o0: float, theta_p: float) -> float:
     Conventions at the edges: theta_p = 0 gives 0 (identical states) even
     for o0 = 0, and o0 = 0 with theta_p > 0 gives 1 (orthogonal branches).
     """
-    o0 = _check_unit_range("o0", o0)
-    theta_p = _check_unit_range("theta_p", theta_p)
+    o0 = float(_check_unit_range("o0", o0))
+    theta_p = float(_check_unit_range("theta_p", theta_p))
     if theta_p == 0.0:
         return 0.0
     if o0 == 0.0:
         return 1.0
-    return _distinguishability_from_log(math.log(o0), theta_p)
+    return float(_kernel(math.log(o0), 0.0, 0.0, theta_p, 0.0)[0])
 
 
-def _closed_form(init: SuperpositionInit, xi: float,
-                 theta_b: float, theta_c: float) -> float:
-    lo = init.log_overlap.real
-    prefactor = 2.0 * abs(init.a * init.b) * init.norm_const ** 2
-    return (prefactor * math.exp(xi * lo)
-            * _distinguishability_from_log(lo, theta_b)
-            * _distinguishability_from_log(lo, theta_c))
-
-
-def concurrence_closed_form(init: SuperpositionInit, xi: float,
-                            theta_b: float, theta_c: float) -> float:
+def concurrence_closed_form(init: SuperpositionInit, xi, theta_b, theta_c):
     """Concurrence between two bath blocks from their excitation shares.
 
-    Physically consistent inputs satisfy xi + theta_b + theta_c = 1; other
-    combinations are accepted for what-if scans but trigger a warning since
-    the in-range guarantee C <= 1 only holds on the physical set.
+    Takes scalars (returns a float) or arrays (returns an array); range
+    checks and the physical-sum warning apply to every element.  Physically
+    consistent inputs satisfy xi + theta_b + theta_c = 1; other combinations
+    are accepted for what-if scans but trigger a warning since the in-range
+    guarantee C <= 1 only holds on the physical set.
     """
     xi = _check_unit_range("xi", xi)
     theta_b = _check_unit_range("theta_b", theta_b)
     theta_c = _check_unit_range("theta_c", theta_c)
     total = xi + theta_b + theta_c
-    if abs(total - 1.0) > PHYSICAL_SUM_TOL:
-        warnings.warn(f"xi + theta_b + theta_c = {total:g} differs from 1; "
-                      "treating inputs as a what-if scan", stacklevel=2)
-    return _closed_form(init, xi, theta_b, theta_c)
+    off = np.abs(total - 1.0) > PHYSICAL_SUM_TOL
+    if off.any():
+        warnings.warn(f"xi + theta_b + theta_c = {np.extract(off, total)[0]:g} "
+                      "differs from 1; treating inputs as a what-if scan", stacklevel=2)
+    c = _init_kernel(init, xi, theta_b, theta_c)[2]
+    return float(c) if c.ndim == 0 else c
 
 
 def asymptotic_concurrence(init: SuperpositionInit,
@@ -97,16 +96,12 @@ def asymptotic_concurrence(init: SuperpositionInit,
     theta_c = _check_unit_range("theta_c", theta_c)
     if theta_b + theta_c > 1.0 + 1e-9:
         raise ValueError("theta_b + theta_c must not exceed 1")
-    return _closed_form(init, 0.0, theta_b, theta_c)
+    return float(_init_kernel(init, 0.0, theta_b, theta_c)[2])
 
 
 @dataclass(frozen=True, eq=False)
 class ConcurrenceSeries:
-    """Closed-form concurrence over a trajectory, with its ingredients.
-
-    oracle_residual is filled by the independent spin-flip pipeline when a
-    run requests the cross-check.
-    """
+    """Closed-form concurrence over a trajectory, with its ingredients."""
 
     times: np.ndarray
     xi: np.ndarray
@@ -115,7 +110,6 @@ class ConcurrenceSeries:
     d_b: np.ndarray
     d_c: np.ndarray
     c_closed: np.ndarray
-    oracle_residual: np.ndarray | None = None
 
 
 def concurrence_series(traj: AmplitudeTrajectory, init: SuperpositionInit,
@@ -125,9 +119,5 @@ def concurrence_series(traj: AmplitudeTrajectory, init: SuperpositionInit,
         raise ValueError("partition must split the full bath into exactly two blocks")
     profile = excitation_profile(traj, bipartition)
     theta_b, theta_c = profile.theta_blocks
-    lo = init.log_overlap.real
-    d_b = np.sqrt(-np.expm1(2.0 * lo * theta_b))
-    d_c = np.sqrt(-np.expm1(2.0 * lo * theta_c))
-    prefactor = 2.0 * abs(init.a * init.b) * init.norm_const ** 2
-    c = prefactor * np.exp(profile.xi * lo) * d_b * d_c
+    d_b, d_c, c = _init_kernel(init, profile.xi, theta_b, theta_c)
     return ConcurrenceSeries(traj.times, profile.xi, theta_b, theta_c, d_b, d_c, c)

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .concurrence import ConcurrenceSeries, concurrence_series
+from .concurrence import concurrence_series
 from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
                     banded_blocks, build_bath_grid, centered_bipartition,
                     interleaved_bipartition, normalize_superposition)
 from .observables import excitation_profile
 from .propagation import (AmplitudeTrajectory, build_generator, evolve_exact,
                           evolve_rk4, norm_residual)
-from .wootters import crosscheck
+from .wootters import oracle_residuals
 
 __all__ = [
     "TOOL_VERSION",
@@ -48,7 +48,9 @@ TOOL_VERSION = "0.1.0"
 # this bound, otherwise the run is marked failed
 ORACLE_RESIDUAL_LIMIT = 1e-10
 
-_SCHEMES = ("none", "centered", "banded", "interleaved", "explicit")
+# partition scheme -> the parameter keys it takes
+_SCHEMES = {"none": (), "centered": ("size_b",), "banded": ("n_blocks",),
+            "interleaved": (), "explicit": ("blocks", "labels")}
 _EMITS = ("excitation", "blocks", "bipartition", "concurrence")
 _METHODS = ("exact", "rk4", "both")
 
@@ -85,10 +87,8 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.emit in ("bipartition", "concurrence") and self.partition_scheme == "none":
+        if self.emit != "excitation" and self.partition_scheme == "none":
             raise ValueError(f"emit {self.emit!r} needs a partition scheme")
-        if self.emit == "blocks" and self.partition_scheme == "none":
-            raise ValueError("emit 'blocks' needs a partition scheme")
         if self.emit == "concurrence" and self.superposition is None:
             raise ValueError("emit 'concurrence' needs superposition parameters")
 
@@ -135,12 +135,23 @@ def _complex_out(z: complex):
     return z.real if z.imag == 0 else [z.real, z.imag]
 
 
+def _reject_unknown(section: str, doc: dict, allowed) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                         f"allowed: {', '.join(allowed)}")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a JSON-compatible configuration document."""
+    """Build a Scenario from a JSON-compatible document; unknown keys raise."""
     if "scenario" in doc:  # accept a previously written manifest
         doc = doc["scenario"]
+    _reject_unknown("top-level", doc, ("name", "system", "superposition", "partition",
+                                       "time", "method", "emit", "out_dir", "svg"))
     try:
         sysd = doc["system"]
+        _reject_unknown("system", sysd, ("n_bath", "coupling_amplitude", "band", "omega0",
+                                         "couplings", "force_resonant"))
         system = SystemConfig(
             n_bath=int(sysd["n_bath"]),
             coupling_amplitude=float(sysd.get("coupling_amplitude", 0.1)),
@@ -155,6 +166,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     init = None
     if doc.get("superposition") is not None:
         sup = doc["superposition"]
+        _reject_unknown("superposition", sup, ("a", "b", "alpha0", "beta0"))
         init = normalize_superposition(
             _as_complex(sup.get("a", 1.0)), _as_complex(sup.get("b", -1.0)),
             _as_complex(sup.get("alpha0", 3.0)), _as_complex(sup.get("beta0", -3.0)))
@@ -162,8 +174,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     part = doc.get("partition") or {"scheme": "none"}
     scheme = part.get("scheme", "none")
     params = {k: v for k, v in part.items() if k != "scheme"}
+    # an unknown scheme itself is reported by Scenario
+    _reject_unknown(f"partition ({scheme})", params, _SCHEMES.get(scheme, params))
 
     timed = doc.get("time", {})
+    _reject_unknown("time", timed, ("t_end", "dt", "samples"))
     t_end = float(timed.get("t_end", 100.0))
     dt = float(timed.get("dt", 0.01))
     samples = int(timed.get("samples", 2000))
@@ -327,14 +342,16 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _oracle_residuals(init: SuperpositionInit, series: ConcurrenceSeries) -> np.ndarray:
-    # trajectory roundoff can push shares past 1 by up to the norm drift;
-    # clip before feeding the scalar pipeline
-    xi = np.clip(series.xi, 0.0, 1.0)
-    tb = np.clip(series.theta_b, 0.0, 1.0)
-    tc = np.clip(series.theta_c, 0.0, 1.0)
-    return np.array([crosscheck(init, float(xi[i]), float(tb[i]), float(tc[i]))
-                     for i in range(len(series.times))])
+def _concurrence_table(init: SuperpositionInit, traj: AmplitudeTrajectory,
+                       partition: PartitionSpec):
+    """The concurrence schema: header, column arrays and max oracle residual."""
+    series = concurrence_series(traj, init, partition)
+    residual = oracle_residuals(init, series.xi, series.theta_b, series.theta_c)
+    header = ["t", "xi", "theta_b", "theta_c", "d_b", "d_c",
+              "concurrence", "oracle_residual"]
+    columns = [series.times, series.xi, series.theta_b, series.theta_c,
+               series.d_b, series.d_c, series.c_closed, residual]
+    return header, columns, float(residual.max())
 
 
 def _emit_table(s: Scenario, traj: AmplitudeTrajectory,
@@ -351,13 +368,7 @@ def _emit_table(s: Scenario, traj: AmplitudeTrajectory,
         profile = excitation_profile(traj, partition)
         header = ["t", "xi"] + [f"theta_{lbl.lower()}" for lbl in partition.labels]
         return header, [traj.times, profile.xi, *profile.theta_blocks], None
-    series = concurrence_series(traj, s.superposition, partition)
-    residual = _oracle_residuals(s.superposition, series)
-    header = ["t", "xi", "theta_b", "theta_c", "d_b", "d_c",
-              "concurrence", "oracle_residual"]
-    columns = [series.times, series.xi, series.theta_b, series.theta_c,
-               series.d_b, series.d_c, series.c_closed, residual]
-    return header, columns, float(residual.max())
+    return _concurrence_table(s.superposition, traj, partition)
 
 
 def _propagate(s: Scenario, gen: np.ndarray, method: str) -> AmplitudeTrajectory:
@@ -433,8 +444,9 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     start = time.perf_counter()
     if "preset" in doc:
         base = preset(doc["preset"])
-    else:
-        base = scenario_from_dict(doc.get("base", doc))
+    else:  # a flat document is the base scenario plus the grid keys
+        base = scenario_from_dict(doc.get("base", {k: v for k, v in doc.items()
+                                                   if k not in ("sizes_b", "overlaps")}))
     name = str(doc.get("name", f"{base.name}_sweep"))
     sizes = [int(v) for v in doc.get("sizes_b", [100, 500, 900])]
     overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]
@@ -450,39 +462,25 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     gen = build_generator(grid)
     traj = _propagate(base, gen, "exact")
 
-    status = "ok"
     outputs: list[dict] = []
-    index_rows: list[list[float]] = []
-    index_files: list[str] = []
+    index = ["size_b,o0,file,c_end,theta_b_end,theta_c_end,max_oracle_residual"]
     worst = 0.0
     for size_b in sizes:
         partition = centered_bipartition(grid, size_b)
         for j, o0 in enumerate(overlaps):
             half = math.sqrt(-2.0 * math.log(o0)) / 2.0
             init = normalize_superposition(weight_a, weight_b, half, -half)
-            series = concurrence_series(traj, init, partition)
-            residual = _oracle_residuals(init, series)
-            worst = max(worst, float(residual.max()))
+            header, columns, residual = _concurrence_table(init, traj, partition)
+            worst = max(worst, residual)
             fname = f"{name}_b{size_b}_o{j}.csv"
-            write_csv(out / fname,
-                      ["t", "xi", "theta_b", "theta_c", "d_b", "d_c",
-                       "concurrence", "oracle_residual"],
-                      [series.times, series.xi, series.theta_b, series.theta_c,
-                       series.d_b, series.d_c, series.c_closed, residual])
+            write_csv(out / fname, header, columns)
             outputs.append({"path": fname, "sha256": _sha256(out / fname)})
-            index_files.append(fname)
-            index_rows.append([size_b, o0, series.c_closed[-1],
-                               series.theta_b[-1], series.theta_c[-1],
-                               float(residual.max())])
-    if worst > ORACLE_RESIDUAL_LIMIT:
-        status = "failed"
+            col = dict(zip(header, columns))
+            ends = (col["concurrence"][-1], col["theta_b"][-1], col["theta_c"][-1], residual)
+            index.append(",".join([str(size_b), _fmt(o0), fname, *map(_fmt, ends)]))
 
     index_path = out / f"{name}_index.csv"
-    with open(index_path, "w", newline="\n") as fh:
-        fh.write("size_b,o0,file,c_end,theta_b_end,theta_c_end,max_oracle_residual\n")
-        for row, fname in zip(index_rows, index_files):
-            fh.write(f"{int(row[0])},{_fmt(row[1])},{fname},"
-                     + ",".join(_fmt(v) for v in row[2:]) + "\n")
+    index_path.write_text("\n".join(index) + "\n", newline="\n")
     outputs.append({"path": index_path.name, "sha256": _sha256(index_path)})
 
     sweep_doc = {"name": name, "base": scenario_to_dict(base),
@@ -493,7 +491,7 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
         tool_version=TOOL_VERSION,
         duration_s=time.perf_counter() - start,
         outputs=outputs,
-        status=status,
+        status="failed" if worst > ORACLE_RESIDUAL_LIMIT else "ok",
         checks={"max_oracle_residual": worst},
     )
     manifest.save(out / f"{name}_manifest.json")

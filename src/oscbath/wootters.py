@@ -9,7 +9,6 @@ closed form to near machine precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,14 +19,9 @@ from .concurrence import concurrence_closed_form
 from .model import SuperpositionInit
 
 __all__ = [
-    "QubitEmbedding",
-    "TwoQubitDensityMatrix",
-    "qubit_embedding",
-    "build_density_matrix",
-    "spin_flip",
-    "wootters_concurrence",
-    "product_eigenvalues",
-    "factored_product_eigenvalues",
+    "QubitEmbedding", "TwoQubitDensityMatrix", "qubit_embedding",
+    "build_density_matrix", "spin_flip", "wootters_concurrence",
+    "product_eigenvalues", "factored_product_eigenvalues", "oracle_residuals",
     "crosscheck",
 ]
 
@@ -38,6 +32,10 @@ _SY2 = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
 ])
+# system and environment weight index (0: s_plus, 1: s_minus) of each
+# basis state, and which of r, u, u*, v sits at each matrix entry
+_SYS, _ENV = np.divmod(np.arange(4), 2)
+_ENTRY = np.array([[0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2], [0, 1, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -45,97 +43,100 @@ class QubitEmbedding:
     """Orthonormal-basis weights for two branch states with overlap magnitude o.
 
     s_plus/s_minus = sqrt((1 +- o)/2); phase is the unit complex argument of
-    the overlap (fixed to 1 when the branches are orthogonal).
+    the overlap (fixed to 1 when the branches are orthogonal).  Fields are
+    scalars, or arrays for a stack of overlaps.
     """
 
-    s_plus: float
-    s_minus: float
-    phase: complex
+    s_plus: float | np.ndarray
+    s_minus: float | np.ndarray
+    phase: complex | np.ndarray
 
     def __post_init__(self):
-        if not (self.s_plus >= self.s_minus >= 0.0):
+        sp, sm = np.asarray(self.s_plus), np.asarray(self.s_minus)
+        if not np.all((sp >= sm) & (sm >= 0.0)):
             raise ValueError("embedding weights must satisfy s_plus >= s_minus >= 0")
-        if abs(self.s_plus ** 2 + self.s_minus ** 2 - 1.0) > 1e-12:
+        if np.any(np.abs(sp ** 2 + sm ** 2 - 1.0) > 1e-12):
             raise ValueError("embedding weights must satisfy s_plus^2 + s_minus^2 = 1")
-        if abs(abs(self.phase) - 1.0) > 1e-12:
+        if np.any(np.abs(np.abs(self.phase) - 1.0) > 1e-12):
             raise ValueError("phase must be a unit complex number")
 
 
-def qubit_embedding(overlap: complex) -> QubitEmbedding:
-    """Embedding weights and phase for a (reversed-order) branch overlap.
+def qubit_embedding(overlap) -> QubitEmbedding:
+    """Embedding weights and phase for a (reversed-order) branch overlap,
+    or for each entry of an array of them.
 
     Pass <second branch | first branch>, whose argument fixes the relative
     phase of the basis states.  Only the magnitude enters the weights.
     """
-    overlap = complex(overlap)
-    o = abs(overlap)
-    if o > 1.0 + 1e-12:
-        raise ValueError(f"overlap magnitude {o} exceeds 1")
-    o = min(o, 1.0)
+    overlap = np.asarray(overlap, dtype=complex)
+    o = np.abs(overlap)
+    if np.any(o > 1.0 + 1e-12):
+        raise ValueError(f"overlap magnitude {o.max()} exceeds 1")
+    o = np.minimum(o, 1.0)
     # atan2 keeps the phase exactly unit even for subnormal overlaps
-    phase = cmath.exp(1j * cmath.phase(overlap)) if o > 0 else complex(1.0)
-    return QubitEmbedding(math.sqrt((1.0 + o) / 2.0), math.sqrt((1.0 - o) / 2.0), phase)
+    phase = np.where(o > 0, np.exp(1j * np.angle(overlap)), 1.0)
+    return QubitEmbedding(np.sqrt((1.0 + o) / 2.0)[()], np.sqrt((1.0 - o) / 2.0)[()],
+                          phase[()])
 
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitDensityMatrix:
-    """4x4 density matrix in the embedded basis, with its raw parameters.
+    """4x4 density matrix in the embedded basis, with its raw parameters;
+    a stack of them has matrix shape (..., 4, 4) and array parameters.
 
     r, u, v are the phase-dressed parameter combinations appearing in the
     matrix entries.
     """
 
     matrix: np.ndarray
-    weight: float
-    p: float
-    q: float
-    z: complex
-    r: float
-    u: complex
-    v: float
+    weight: float | np.ndarray
+    p: float | np.ndarray
+    q: float | np.ndarray
+    z: complex | np.ndarray
+    r: float | np.ndarray
+    u: complex | np.ndarray
+    v: float | np.ndarray
 
 
-def build_density_matrix(weight: float, p: float, q: float, z: complex,
-                         emb_sys: QubitEmbedding,
+def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
                          emb_env: QubitEmbedding) -> TwoQubitDensityMatrix:
     """Assemble weight*(p|1><1| + q|2><2| + z|1><2| + z*|2><1|) in the
-    embedded two-qubit basis.
+    embedded two-qubit basis; array arguments give a stack of matrices.
 
-    Traces differing from 1 by more than 1e-8 flag physically inconsistent
-    parameters with a warning; raw parameter scans are still allowed.
+    Entry (i, j) is weight * s_a s_a' t_b t_b' * x_ij, where basis state i
+    pairs system weight s_a with environment weight t_b, and x_ij is one of
+    r, u, u*, v.  Traces differing from 1 by more than 1e-8 flag
+    physically inconsistent parameters with a warning; raw parameter scans
+    are still allowed.
     """
-    if weight <= 0 or p < 0 or q < 0:
+    weight, p, q = (np.asarray(v, dtype=float) for v in (weight, p, q))
+    if np.any(weight <= 0) or np.any(p < 0) or np.any(q < 0):
         raise ValueError("weight must be positive and p, q nonnegative")
-    z = complex(z)
-    sp, sm = emb_sys.s_plus, emb_sys.s_minus
-    tp, tm = emb_env.s_plus, emb_env.s_minus
+    z = np.asarray(z, dtype=complex)
     zp = z * emb_sys.phase * emb_env.phase
     r = p + q + 2.0 * zp.real
     u = -p + q + 2j * zp.imag
     v = p + q - 2.0 * zp.real
-    uc = u.conjugate()
-    g = weight
-    mat = g * np.array([
-        [sp*sp*tp*tp*r,  sp*sp*tp*tm*u,  sp*sm*tp*tp*u,  sp*sm*tp*tm*r],
-        [sp*sp*tp*tm*uc, sp*sp*tm*tm*v,  sp*sm*tp*tm*v,  sp*sm*tm*tm*uc],
-        [sp*sm*tp*tp*uc, sp*sm*tp*tm*v,  sm*sm*tp*tp*v,  sm*sm*tp*tm*uc],
-        [sp*sm*tp*tm*r,  sp*sm*tm*tm*u,  sm*sm*tp*tm*u,  sm*sm*tm*tm*r],
-    ], dtype=complex)
+    x = np.stack(np.broadcast_arrays(r, u, u.conj(), v), axis=-1)[..., _ENTRY]
+    s = np.stack([emb_sys.s_plus, emb_sys.s_minus], axis=-1)
+    t = np.stack([emb_env.s_plus, emb_env.s_minus], axis=-1)
+    lo, hi = np.minimum.outer(_ENV, _ENV), np.maximum.outer(_ENV, _ENV)
+    coeff = s[..., _SYS[:, None]] * s[..., _SYS[None, :]] * t[..., lo] * t[..., hi]
+    mat = weight[..., None, None] * (coeff * x)
     mat.flags.writeable = False
-    trace = float(mat.trace().real)
-    if abs(trace - 1.0) > 1e-8:
-        warnings.warn(f"density matrix trace {trace:.6g} differs from 1; "
-                      "parameters are not a normalized physical state", stacklevel=2)
-    return TwoQubitDensityMatrix(mat, g, float(p), float(q), z, r, u, v)
+    trace = np.trace(mat, axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > 1e-8
+    if off.any():
+        warnings.warn(f"density matrix trace {np.extract(off, trace)[0]:.6g} differs "
+                      "from 1; parameters are not a normalized physical state",
+                      stacklevel=2)
+    return TwoQubitDensityMatrix(mat, weight[()], p[()], q[()], z[()], r[()], u[()], v[()])
 
 
 def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, TwoQubitDensityMatrix):
-        mat = rho.matrix
-    else:
-        mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    mat = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else np.asarray(rho, complex)
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError("expected a 4x4 matrix or a stack of them")
     return mat
 
 
@@ -145,29 +146,35 @@ def spin_flip(rho) -> np.ndarray:
     return _SY2 @ mat.conj() @ _SY2
 
 
-def wootters_concurrence(rho) -> float:
+def wootters_concurrence(rho):
     """C = max(0, l1 - l2 - l3 - l4) with l_i the eigenvalues of
     R = sqrt(sqrt(rho) rho~ sqrt(rho)), in decreasing order.
 
-    The l_i are evaluated as the singular values of
+    Takes one matrix (returns a float) or a (..., 4, 4) stack (returns an
+    array); every check and the rank cutoff apply to each matrix on its
+    own.  The l_i are evaluated as the singular values of
     sqrt(rho) (sigma_y x sigma_y) sqrt(rho)^T, an exact rewriting of the
     spectrum of R that stays accurate to roundoff where squaring into
     rho rho~ and re-rooting would lose half the digits.  Directions of rho
     below its numerical rank are discarded before the root.
     """
     mat = _as_matrix(rho)
-    if not np.allclose(mat, mat.conj().T, rtol=0.0,
-                       atol=1e-12 * max(1.0, float(np.abs(mat).max()))):
+    shape = mat.shape[:-2]
+    mat = mat.reshape(-1, 4, 4)  # one matrix is a stack of one
+    adjoint = mat.conj().swapaxes(-2, -1)
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1), keepdims=True))
+    if not np.all(np.abs(mat - adjoint) <= 1e-12 * scale):
         raise ValueError("density matrix must be Hermitian")
     ev, basis = np.linalg.eigh(mat)
     if ev.min() < -1e-8:
         raise ValueError(f"density matrix eigenvalue {ev.min():.3e} is significantly negative")
     ev = np.clip(ev, 0.0, None)
-    ev[ev <= 1e-12 * ev.max()] = 0.0
-    root = (basis * np.sqrt(ev)) @ basis.conj().T
-    flip_kernel = root @ _SY2 @ root.T
+    ev[ev <= 1e-12 * ev.max(axis=-1, keepdims=True)] = 0.0
+    root = (basis * np.sqrt(ev)[..., None, :]) @ basis.conj().swapaxes(-2, -1)
+    flip_kernel = root @ _SY2 @ root.swapaxes(-2, -1)
     l = np.linalg.svd(flip_kernel, compute_uv=False)
-    return float(max(0.0, l[0] - l[1] - l[2] - l[3]))
+    c = np.maximum(0.0, l[:, 0] - l[:, 1] - l[:, 2] - l[:, 3]).reshape(shape)
+    return float(c) if c.ndim == 0 else c
 
 
 def product_eigenvalues(rho) -> np.ndarray:
@@ -186,7 +193,7 @@ def product_eigenvalues(rho) -> np.ndarray:
     m = m.real
     if m.min() < -1e-8:
         raise ValueError(f"product eigenvalue {m.min():.3e} is significantly negative")
-    return np.sort(np.clip(m, 0.0, None))[::-1]
+    return np.sort(np.clip(m, 0.0, None))[..., ::-1]
 
 
 def factored_product_eigenvalues(weight: float, p: float, q: float, z: complex,
@@ -204,23 +211,27 @@ def factored_product_eigenvalues(weight: float, p: float, q: float, z: complex,
             scale * (abs(z) + root_pq) ** 2)
 
 
+def oracle_residuals(init: SuperpositionInit, xi, theta_b, theta_c) -> np.ndarray:
+    """|closed-form C - spin-flip numeric C| per set of excitation shares.
+
+    Clips the shares to [0, 1] (trajectory roundoff can push them past by up
+    to the norm drift), builds the block overlaps o^theta and the branch
+    factor from the stored log-overlap, runs the stacked numeric pipeline
+    (embedding, density matrix, spin flip, spectrum), and compares against
+    the closed form.
+    """
+    xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
+                            for v in (xi, theta_b, theta_c))
+    wc = init.log_overlap.conjugate()
+    z = init.a * init.b.conjugate() * np.exp(xi * wc)
+    rho = build_density_matrix(init.norm_const ** 2, abs(init.a) ** 2, abs(init.b) ** 2, z,
+                               qubit_embedding(np.exp(theta_b * wc)),
+                               qubit_embedding(np.exp(theta_c * wc)))
+    closed = concurrence_closed_form(init, xi, theta_b, theta_c)
+    return np.abs(wootters_concurrence(rho) - closed)
+
+
 def crosscheck(init: SuperpositionInit, xi: float,
                theta_b: float, theta_c: float) -> float:
-    """|closed-form C - spin-flip numeric C| for one set of excitation shares.
-
-    Builds the block overlaps o^theta and the branch factor from the stored
-    log-overlap, runs the full numeric pipeline (embedding, density matrix,
-    spin flip, spectrum), and compares against the closed form.
-    """
-    w = init.log_overlap
-    wc = w.conjugate()
-    weight = init.norm_const ** 2
-    p = abs(init.a) ** 2
-    q = abs(init.b) ** 2
-    z = init.a * init.b.conjugate() * cmath.exp(xi * wc)
-    emb_sys = qubit_embedding(cmath.exp(theta_b * wc))
-    emb_env = qubit_embedding(cmath.exp(theta_c * wc))
-    rho = build_density_matrix(weight, p, q, z, emb_sys, emb_env)
-    numeric = wootters_concurrence(rho)
-    closed = concurrence_closed_form(init, xi, theta_b, theta_c)
-    return abs(numeric - closed)
+    """oracle_residuals for one set of excitation shares, as a float."""
+    return float(oracle_residuals(init, xi, theta_b, theta_c)[0])

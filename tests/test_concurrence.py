@@ -110,6 +110,23 @@ class TestClosedForm:
             best = grid[int(np.argmax(values))]
             assert best == pytest.approx(total / 2.0, abs=total / 40.0)
 
+    def test_arrays_match_scalars(self, cat_init):
+        rng = np.random.default_rng(4)
+        xi, tb, tc = rng.dirichlet([1, 1, 1], size=30).T
+        values = concurrence_closed_form(cat_init, xi, tb, tc)
+        assert values.shape == (30,)
+        for i in range(30):
+            assert values[i] == pytest.approx(concurrence_closed_form(
+                cat_init, float(xi[i]), float(tb[i]), float(tc[i])), abs=1e-15)
+
+    def test_array_checks_every_element(self, cat_init):
+        with pytest.raises(ValueError, match="theta_b"):
+            concurrence_closed_form(cat_init, np.array([0.2, 0.2]),
+                                    np.array([0.5, 1.3]), np.array([0.3, 0.0]))
+        with pytest.warns(UserWarning, match="what-if"):
+            concurrence_closed_form(cat_init, np.array([0.2, 0.5]),
+                                    np.array([0.5, 0.5]), np.array([0.3, 0.5]))
+
     def test_range_on_random_physical_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -180,6 +197,13 @@ class TestSeries:
         part = interleaved_bipartition(small_grid)
         series = concurrence_series(traj, cat_init, part)
         assert abs(series.theta_b[-1] - series.theta_c[-1]) < 1e-6
+
+    def test_identical_branches_give_positive_zero(self, small_grid):
+        init = normalize_superposition(1, 1, 0.5, 0.5)  # o0 = 1
+        traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 20.0, 11))
+        series = concurrence_series(traj, init, centered_bipartition(small_grid, 10))
+        for column in (series.d_b, series.d_c, series.c_closed):
+            assert np.all(column == 0.0) and not np.signbit(column).any()
 
     def test_rejects_partial_bipartition(self, small_grid, cat_init):
         from oscbath import PartitionSpec

@@ -99,6 +99,34 @@ class TestScenarioParsing:
         with pytest.raises(ValueError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "sampels"), (None, "methd"), ("system", "nbath"),
+        ("superposition", "alpha"), ("time", "t_max"), ("partition", "n_blocks")])
+    def test_unknown_key_rejected(self, section, key):
+        doc = json.loads(json.dumps(SMALL_DOC))
+        (doc if section is None else doc[section])[key] = 5
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(doc)
+
+    def test_typo_exits_bad_input(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_DOC, "sampels": 5, "methd": "rk4"}))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "small.csv").exists()
+
+    def test_manifest_round_trip_with_every_key(self, tmp_path):
+        doc = {**SMALL_DOC, "name": "full", "emit": "concurrence", "svg": True,
+               "out_dir": str(tmp_path), "time": {"t_end": 2.0, "samples": 5, "dt": 0.01},
+               "system": {**SMALL_DOC["system"], "omega0": 1.0, "force_resonant": True,
+                          "couplings": [0.01] * 40},
+               "partition": {"scheme": "explicit", "labels": ["B", "C"],
+                             "blocks": [list(range(1, 11)), list(range(11, 41))]}}
+        s = scenario_from_dict(doc)
+        manifest = run_scenario(s)
+        saved = json.loads((tmp_path / "full_manifest.json").read_text())
+        assert manifest.status == "ok"
+        assert scenario_from_dict(saved) == s
+
     def test_explicit_partition(self):
         doc = dict(SMALL_DOC)
         doc["partition"] = {"scheme": "explicit",
@@ -185,6 +213,14 @@ class TestRunScenario:
         assert svg.startswith("<svg")
         assert "polyline" in svg
 
+    def test_identical_branches_write_no_negative_zero(self, tmp_path):
+        doc = {**SMALL_DOC, "name": "same",
+               "superposition": {"a": 1, "b": 1, "alpha0": 0.5, "beta0": 0.5}}
+        run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+        rows = (tmp_path / "same.csv").read_text().splitlines()[1:]
+        fields = {field for row in rows for field in row.split(",")}
+        assert "-0" not in fields
+
     def test_rerun_from_manifest(self, tmp_path):
         s = scenario_from_dict(SMALL_DOC)
         run_scenario(s, out_dir=tmp_path / "one")
@@ -207,6 +243,21 @@ class TestSweep:
         for row in index[1:]:
             fname = row.split(",")[2]
             assert (tmp_path / fname).exists()
+
+    def test_flat_document(self, tmp_path):
+        cfg = {**SMALL_DOC, "sizes_b": [10], "overlaps": [0.5]}
+        manifest = run_sweep(cfg, out_dir=tmp_path)
+        assert manifest.status == "ok"
+        assert (tmp_path / "small_b10_o0.csv").exists()
+        with pytest.raises(ValueError, match="sampels"):
+            run_sweep({**cfg, "sampels": 5}, out_dir=tmp_path)
+
+    def test_header_matches_scenario_concurrence_header(self, tmp_path):
+        run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
+        run_sweep({"name": "scan", "base": SMALL_DOC, "sizes_b": [10],
+                   "overlaps": [0.5]}, out_dir=tmp_path)
+        header = (tmp_path / "small.csv").read_text().splitlines()[0]
+        assert (tmp_path / "scan_b10_o0.csv").read_text().splitlines()[0] == header
 
     def test_rejects_bad_overlap(self, tmp_path):
         cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10],

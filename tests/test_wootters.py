@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscbath import (build_density_matrix, crosscheck,
-                     factored_product_eigenvalues, normalize_superposition,
+from oscbath import (QubitEmbedding, build_density_matrix, build_generator,
+                     centered_bipartition, concurrence_series, crosscheck,
+                     evolve_exact, factored_product_eigenvalues,
+                     normalize_superposition, oracle_residuals,
                      product_eigenvalues, qubit_embedding, spin_flip,
                      wootters_concurrence)
 
@@ -295,3 +297,91 @@ class TestCrosscheck:
             worst = max(worst, crosscheck(init, *map(float, shares)))
             count += 1
         assert worst < 1e-10
+
+
+def _stacked_embedding(embeddings):
+    return QubitEmbedding(*(np.array([getattr(e, name) for e in embeddings])
+                            for name in ("s_plus", "s_minus", "phase")))
+
+
+class TestStackedPipeline:
+    def test_embedding_of_an_array_matches_scalars(self):
+        overlaps = np.array([0.0, 0.5j, math.exp(-18.0), 1.0, 0.3 - 0.4j])
+        stacked = qubit_embedding(overlaps)
+        for i, overlap in enumerate(overlaps):
+            single = qubit_embedding(overlap)
+            assert stacked.s_plus[i] == single.s_plus
+            assert stacked.s_minus[i] == single.s_minus
+            assert stacked.phase[i] == single.phase
+
+    def test_embedding_rejects_one_excess_magnitude(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            qubit_embedding(np.array([0.5, 1.0 + 1e-6]))
+
+    def test_stacked_assembly_matches_rows(self):
+        rng = np.random.default_rng(14)
+        params = [_random_state_params(rng, normalized=False) for _ in range(50)]
+        weight, p, q, z = (np.array([prm[i] for prm in params]) for i in range(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # raw scans trip the trace warning
+            stacked = build_density_matrix(
+                weight, p, q, z, _stacked_embedding([prm[4] for prm in params]),
+                _stacked_embedding([prm[5] for prm in params]))
+        assert stacked.matrix.shape == (50, 4, 4)
+        assert np.array_equal(stacked.matrix, stacked.matrix.conj().swapaxes(1, 2))
+        for i, prm in enumerate(params):
+            # vectorised complex products may round differently in the last bit
+            np.testing.assert_allclose(stacked.matrix[i], _build(prm).matrix,
+                                       rtol=0.0, atol=1e-15)
+
+    def test_stack_rejects_one_negative_weight(self):
+        with pytest.raises(ValueError, match="positive"):
+            build_density_matrix(np.array([1.0, -1.0]), 0.5, 0.5, 0.0,
+                                 qubit_embedding(0.0), qubit_embedding(0.0))
+
+    def test_stack_matches_product_gap_per_row(self):
+        rng = np.random.default_rng(12)
+        params = [prm for prm in (_random_state_params(rng) for _ in range(100))
+                  if abs(prm[3]) < math.sqrt(prm[1] * prm[2])]
+        rhos = [_build(prm) for prm in params]
+        stacked = wootters_concurrence(np.stack([rho.matrix for rho in rhos]))
+        assert stacked.shape == (len(rhos),)
+        for rho, c in zip(rhos, stacked):
+            m = product_eigenvalues(rho)
+            assert c == pytest.approx(math.sqrt(m[0]) - math.sqrt(m[1]), abs=1e-7)
+
+    def test_rank_cutoff_is_per_matrix(self):
+        # the 1e-7 admixture lowers C by 2e-7; in the scaled copy its
+        # eigenvalue 1e-13 sits below a cutoff taken over the whole stack
+        phi_minus = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
+        eps = 1e-7
+        rho = ((1.0 - eps) * np.outer(BELL_VECTOR, BELL_VECTOR)
+               + eps * np.outer(phi_minus, phi_minus))
+        c = wootters_concurrence(rho)
+        assert c == pytest.approx(1.0 - 2.0 * eps, abs=1e-14)
+        stacked = wootters_concurrence(np.stack([rho, 1e-6 * rho]))
+        np.testing.assert_allclose(stacked, [c, 1e-6 * c], rtol=1e-12, atol=0.0)
+
+    def test_stack_with_one_non_hermitian_matrix_raises(self):
+        # a 1e-9 skew passes at the scale 1e6 of the other matrix, but not
+        # at its own scale of 1
+        bell = np.outer(BELL_VECTOR, BELL_VECTOR).astype(complex)
+        skewed = bell.copy()
+        skewed[0, 3] += 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            wootters_concurrence(np.stack([1e6 * bell, skewed]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            wootters_concurrence(np.stack([bell, np.arange(16.0).reshape(4, 4)]))
+
+    @pytest.mark.parametrize("overlap", [math.exp(-18.0), 0.5])
+    def test_oracle_residuals_match_crosscheck(self, small_grid, overlap):
+        half = math.sqrt(-2.0 * math.log(overlap)) / 2.0
+        init = normalize_superposition(0.8 + 0.3j, -1.1, half + 0.2j, -half)
+        traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 40.0, 41))
+        series = concurrence_series(traj, init, centered_bipartition(small_grid, 10))
+        stacked = oracle_residuals(init, series.xi, series.theta_b, series.theta_c)
+        rows = [crosscheck(init, float(x), float(b), float(c))
+                for x, b, c in zip(series.xi, series.theta_b, series.theta_c)]
+        assert stacked.shape == (41,)
+        assert np.abs(stacked - rows).max() <= 1e-15
+        assert stacked.max() < 1e-10
