@@ -17,6 +17,7 @@ from .model import (SystemConfig, build_bath_grid, centered_bipartition,
                     normalize_superposition)
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import build_generator, evolve_exact, evolve_rk4, norm_residual
+from .scenarios import _reject_unknown
 from .wootters import crosscheck, oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
@@ -69,11 +70,14 @@ def run_verification(config: dict | None = None,
                      inject_fault: str | None = None) -> list[CheckResult]:
     """Run the full residual suite; returns one CheckResult per check.
 
+    config overrides keys of the default configuration; unknown keys raise
+    ValueError.
     inject_fault="generator-asymmetry" corrupts the bath generator before
     the propagation checks, which must then fail.
     """
     cfg = _default_config()
     if config:
+        _reject_unknown("verify config", config, tuple(cfg))
         cfg.update(config)
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
@@ -88,6 +92,7 @@ def run_verification(config: dict | None = None,
         corrupted[0, 1] *= 1.5  # breaks the symmetry that unitarity rests on
         gen = corrupted
     sup = cfg["superposition"]
+    _reject_unknown("verify superposition", sup, ("a", "b", "alpha0", "beta0"))
     init = normalize_superposition(sup["a"], sup["b"], sup["alpha0"], sup["beta0"])
     size_b = cfg["size_b"] if cfg["size_b"] is not None else max(1, grid.n // 10)
     partition = centered_bipartition(grid, int(size_b))

@@ -399,6 +399,8 @@ def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
         traj = _propagate(s, gen, method)
         trajectories[method] = traj
         checks[f"norm_residual_{method}"] = norm_residual(traj)
+        if method == "rk4":  # rk4_sample_every rounds, so this can differ from samples
+            checks["rk4_samples"] = traj.times.size
         header, columns, max_resid = _emit_table(s, traj, partition)
         suffix = "" if len(methods) == 1 else f"_{method}"
         csv_path = out / f"{s.name}{suffix}.csv"
@@ -440,13 +442,21 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     Propagates the base system once, then writes one concurrence CSV per
     (size_b, o0) point plus an index CSV summarizing the grid.  Overlaps are
     realized by symmetric real amplitudes +-d/2 with d = sqrt(-2 ln o0).
+    doc is {"name", "base" or "preset", "sizes_b", "overlaps"}, or a flat
+    scenario document plus the grid keys; unknown keys raise ValueError.
     """
     start = time.perf_counter()
+    grid_keys = ("sizes_b", "overlaps")
+    if "preset" in doc and "base" in doc:
+        raise ValueError("a sweep takes 'base' or 'preset', not both")
     if "preset" in doc:
+        _reject_unknown("sweep", doc, ("name", "preset", *grid_keys))
         base = preset(doc["preset"])
+    elif "base" in doc:
+        _reject_unknown("sweep", doc, ("name", "base", *grid_keys))
+        base = scenario_from_dict(doc["base"])
     else:  # a flat document is the base scenario plus the grid keys
-        base = scenario_from_dict(doc.get("base", {k: v for k, v in doc.items()
-                                                   if k not in ("sizes_b", "overlaps")}))
+        base = scenario_from_dict({k: v for k, v in doc.items() if k not in grid_keys})
     name = str(doc.get("name", f"{base.name}_sweep"))
     sizes = [int(v) for v in doc.get("sizes_b", [100, 500, 900])]
     overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]

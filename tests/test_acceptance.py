@@ -36,7 +36,7 @@ def fig10_series(reference_traj, reference_grid, cat_init):
 
 @pytest.fixture(scope="module")
 def rk4_paper(reference_gen):
-    # 10^4 dense steps; the single expensive fixture of the suite
+    # 10^4 RK4 steps at N = 1000, O(N) each with the arrowhead product
     return evolve_rk4(reference_gen, 100.0, 0.01, sample_every=50)
 
 

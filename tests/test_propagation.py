@@ -107,7 +107,45 @@ class TestEvolveExact:
             evolve_exact(gen, [])
 
 
+def _dense_rk4(gen, t_end, dt):
+    """Reference RK4 with the dense matvec A @ [re, im] at every stage."""
+    a = np.array(gen, dtype=float)
+
+    def rhs(u):
+        w = a @ np.column_stack((u.real, u.imag))
+        return w[:, 1] - 1j * w[:, 0]
+
+    u = np.zeros(a.shape[0], dtype=complex)
+    u[0] = 1.0
+    states = [u]
+    for _ in range(int(math.ceil(t_end / dt - 1e-9))):
+        k1 = rhs(u)
+        k2 = rhs(u + (0.5 * dt) * k1)
+        k3 = rhs(u + (0.5 * dt) * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(u)
+    return np.array(states)
+
+
 class TestEvolveRK4:
+    # row_scale 1.5 makes the first row differ from the first column; the
+    # norm then grows, past RK4_NORM_LIMIT near t = 0.9 on this grid
+    @pytest.mark.parametrize("row_scale, t_end", [(1.0, 5.0), (1.5, 0.5)])
+    def test_arrowhead_matches_dense_reference(self, small_grid, row_scale, t_end):
+        gen = np.array(build_generator(small_grid))
+        gen[0, 1] *= row_scale
+        traj = evolve_rk4(gen, t_end, 0.01)
+        reference = _dense_rk4(gen, t_end, 0.01)
+        assert traj.states.shape == reference.shape
+        assert np.abs(traj.states - reference).max() <= 1e-15
+
+    def test_rejects_entry_off_the_arrow(self, small_grid):
+        gen = np.array(build_generator(small_grid))
+        gen[3, 2] = 1e-3
+        with pytest.raises(ValueError, match="not an arrowhead"):
+            evolve_rk4(gen, 1.0, 0.01)
+
     def test_two_mode_matches_analytic(self, two_mode_grid):
         gen = build_generator(two_mode_grid)
         traj = evolve_rk4(gen, 5 * math.pi, 0.01, sample_every=10)

@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscbath import (Scenario, preset, preset_document, preset_names,
                      run_scenario, run_sweep, scenario_from_dict,
@@ -71,6 +74,36 @@ class TestPresets:
             json.dumps(doc)  # JSON-compatible
             rebuilt = scenario_to_dict(scenario_from_dict(doc))
             assert scenario_to_dict(scenario_from_dict(rebuilt)) == rebuilt
+
+
+_PARTITIONS = st.one_of(
+    st.just(("none", {})),
+    st.integers(1, 999).map(lambda k: ("centered", {"size_b": k})),
+    st.integers(1, 100).map(lambda k: ("banded", {"n_blocks": k})),
+    st.just(("interleaved", {})),
+    st.just(("explicit", {"blocks": [[1, 2, 3], [4, 5]], "labels": ["B", "C"]})))
+
+
+@st.composite
+def _varied_presets(draw):
+    s = preset(draw(st.sampled_from(preset_names())))
+    scheme, params = draw(_PARTITIONS)
+    emits = ["excitation"]
+    if scheme != "none":
+        emits += ["blocks", "bipartition"] + (["concurrence"] if s.superposition else [])
+    return replace(s, method=draw(st.sampled_from(["exact", "rk4", "both"])),
+                   samples=draw(st.integers(1, 100_000)),
+                   dt=draw(st.floats(min_value=1e-6, max_value=10.0)),
+                   partition_scheme=scheme, partition_params=params,
+                   emit=draw(st.sampled_from(emits)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_varied_presets())
+def test_scenario_round_trip_property(s):
+    doc = scenario_to_dict(s)
+    assert scenario_from_dict(doc) == s
+    assert scenario_from_dict(json.loads(json.dumps(doc))) == s
 
 
 class TestScenarioParsing:
@@ -188,6 +221,19 @@ class TestRunScenario:
         assert rows[0, 0] == 0.0
         assert rows[0, 1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_rk4_sample_count_in_manifest(self, tmp_path):
+        # samples = 7 over 2000 steps rounds to every 333rd step: six
+        # multiples, the last step and t = 0 make 8 rows, not 7
+        doc = {**SMALL_DOC, "name": "rk", "method": "rk4",
+               "time": {"t_end": 20.0, "samples": 7, "dt": 0.01}}
+        manifest = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+        _, rows = _read_csv(tmp_path / "rk.csv")
+        assert manifest.checks["rk4_samples"] == rows.shape[0] == 8
+        saved = json.loads((tmp_path / "rk_manifest.json").read_text())
+        assert saved["checks"]["rk4_samples"] == 8
+        exact = run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
+        assert "rk4_samples" not in exact.checks
+
     def test_byte_identical_reruns(self, tmp_path):
         s = scenario_from_dict(SMALL_DOC)
         run_scenario(s, out_dir=tmp_path / "one")
@@ -259,6 +305,15 @@ class TestSweep:
         header = (tmp_path / "small.csv").read_text().splitlines()[0]
         assert (tmp_path / "scan_b10_o0.csv").read_text().splitlines()[0] == header
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"sizes": [10]}, "sizes"), ({"overlap": [0.5]}, "overlap"),
+        ({"preset": "fig10a"}, "not both")])
+    def test_rejects_unknown_sweep_keys(self, tmp_path, extra, key):
+        cfg = {"name": "scan", "base": SMALL_DOC, **extra}
+        with pytest.raises(ValueError, match=key):
+            run_sweep(cfg, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_rejects_bad_overlap(self, tmp_path):
         cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10],
                "overlaps": [1.0]}
@@ -320,8 +375,22 @@ class TestCli:
                      "--inject-fault", "generator-asymmetry"]) == 1
         out = capsys.readouterr().out
         assert "FAILED checks" in out
-        assert "norm_conservation_exact" in out
-        assert "rk4_norm_drift" in out
+        failed = out.splitlines()[-1]
+        assert "norm_conservation_exact" in failed
+        assert "rk4_norm_drift" in failed
+
+    @pytest.mark.parametrize("cfg_doc, key", [
+        ({"n_bath": 60, "rk4_tend": 5.0}, "rk4_tend"),
+        ({"n_bath": 60, "superposition": {"a": 1, "b": -1, "alpha0": 3,
+                                          "beta0": -3, "beta": 1}}, "beta")])
+    def test_verify_unknown_config_key_exits_bad_input(self, tmp_path, capsys,
+                                                      cfg_doc, key):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"key(s) {key};" in captured.err
+        assert "residual" not in captured.out
 
     def test_verify_coarse_step_fails(self, tmp_path, capsys):
         cfg = tmp_path / "verify.json"
@@ -337,3 +406,10 @@ class TestCli:
                                    "sizes_b": [10], "overlaps": [0.5]}))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "scan_index.csv").exists()
+
+    def test_sweep_preset_typo_exits_bad_input(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"preset": "fig10a", "sizes": [100]}))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "sizes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
