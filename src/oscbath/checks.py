@@ -107,8 +107,13 @@ def run_verification(config: dict | None = None,
 
     _guarded(results, "norm_conservation_exact", 1e-9, norm_conservation)
 
+    def trajectory():
+        if "traj" not in state:
+            raise RuntimeError("needs the trajectory of failed check norm_conservation_exact")
+        return state["traj"]
+
     def excitation_conservation():
-        profile = excitation_profile(state["traj"])
+        profile = excitation_profile(trajectory())
         return np.abs(profile.xi + profile.theta - 1.0).max()
 
     _guarded(results, "excitation_conservation", 1e-9, excitation_conservation)
@@ -121,12 +126,12 @@ def run_verification(config: dict | None = None,
     _guarded(results, "rk4_norm_drift", 1e-6, rk4_norm)
 
     def factorization():
-        return verify_overlap_factorization(state["traj"], init, partition)
+        return verify_overlap_factorization(trajectory(), init, partition)
 
     _guarded(results, "overlap_factorization", 1e-10, factorization)
 
     def oracle():
-        series = concurrence_series(state["traj"], init, partition)
+        series = concurrence_series(trajectory(), init, partition)
         worst = float(oracle_residuals(init, series.xi, series.theta_b,
                                        series.theta_c).max())
         rng = np.random.default_rng(int(cfg["seed"]))

@@ -18,7 +18,6 @@ __all__ = [
     "PartitionSpec",
     "SuperpositionInit",
     "coherent_log_overlap",
-    "coherent_overlap",
     "build_bath_grid",
     "centered_bipartition",
     "banded_blocks",
@@ -37,11 +36,6 @@ def coherent_log_overlap(alpha: complex, beta: complex) -> complex:
     alpha = complex(alpha)
     beta = complex(beta)
     return -abs(alpha) ** 2 / 2.0 - abs(beta) ** 2 / 2.0 + alpha.conjugate() * beta
-
-
-def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """Inner product <alpha|beta> of two coherent states."""
-    return cmath.exp(coherent_log_overlap(alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -259,11 +253,6 @@ class SuperpositionInit:
         expected = 1.0 / math.sqrt(n2inv)
         if abs(self.norm_const - expected) > 1e-12 * expected:
             raise ValueError("stored norm_const does not match its recomputation")
-
-    @property
-    def overlap(self) -> complex:
-        """<alpha0|beta0>; may underflow to 0 for distant amplitudes."""
-        return cmath.exp(self.log_overlap)
 
     @property
     def o0(self) -> float:

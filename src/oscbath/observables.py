@@ -1,8 +1,7 @@
-"""Excitation shares, per-partition sums and branch-overlap propagation."""
+"""Excitation shares, per-partition sums and the per-block overlap identity."""
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,14 +9,7 @@ import numpy as np
 from .model import PartitionSpec, SuperpositionInit
 from .propagation import AmplitudeTrajectory
 
-__all__ = [
-    "ExcitationProfile",
-    "OverlapSeries",
-    "excitation_profile",
-    "mean_excitations",
-    "branch_overlap_series",
-    "verify_overlap_factorization",
-]
+__all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,16 +20,6 @@ class ExcitationProfile:
     xi: np.ndarray
     theta: np.ndarray
     theta_blocks: np.ndarray | None = None
-    block_labels: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class OverlapSeries:
-    """Branch overlap <beta(t)|alpha(t)> and per-block overlap magnitudes."""
-
-    times: np.ndarray
-    branch_overlap: np.ndarray
-    block_magnitudes: np.ndarray | None = None
     block_labels: tuple[str, ...] | None = None
 
 
@@ -61,35 +43,6 @@ def excitation_profile(traj: AmplitudeTrajectory,
                            for c in cols])
         labels = partition.labels
     return ExcitationProfile(traj.times, xi, theta, blocks, labels)
-
-
-def mean_excitations(profile: ExcitationProfile,
-                     alpha0: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Mean photon numbers (central oscillator, whole bath) for a coherent
-    initial amplitude alpha0: |alpha0|^2 * xi(t) and |alpha0|^2 * theta(t)."""
-    scale = abs(complex(alpha0)) ** 2
-    return scale * profile.xi, scale * profile.theta
-
-
-def branch_overlap_series(init: SuperpositionInit,
-                          profile: ExcitationProfile) -> OverlapSeries:
-    """Propagated branch overlap <beta(t)|alpha(t)> = <beta0|alpha0>^xi(t).
-
-    The complex power uses the principal logarithm of the initial overlap;
-    per-block magnitudes are o0^theta_block.  A vanishing initial overlap
-    (underflowed for distant amplitudes) gives magnitude 0 wherever the
-    exponent is positive and 1 where it is zero.
-    """
-    overlap_ba = cmath.exp(init.log_overlap.conjugate())
-    if overlap_ba == 0:
-        branch = np.where(profile.xi > 0, 0.0, 1.0).astype(complex)
-    else:
-        branch = np.exp(profile.xi * cmath.log(overlap_ba))
-    mags = None
-    if profile.theta_blocks is not None:
-        # log_overlap is always finite, so exp handles the underflow limit
-        mags = np.exp(profile.theta_blocks * init.log_overlap.real)
-    return OverlapSeries(profile.times, branch, mags, profile.block_labels)
 
 
 def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionInit,

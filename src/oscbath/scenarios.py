@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ _SCHEMES = {"none": (), "centered": ("size_b",), "banded": ("n_blocks",),
             "interleaved": (), "explicit": ("blocks", "labels")}
 _EMITS = ("excitation", "blocks", "bipartition", "concurrence")
 _METHODS = ("exact", "rk4", "both")
+# the keys of a sweep's grid, which no scenario document takes
+_GRID_KEYS = ("sizes_b", "overlaps")
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a JSON-compatible document; unknown keys raise."""
     if "scenario" in doc:  # accept a previously written manifest
         doc = doc["scenario"]
+    sweep_keys = [k for k in ("base", "preset", *_GRID_KEYS) if k in doc]
+    if sweep_keys:
+        raise ValueError(f"sweep key(s) {', '.join(sweep_keys)} in a scenario; "
+                         "run a sweep document or its manifest with `oscbath sweep`")
     _reject_unknown("top-level", doc, ("name", "system", "superposition", "partition",
                                        "time", "method", "emit", "out_dir", "svg"))
     try:
@@ -320,20 +326,9 @@ class RunManifest:
     status: str
     checks: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "duration_s": self.duration_s,
-            "outputs": self.outputs,
-            "status": self.status,
-            "checks": self.checks,
-        }
-
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -442,21 +437,26 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     Propagates the base system once, then writes one concurrence CSV per
     (size_b, o0) point plus an index CSV summarizing the grid.  Overlaps are
     realized by symmetric real amplitudes +-d/2 with d = sqrt(-2 ln o0).
-    doc is {"name", "base" or "preset", "sizes_b", "overlaps"}, or a flat
-    scenario document plus the grid keys; unknown keys raise ValueError.
+    doc is {"name", "base" or "preset", "sizes_b", "overlaps"}, a flat
+    scenario document plus the grid keys, or a sweep manifest (its
+    "scenario"); unknown keys and a base method other than "exact" raise
+    ValueError.
     """
     start = time.perf_counter()
-    grid_keys = ("sizes_b", "overlaps")
+    if "scenario" in doc:  # rerun a previously written manifest
+        doc = doc["scenario"]
     if "preset" in doc and "base" in doc:
         raise ValueError("a sweep takes 'base' or 'preset', not both")
     if "preset" in doc:
-        _reject_unknown("sweep", doc, ("name", "preset", *grid_keys))
+        _reject_unknown("sweep", doc, ("name", "preset", *_GRID_KEYS))
         base = preset(doc["preset"])
     elif "base" in doc:
-        _reject_unknown("sweep", doc, ("name", "base", *grid_keys))
+        _reject_unknown("sweep", doc, ("name", "base", *_GRID_KEYS))
         base = scenario_from_dict(doc["base"])
     else:  # a flat document is the base scenario plus the grid keys
-        base = scenario_from_dict({k: v for k, v in doc.items() if k not in grid_keys})
+        base = scenario_from_dict({k: v for k, v in doc.items() if k not in _GRID_KEYS})
+    if base.method != "exact":
+        raise ValueError(f"a sweep propagates with method 'exact'; the base has {base.method!r}")
     name = str(doc.get("name", f"{base.name}_sweep"))
     sizes = [int(v) for v in doc.get("sizes_b", [100, 500, 900])]
     overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]

@@ -19,10 +19,9 @@ from .concurrence import concurrence_closed_form
 from .model import SuperpositionInit
 
 __all__ = [
-    "QubitEmbedding", "TwoQubitDensityMatrix", "qubit_embedding",
-    "build_density_matrix", "spin_flip", "wootters_concurrence",
-    "product_eigenvalues", "factored_product_eigenvalues", "oracle_residuals",
-    "crosscheck",
+    "QubitEmbedding", "qubit_embedding", "build_density_matrix", "spin_flip",
+    "wootters_concurrence", "product_eigenvalues", "factored_product_eigenvalues",
+    "oracle_residuals", "crosscheck",
 ]
 
 # sigma_y (x) sigma_y in the ordered basis (1 up, 1 down, 0 up, 0 down)
@@ -79,33 +78,16 @@ def qubit_embedding(overlap) -> QubitEmbedding:
                           phase[()])
 
 
-@dataclass(frozen=True, eq=False)
-class TwoQubitDensityMatrix:
-    """4x4 density matrix in the embedded basis, with its raw parameters;
-    a stack of them has matrix shape (..., 4, 4) and array parameters.
-
-    r, u, v are the phase-dressed parameter combinations appearing in the
-    matrix entries.
-    """
-
-    matrix: np.ndarray
-    weight: float | np.ndarray
-    p: float | np.ndarray
-    q: float | np.ndarray
-    z: complex | np.ndarray
-    r: float | np.ndarray
-    u: complex | np.ndarray
-    v: float | np.ndarray
-
-
 def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
-                         emb_env: QubitEmbedding) -> TwoQubitDensityMatrix:
+                         emb_env: QubitEmbedding) -> np.ndarray:
     """Assemble weight*(p|1><1| + q|2><2| + z|1><2| + z*|2><1|) in the
-    embedded two-qubit basis; array arguments give a stack of matrices.
+    embedded two-qubit basis as a read-only 4x4 matrix; array arguments give
+    a (..., 4, 4) stack.
 
     Entry (i, j) is weight * s_a s_a' t_b t_b' * x_ij, where basis state i
     pairs system weight s_a with environment weight t_b, and x_ij is one of
-    r, u, u*, v.  Traces differing from 1 by more than 1e-8 flag
+    r = p + q + 2 Re z', u = q - p + 2i Im z', u* and v = p + q - 2 Re z',
+    with z' = z times both embedding phases.  Traces differing from 1 by more than 1e-8 flag
     physically inconsistent parameters with a warning; raw parameter scans
     are still allowed.
     """
@@ -130,11 +112,11 @@ def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
         warnings.warn(f"density matrix trace {np.extract(off, trace)[0]:.6g} differs "
                       "from 1; parameters are not a normalized physical state",
                       stacklevel=2)
-    return TwoQubitDensityMatrix(mat, weight[()], p[()], q[()], z[()], r[()], u[()], v[()])
+    return mat
 
 
 def _as_matrix(rho) -> np.ndarray:
-    mat = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else np.asarray(rho, complex)
+    mat = np.asarray(rho, complex)
     if mat.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 matrix or a stack of them")
     return mat

@@ -1,21 +1,11 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from oscbath import (AmplitudeTrajectory, ExcitationProfile, banded_blocks,
-                     branch_overlap_series, build_generator,
-                     centered_bipartition, evolve_exact, excitation_profile,
-                     mean_excitations, normalize_superposition,
+from oscbath import (banded_blocks, build_generator, centered_bipartition,
+                     evolve_exact, excitation_profile, normalize_superposition,
                      verify_overlap_factorization)
-
-
-def _profile_from_values(times, xi, theta, blocks=None, labels=None):
-    return ExcitationProfile(np.asarray(times, float), np.asarray(xi, float),
-                             np.asarray(theta, float),
-                             None if blocks is None else np.asarray(blocks, float),
-                             labels)
 
 
 class TestExcitationProfile:
@@ -56,68 +46,6 @@ class TestExcitationProfile:
         bad = PartitionSpec(((1, 99),), ("B",))
         with pytest.raises(ValueError):
             excitation_profile(traj, bad)
-
-
-class TestMeanExcitations:
-    def test_initial_coherent_population(self):
-        profile = _profile_from_values([0.0], [1.0], [0.0])
-        main, bath = mean_excitations(profile, 3.0)
-        assert main[0] == 9.0
-        assert bath[0] == 0.0
-
-    def test_half_transfer(self):
-        profile = _profile_from_values([10.0], [0.5], [0.5])
-        main, bath = mean_excitations(profile, 3.0)
-        assert main[0] == pytest.approx(4.5)
-        assert bath[0] == pytest.approx(4.5)
-
-    def test_vacuum_carries_nothing(self):
-        profile = _profile_from_values([0.0, 5.0], [1.0, 0.4], [0.0, 0.6])
-        main, bath = mean_excitations(profile, 0.0)
-        assert np.all(main == 0.0)
-        assert np.all(bath == 0.0)
-
-
-class TestBranchOverlap:
-    def test_no_transfer_returns_initial_overlap(self, cat_init):
-        profile = _profile_from_values([0.0], [1.0], [0.0])
-        series = branch_overlap_series(cat_init, profile)
-        expected = cmath.exp(cat_init.log_overlap.conjugate())
-        assert series.branch_overlap[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_half_share_magnitude(self, cat_init):
-        profile = _profile_from_values([1.0], [0.5], [0.5],
-                                       blocks=[[0.5]], labels=("B",))
-        series = branch_overlap_series(cat_init, profile)
-        assert series.block_magnitudes[0, 0] == pytest.approx(math.exp(-9.0), rel=1e-12)
-
-    def test_quarter_power(self):
-        init = normalize_superposition(1.0, 1.0, math.sqrt(2 * math.log(2.0)) / 2.0,
-                                       -math.sqrt(2 * math.log(2.0)) / 2.0)
-        assert init.o0 == pytest.approx(0.5, rel=1e-12)
-        profile = _profile_from_values([1.0], [0.75], [0.25],
-                                       blocks=[[0.25]], labels=("C",))
-        series = branch_overlap_series(init, profile)
-        assert series.block_magnitudes[0, 0] == pytest.approx(0.5 ** 0.25, rel=1e-12)
-
-    def test_magnitude_follows_power_law(self, reference_traj, cat_init):
-        profile = excitation_profile(reference_traj)
-        series = branch_overlap_series(cat_init, profile)
-        expected = cat_init.o0 ** profile.xi
-        assert np.abs(np.abs(series.branch_overlap) - expected).max() < 1e-12
-        assert np.all(np.abs(series.branch_overlap) <= 1.0)
-
-    def test_underflowed_overlap_conventions(self):
-        # |alpha0 - beta0| large enough that exp underflows to exactly 0
-        init = normalize_superposition(1.0, 1.0, 40.0, -40.0)
-        assert init.o0 == 0.0
-        profile = _profile_from_values([0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
-                                       blocks=[[0.0, 1.0]], labels=("B",))
-        series = branch_overlap_series(init, profile)
-        assert series.branch_overlap[0] == 0.0   # xi > 0
-        assert series.branch_overlap[1] == 1.0   # xi == 0
-        assert series.block_magnitudes[0, 0] == 1.0  # theta == 0
-        assert series.block_magnitudes[0, 1] == 0.0  # theta > 0
 
 
 class TestOverlapFactorization:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbath import (Scenario, preset, preset_document, preset_names,
-                     run_scenario, run_sweep, scenario_from_dict,
-                     scenario_to_dict)
+                     run_scenario, run_sweep, run_verification,
+                     scenario_from_dict, scenario_to_dict)
 from oscbath.cli import main
 
 SMALL_DOC = {
@@ -320,6 +320,28 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(cfg, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("method", ["rk4", "both"])
+    def test_rejects_non_exact_base(self, tmp_path, method):
+        # a sweep propagates exactly, so any other base method would be
+        # recorded in the manifest without having been used
+        cfg = {"name": "scan", "base": {**SMALL_DOC, "method": method},
+               "sizes_b": [10], "overlaps": [0.5]}
+        with pytest.raises(ValueError, match="exact"):
+            run_sweep(cfg, out_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_rerun_from_manifest(self, tmp_path):
+        cfg = {"name": "scan", "base": SMALL_DOC,
+               "sizes_b": [10, 20], "overlaps": [0.5, 0.1]}
+        first = run_sweep(cfg, out_dir=tmp_path / "one")
+        manifest_doc = json.loads((tmp_path / "one" / "scan_manifest.json").read_text())
+        again = run_sweep(manifest_doc, out_dir=tmp_path / "two")
+        assert again.config_hash == first.config_hash
+        assert again.outputs == first.outputs
+        for entry in first.outputs:
+            assert ((tmp_path / "one" / entry["path"]).read_bytes()
+                    == (tmp_path / "two" / entry["path"]).read_bytes())
+
 
 class TestCli:
     def test_simulate_config(self, tmp_path):
@@ -406,6 +428,42 @@ class TestCli:
                                    "sizes_b": [10], "overlaps": [0.5]}))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "scan_index.csv").exists()
+
+    def test_sweep_manifest_reruns_with_sweep_not_simulate(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"name": "scan", "base": SMALL_DOC,
+                                   "sizes_b": [10], "overlaps": [0.5]}))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "one" / "scan_manifest.json"
+        assert main(["simulate", str(manifest), "--out", str(tmp_path / "two")]) == 2
+        assert "oscbath sweep" in capsys.readouterr().err
+        assert not (tmp_path / "two").exists()
+        assert main(["sweep", str(manifest), "--out", str(tmp_path / "two")]) == 0
+        for name in ("scan_b10_o0.csv", "scan_index.csv"):
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes())
+
+    def test_verify_fault_names_the_failed_dependency(self, tmp_path, capsys):
+        cfg_doc = {"n_bath": 100, "samples": 21, "rk4_t_end": 1.0}
+        results = {r.name: r for r in run_verification(
+            cfg_doc, inject_fault="generator-asymmetry")}
+        assert not results["norm_conservation_exact"].passed
+        for name in ("excitation_conservation", "overlap_factorization",
+                     "closed_form_vs_oracle"):
+            result = results[name]
+            assert not result.passed
+            assert result.residual == math.inf
+            assert "norm_conservation_exact" in result.note
+            assert "KeyError" not in result.note
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(["verify", "--config", str(cfg),
+                     "--inject-fault", "generator-asymmetry"]) == 1
+        failed = capsys.readouterr().out.splitlines()[-1]
+        assert failed.startswith("FAILED checks: norm_conservation_exact, "
+                                 "excitation_conservation, ")
+        assert "overlap_factorization, closed_form_vs_oracle" in failed
 
     def test_sweep_preset_typo_exits_bad_input(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"

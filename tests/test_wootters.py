@@ -77,9 +77,10 @@ class TestDensityMatrix:
         # equal-weight branches with orthogonal states and full coherence
         # give the projector onto (|1 up> + |0 down>)/sqrt(2)
         expected = np.outer(BELL_VECTOR, BELL_VECTOR)
-        assert np.allclose(rho.matrix, expected, atol=1e-15)
-        assert rho.matrix[0, 0] == pytest.approx(0.5)
-        assert rho.matrix[0, 3] == pytest.approx(0.5)
+        assert np.allclose(rho, expected, atol=1e-15)
+        assert rho[0, 0] == pytest.approx(0.5)
+        assert rho[0, 3] == pytest.approx(0.5)
+        assert not rho.flags.writeable
 
     def test_no_coherence_is_product_mixture(self):
         rho = build_density_matrix(1.0, 0.5, 0.5, 0.0,
@@ -89,8 +90,9 @@ class TestDensityMatrix:
         v_first = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
         v_second = np.array([1.0, 1.0, 1.0, 1.0]) / 2.0
         expected = 0.5 * (np.outer(v_first, v_first) + np.outer(v_second, v_second))
-        assert np.allclose(rho.matrix, expected, atol=1e-15)
-        assert rho.u == 0.0
+        assert np.allclose(rho, expected, atol=1e-15)
+        # u = q - p + 2i Im z' sits at entries (0, 1), (0, 2), (3, 1), (3, 2)
+        assert np.all(rho[[0, 0, 3, 3], [1, 2, 1, 2]] == 0.0)
         assert wootters_concurrence(rho) == 0.0
 
     def test_degenerate_embedding_is_diagonal(self):
@@ -98,8 +100,8 @@ class TestDensityMatrix:
         # state: a diagonal matrix with no corner coherence
         rho = build_density_matrix(1.0, 0.5, 0.5, 0.0,
                                    qubit_embedding(1.0), qubit_embedding(1.0))
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
-        assert rho.matrix[0, 3] == 0.0
+        assert np.allclose(rho, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
+        assert rho[0, 3] == 0.0
 
     def test_hermitian_and_unit_trace_for_state_params(self, cat_init):
         # parameters of the evolved two-branch state at a sampled instant
@@ -110,9 +112,9 @@ class TestDensityMatrix:
                                    abs(cat_init.a) ** 2, abs(cat_init.b) ** 2, z,
                                    qubit_embedding(cmath.exp(tb * wc)),
                                    qubit_embedding(cmath.exp(tc * wc)))
-        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-        assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(rho.matrix).min() > -1e-10
+        assert np.array_equal(rho, rho.conj().T)
+        assert rho.trace().real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_warns_on_inconsistent_trace(self):
         with pytest.warns(UserWarning, match="trace"):
@@ -144,7 +146,9 @@ class TestSpinFlip:
             rho = _build(params)
             sp, sm = params[4].s_plus, params[4].s_minus
             tp, tm = params[5].s_plus, params[5].s_minus
-            g, r, u, v = rho.weight, rho.r, rho.u, rho.v
+            g, p, q, z = params[:4]
+            zp = z * params[4].phase * params[5].phase
+            r, u, v = p + q + 2 * zp.real, q - p + 2j * zp.imag, p + q - 2 * zp.real
             uc = np.conj(u)
             expected = g * np.array([
                 [sm*sm*tm*tm*r, -sm*sm*tp*tm*uc, -sp*sm*tm*tm*uc, sp*sm*tp*tm*r],
@@ -159,7 +163,7 @@ class TestSpinFlip:
         for _ in range(20):
             rho = _build(_random_state_params(rng, normalized=False))
             twice = spin_flip(spin_flip(rho))
-            assert np.array_equal(twice, rho.matrix)
+            assert np.array_equal(twice, rho)
 
 
 class TestWoottersConcurrence:
@@ -257,8 +261,7 @@ class TestProductSpectrum:
             return np.sqrt(values).sum()
 
         for _ in range(100):
-            rho = _build(_random_state_params(rng))
-            mat = rho.matrix
+            mat = _build(_random_state_params(rng))
             flipped = spin_flip(mat)
             lhs = rooted_sum(product_eigenvalues(mat))
             ev, basis = np.linalg.eigh(mat)
@@ -327,11 +330,11 @@ class TestStackedPipeline:
             stacked = build_density_matrix(
                 weight, p, q, z, _stacked_embedding([prm[4] for prm in params]),
                 _stacked_embedding([prm[5] for prm in params]))
-        assert stacked.matrix.shape == (50, 4, 4)
-        assert np.array_equal(stacked.matrix, stacked.matrix.conj().swapaxes(1, 2))
+        assert stacked.shape == (50, 4, 4)
+        assert np.array_equal(stacked, stacked.conj().swapaxes(1, 2))
         for i, prm in enumerate(params):
             # vectorised complex products may round differently in the last bit
-            np.testing.assert_allclose(stacked.matrix[i], _build(prm).matrix,
+            np.testing.assert_allclose(stacked[i], _build(prm),
                                        rtol=0.0, atol=1e-15)
 
     def test_stack_rejects_one_negative_weight(self):
@@ -344,7 +347,7 @@ class TestStackedPipeline:
         params = [prm for prm in (_random_state_params(rng) for _ in range(100))
                   if abs(prm[3]) < math.sqrt(prm[1] * prm[2])]
         rhos = [_build(prm) for prm in params]
-        stacked = wootters_concurrence(np.stack([rho.matrix for rho in rhos]))
+        stacked = wootters_concurrence(np.stack(rhos))
         assert stacked.shape == (len(rhos),)
         for rho, c in zip(rhos, stacked):
             m = product_eigenvalues(rho)
