@@ -131,7 +131,7 @@ def run_verification(config: dict | None = None,
     _guarded(results, "overlap_factorization", 1e-10, factorization)
 
     def oracle():
-        series = concurrence_series(trajectory(), init, partition)
+        series = concurrence_series(excitation_profile(trajectory(), partition), init)
         worst = float(oracle_residuals(init, series.xi, series.theta_b,
                                        series.theta_c).max())
         rng = np.random.default_rng(int(cfg["seed"]))

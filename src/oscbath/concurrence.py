@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PartitionSpec, SuperpositionInit
-from .observables import excitation_profile
-from .propagation import AmplitudeTrajectory
+from .model import SuperpositionInit
+from .observables import ExcitationProfile
 
 __all__ = [
     "ConcurrenceSeries", "distinguishability", "concurrence_closed_form",
@@ -112,12 +111,14 @@ class ConcurrenceSeries:
     c_closed: np.ndarray
 
 
-def concurrence_series(traj: AmplitudeTrajectory, init: SuperpositionInit,
-                       bipartition: PartitionSpec) -> ConcurrenceSeries:
-    """Closed-form concurrence per sample for a bath bipartition."""
-    if not bipartition.is_bipartition_of(traj.n_bath):
+def concurrence_series(profile: ExcitationProfile,
+                       init: SuperpositionInit) -> ConcurrenceSeries:
+    """Closed-form concurrence per sample from the excitation profile of a
+    bath bipartition; its two block shares must add up to the bath share."""
+    blocks = profile.theta_blocks
+    if (blocks is None or len(blocks) != 2
+            or np.any(np.abs(blocks[0] + blocks[1] - profile.theta) > PHYSICAL_SUM_TOL)):
         raise ValueError("partition must split the full bath into exactly two blocks")
-    profile = excitation_profile(traj, bipartition)
-    theta_b, theta_c = profile.theta_blocks
+    theta_b, theta_c = blocks
     d_b, d_c, c = _init_kernel(init, profile.xi, theta_b, theta_c)
-    return ConcurrenceSeries(traj.times, profile.xi, theta_b, theta_c, d_b, d_c, c)
+    return ConcurrenceSeries(profile.times, profile.xi, theta_b, theta_c, d_b, d_c, c)

@@ -9,7 +9,8 @@ import numpy as np
 from .model import PartitionSpec, SuperpositionInit
 from .propagation import AmplitudeTrajectory
 
-__all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
+__all__ = ["ExcitationProfile", "excitation_shares", "excitation_profile",
+           "verify_overlap_factorization"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,26 +24,32 @@ class ExcitationProfile:
     block_labels: tuple[str, ...] | None = None
 
 
-def _block_columns(partition: PartitionSpec, n_bath: int) -> list[np.ndarray]:
-    partition.validate_range(n_bath)
-    # 1-based mode k lives in column k-1 of the bath block
-    return [np.array(blk, dtype=int) - 1 for blk in partition.blocks]
+def excitation_shares(source, groups=()) -> np.ndarray:
+    """|u|^2 per sample reduced to the rows xi, theta and one sum per group.
+
+    source is an AmplitudeTrajectory or a SpectralSolution, read chunk by
+    chunk.  groups hold 1-based bath mode indices; they may overlap and
+    need not cover the bath, whose every mode enters theta.  Each chunk is
+    reduced by one product with a 0/1 indicator matrix.
+    """
+    indicator = np.zeros((source.n_bath + 1, 2 + len(groups)))
+    indicator[0, 0] = indicator[1:, 1] = 1.0
+    for j, group in enumerate(groups):
+        indicator[np.asarray(group, dtype=int), 2 + j] = 1.0
+    shares = np.empty((source.times.size, indicator.shape[1]))
+    for rows, re, im in source.chunks():
+        shares[rows] = (re * re + im * im) @ indicator
+        del re, im  # free this chunk before the next one is evaluated
+    return shares.T
 
 
-def excitation_profile(traj: AmplitudeTrajectory,
-                       partition: PartitionSpec | None = None) -> ExcitationProfile:
-    """Squared-magnitude excitation shares, optionally summed per block."""
-    xi = np.abs(traj.f) ** 2
-    g2 = np.abs(traj.g) ** 2
-    theta = g2.sum(axis=1)
-    blocks = None
-    labels = None
-    if partition is not None:
-        cols = _block_columns(partition, traj.n_bath)
-        blocks = np.stack([g2[:, c].sum(axis=1) if c.size else np.zeros(len(traj.times))
-                           for c in cols])
-        labels = partition.labels
-    return ExcitationProfile(traj.times, xi, theta, blocks, labels)
+def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
+    """Excitation shares of source (see excitation_shares), optionally per block."""
+    if partition is None:
+        return ExcitationProfile(source.times, *excitation_shares(source))
+    partition.validate_range(source.n_bath)
+    shares = excitation_shares(source, partition.blocks)
+    return ExcitationProfile(source.times, shares[0], shares[1], shares[2:], partition.labels)
 
 
 def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionInit,
@@ -57,15 +64,10 @@ def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionI
     and blocks.
     """
     w = init.log_overlap
-    g2 = np.abs(traj.g) ** 2
+    u2 = np.abs(traj.states) ** 2  # 1-based mode k is column k
+    theta_blocks = excitation_profile(traj, partition).theta_blocks
     worst = 0.0
-    for cols in _block_columns(partition, traj.n_bath):
-        if cols.size:
-            product = np.prod(np.exp(w * g2[:, cols]), axis=1)
-            theta_p = g2[:, cols].sum(axis=1)
-        else:
-            product = np.ones(len(traj.times), dtype=complex)
-            theta_p = np.zeros(len(traj.times))
-        powered = np.exp(theta_p * w)
-        worst = max(worst, float(np.max(np.abs(product - powered))))
+    for block, theta_p in zip(partition.blocks, theta_blocks):
+        product = np.prod(np.exp(w * u2[:, list(block)]), axis=1)
+        worst = max(worst, float(np.max(np.abs(product - np.exp(theta_p * w)))))
     return worst

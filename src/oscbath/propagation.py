@@ -2,8 +2,9 @@
 
 The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u with a real
 symmetric arrowhead generator A.  Two independent solvers are provided: a
-spectral propagator (one eigendecomposition, exact unitary evolution) and a
-fixed-step classical RK4 integrator (O(N) arrowhead product) to cross-check it.
+spectral propagator (one eigendecomposition, exact unitary evolution evaluated
+in chunks of time rows) and a fixed-step classical RK4 integrator (O(N)
+arrowhead product) to cross-check it.
 
 Only the slowly varying amplitudes are stored; the pure phase prefactors
 exp(-i*omega0*t) / exp(-i*omega_k*t) of the lab-frame coherent amplitudes
@@ -20,18 +21,15 @@ import numpy as np
 from .model import BathGrid
 
 __all__ = [
-    "IntegrationFailure",
-    "AmplitudeTrajectory",
-    "build_generator",
-    "evolve_exact",
-    "evolve_rk4",
-    "norm_residual",
-    "gershgorin_bound",
-    "RK4_NORM_LIMIT",
+    "IntegrationFailure", "AmplitudeTrajectory", "SpectralSolution", "build_generator",
+    "spectral_solution", "evolve_exact", "evolve_rk4", "norm_residual",
+    "gershgorin_bound", "RK4_NORM_LIMIT",
 ]
 
 # norm drift beyond this flags the fixed-step integration as failed
 RK4_NORM_LIMIT = 1e-4
+# each real (rows, N+1) array of a spectral chunk takes about this many bytes
+_CHUNK_BYTES = 2 ** 21
 
 
 class IntegrationFailure(RuntimeError):
@@ -75,6 +73,47 @@ class AmplitudeTrajectory:
         """Bath amplitude series, column k-1 for mode k."""
         return self.states[:, 1:]
 
+    def chunks(self):
+        """The whole state as one chunk (rows, re, im), as SpectralSolution.chunks."""
+        yield slice(None), self.states.real, self.states.imag
+
+
+def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
+    """Real and imaginary parts of exp(-i lam t) c, one row per time:
+    (cos c_r + sin c_i) + i (cos c_i - sin c_r)."""
+    phase = np.outer(times, lam)
+    sin = np.sin(phase)
+    cos = np.cos(phase, out=phase)
+    if c.imag.any():
+        return cos * c.real + sin * c.imag, cos * c.imag - sin * c.real
+    # real c: the same values without the zero terms, in place
+    return np.multiply(cos, c.real, out=cos), np.multiply(sin, -c.real, out=sin)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralSolution:
+    """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, from one
+    eigendecomposition A = V diag(lam) V^T.  `chunks` evaluates blocks of time
+    rows; only evolve_exact keeps the full T x (N+1) state."""
+
+    times: np.ndarray
+    lam: np.ndarray
+    vec: np.ndarray
+    coeff: np.ndarray
+
+    @property
+    def n_bath(self) -> int:
+        return self.lam.size - 1
+
+    def chunks(self):
+        """Yield (rows, re, im): real and imaginary parts of u(times[rows]),
+        from two real products with V^T per chunk."""
+        step = max(1, _CHUNK_BYTES // (8 * self.lam.size))
+        for lo in range(0, self.times.size, step):
+            re, im = _scaled_phases(self.times[lo:lo + step], self.lam, self.coeff)
+            re, im = re @ self.vec.T, im @ self.vec.T  # drops the phase buffers
+            yield slice(lo, lo + step), re, im
+
 
 def build_generator(grid: BathGrid) -> np.ndarray:
     """Dense real symmetric generator of i du/dt = A u.
@@ -115,12 +154,8 @@ def _initial_state(n: int, u0) -> np.ndarray:
     return u
 
 
-def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
-    """Unitary evolution u(t) = V exp(-i Lambda t) V^T u(0).
-
-    One symmetric eigendecomposition, then a cheap matrix product per batch
-    of sample times.  Norm is conserved to roundoff.
-    """
+def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
+    """One symmetric eigendecomposition of gen, sampled at times."""
     a = np.asarray(gen, dtype=float)
     _check_generator(a)
     times = np.asarray(times, dtype=float)
@@ -131,11 +166,17 @@ def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     lam, vec = np.linalg.eigh(a)
-    u = _initial_state(a.shape[0], u0)
-    coeff = vec.T @ u
-    phases = np.exp(-1j * np.outer(times, lam))
-    states = (phases * coeff) @ vec.T
-    return AmplitudeTrajectory(times, states, "exact")
+    return SpectralSolution(times, lam, vec, vec.T @ _initial_state(a.shape[0], u0))
+
+
+def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
+    """Unitary evolution u(t) = V exp(-i Lambda t) V^T u(0): the materialised
+    state of spectral_solution(gen, times, u0).  Norm is conserved to roundoff."""
+    solution = spectral_solution(gen, times, u0)
+    states = np.empty((solution.times.size, solution.lam.size), dtype=complex)
+    for rows, re, im in solution.chunks():
+        states[rows].real, states[rows].imag = re, im
+    return AmplitudeTrajectory(solution.times, states, "exact")
 
 
 def _rk4_rhs(arrow: tuple, u: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ def _report(num, label, detail, ok):
 @pytest.fixture(scope="module")
 def fig10_series(reference_traj, reference_grid, cat_init):
     sizes = {"fig10a": 100, "fig10b": 500, "fig10c": 900}
-    return {name: concurrence_series(reference_traj, cat_init,
-                                     centered_bipartition(reference_grid, size))
+    return {name: concurrence_series(excitation_profile(
+                reference_traj, centered_bipartition(reference_grid, size)), cat_init)
             for name, size in sizes.items()}
 
 
@@ -121,7 +121,7 @@ def test_criterion_5_oracle_equivalence(fig10_series, cat_init):
 def test_criterion_6_balanced_maximal_entanglement(reference_gen, reference_grid, cat_init):
     traj = evolve_exact(reference_gen, np.array([0.0, 200.0]))
     partition = interleaved_bipartition(reference_grid)
-    series = concurrence_series(traj, cat_init, partition)
+    series = concurrence_series(excitation_profile(traj, partition), cat_init)
     imbalance = abs(series.theta_b[-1] - series.theta_c[-1])
     c_final = series.c_closed[-1]
     ok = imbalance <= 1e-3 and c_final >= 0.99
@@ -166,8 +166,8 @@ def test_criterion_9_late_time_concurrence_constancy(reference_gen, reference_gr
     # from 5.9e-3 to 1.6e-3 there and C drifts by 7.35e-2.
     t0, t1 = 150.0, 250.0
     traj = evolve_exact(reference_gen, np.linspace(t0, t1, 2000))
-    series = concurrence_series(traj, cat_init,
-                                centered_bipartition(reference_grid, 100))
+    series = concurrence_series(excitation_profile(
+        traj, centered_bipartition(reference_grid, 100)), cat_init)
     c_end = series.c_closed[-1]
     predicted = (abs(cat_init.log_overlap.real)
                  * math.exp(-GOLDEN_RULE_RATE * t0) * c_end)

@@ -7,7 +7,8 @@ import pytest
 from oscbath import (asymptotic_concurrence, build_generator,
                      centered_bipartition, concurrence_closed_form,
                      concurrence_series, distinguishability, evolve_exact,
-                     interleaved_bipartition, normalize_superposition)
+                     excitation_profile, interleaved_bipartition,
+                     normalize_superposition)
 
 
 def _init_with_overlap(o0, a=1.0, b=-1.0):
@@ -165,7 +166,7 @@ class TestSeries:
         gen = build_generator(small_grid)
         traj = evolve_exact(gen, np.linspace(0.0, 40.0, 81))
         part = centered_bipartition(small_grid, 10)
-        series = concurrence_series(traj, cat_init, part)
+        series = concurrence_series(excitation_profile(traj, part), cat_init)
         assert series.c_closed[0] == pytest.approx(0.0, abs=1e-12)
         assert series.theta_b[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -173,7 +174,7 @@ class TestSeries:
         gen = build_generator(small_grid)
         traj = evolve_exact(gen, np.linspace(0.0, 40.0, 81))
         part = centered_bipartition(small_grid, 10)
-        series = concurrence_series(traj, cat_init, part)
+        series = concurrence_series(excitation_profile(traj, part), cat_init)
         prefactor = 2.0 * abs(cat_init.a * cat_init.b) * cat_init.norm_const ** 2
         rebuilt = (prefactor * cat_init.o0 ** series.xi
                    * series.d_b * series.d_c)
@@ -183,7 +184,7 @@ class TestSeries:
         gen = build_generator(small_grid)
         traj = evolve_exact(gen, np.linspace(0.0, 40.0, 17))
         part = centered_bipartition(small_grid, 14)
-        series = concurrence_series(traj, cat_init, part)
+        series = concurrence_series(excitation_profile(traj, part), cat_init)
         for i in range(len(series.times)):
             scalar = concurrence_closed_form(
                 cat_init, min(float(series.xi[i]), 1.0),
@@ -195,13 +196,14 @@ class TestSeries:
         gen = build_generator(small_grid)
         traj = evolve_exact(gen, [0.0, 150.0])
         part = interleaved_bipartition(small_grid)
-        series = concurrence_series(traj, cat_init, part)
+        series = concurrence_series(excitation_profile(traj, part), cat_init)
         assert abs(series.theta_b[-1] - series.theta_c[-1]) < 1e-6
 
     def test_identical_branches_give_positive_zero(self, small_grid):
         init = normalize_superposition(1, 1, 0.5, 0.5)  # o0 = 1
         traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 20.0, 11))
-        series = concurrence_series(traj, init, centered_bipartition(small_grid, 10))
+        series = concurrence_series(
+            excitation_profile(traj, centered_bipartition(small_grid, 10)), init)
         for column in (series.d_b, series.d_c, series.c_closed):
             assert np.all(column == 0.0) and not np.signbit(column).any()
 
@@ -211,4 +213,4 @@ class TestSeries:
         traj = evolve_exact(gen, [0.0, 1.0])
         part = PartitionSpec(((1, 2), (3, 4)), ("B", "C"))
         with pytest.raises(ValueError, match="full bath"):
-            concurrence_series(traj, cat_init, part)
+            concurrence_series(excitation_profile(traj, part), cat_init)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscbath import (Scenario, preset, preset_document, preset_names,
                      run_scenario, run_sweep, run_verification,
-                     scenario_from_dict, scenario_to_dict)
+                     scenario_from_dict, scenario_to_dict, write_csv)
 from oscbath.cli import main
 
 SMALL_DOC = {
@@ -251,6 +251,21 @@ class TestRunScenario:
         assert manifest.checks["max_method_deviation"] < 1e-6
         assert manifest.checks["norm_residual_rk4"] < 1e-6
 
+    def test_both_methods_decompose_once(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        doc = {**SMALL_DOC, "name": "dual", "method": "both", "emit": "bipartition"}
+        manifest = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+        assert calls == [(41, 41)]
+        assert manifest.checks["max_method_deviation"] < 1e-6
+
+    def test_concurrence_needs_a_bipartition_of_the_bath(self, tmp_path):
+        doc = {**SMALL_DOC, "partition": {"scheme": "explicit", "blocks": [[1, 2], [3, 4]],
+                                          "labels": ["B", "C"]}}
+        with pytest.raises(ValueError, match="full bath"):
+            run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+
     def test_svg_output(self, tmp_path):
         doc = dict(SMALL_DOC)
         doc.update(name="plotted", svg=True)
@@ -277,6 +292,16 @@ class TestRunScenario:
                 == (tmp_path / "two" / "small.csv").read_bytes())
 
 
+def test_csv_rows_match_per_value_format(tmp_path):
+    edge = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.2e17, 1 / 3, 0.1, 2.0])
+    columns = [edge, edge[::-1].copy(), np.arange(edge.size, dtype=float)]
+    write_csv(tmp_path / "edge.csv", ["a", "b", "c"], columns)
+    # the former writer: one format call per value, joined per row
+    rows = ["a,b,c"] + [",".join(format(float(v), ".17g") for v in row)
+                        for row in zip(*columns)]
+    assert (tmp_path / "edge.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 class TestSweep:
     def test_grid_outputs(self, tmp_path):
         cfg = {"name": "scan", "base": SMALL_DOC,
@@ -289,6 +314,16 @@ class TestSweep:
         for row in index[1:]:
             fname = row.split(",")[2]
             assert (tmp_path / fname).exists()
+
+    def test_one_propagation_feeds_every_grid_point(self, tmp_path, monkeypatch):
+        from oscbath.propagation import SpectralSolution
+        calls = []
+        chunks = SpectralSolution.chunks
+        monkeypatch.setattr(SpectralSolution, "chunks",
+                            lambda self: calls.append(self.times.size) or chunks(self))
+        cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10, 20, 30], "overlaps": [0.5]}
+        assert run_sweep(cfg, out_dir=tmp_path).status == "ok"
+        assert calls == [50]
 
     def test_flat_document(self, tmp_path):
         cfg = {**SMALL_DOC, "sizes_b": [10], "overlaps": [0.5]}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oscbath import (QubitEmbedding, build_density_matrix, build_generator,
                      centered_bipartition, concurrence_series, crosscheck,
-                     evolve_exact, factored_product_eigenvalues,
+                     evolve_exact, excitation_profile, factored_product_eigenvalues,
                      normalize_superposition, oracle_residuals,
                      product_eigenvalues, qubit_embedding, spin_flip,
                      wootters_concurrence)
@@ -381,7 +381,8 @@ class TestStackedPipeline:
         half = math.sqrt(-2.0 * math.log(overlap)) / 2.0
         init = normalize_superposition(0.8 + 0.3j, -1.1, half + 0.2j, -half)
         traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 40.0, 41))
-        series = concurrence_series(traj, init, centered_bipartition(small_grid, 10))
+        series = concurrence_series(
+            excitation_profile(traj, centered_bipartition(small_grid, 10)), init)
         stacked = oracle_residuals(init, series.xi, series.theta_b, series.theta_c)
         rows = [crosscheck(init, float(x), float(b), float(c))
                 for x, b, c in zip(series.xi, series.theta_b, series.theta_c)]
