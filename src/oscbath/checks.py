@@ -113,8 +113,7 @@ def run_verification(config: dict | None = None,
         return state["traj"]
 
     def excitation_conservation():
-        profile = excitation_profile(trajectory())
-        return np.abs(profile.xi + profile.theta - 1.0).max()
+        return excitation_profile(trajectory()).norm_residual()
 
     _guarded(results, "excitation_conservation", 1e-9, excitation_conservation)
 

@@ -114,11 +114,9 @@ class ConcurrenceSeries:
 def concurrence_series(profile: ExcitationProfile,
                        init: SuperpositionInit) -> ConcurrenceSeries:
     """Closed-form concurrence per sample from the excitation profile of a
-    bath bipartition; its two block shares must add up to the bath share."""
-    blocks = profile.theta_blocks
-    if (blocks is None or len(blocks) != 2
-            or np.any(np.abs(blocks[0] + blocks[1] - profile.theta) > PHYSICAL_SUM_TOL)):
+    bipartition of the whole bath."""
+    if profile.partition is None or not profile.partition.is_bipartition_of(profile.n_bath):
         raise ValueError("partition must split the full bath into exactly two blocks")
-    theta_b, theta_c = blocks
+    theta_b, theta_c = profile.theta_blocks
     d_b, d_c, c = _init_kernel(init, profile.xi, theta_b, theta_c)
     return ConcurrenceSeries(profile.times, profile.xi, theta_b, theta_c, d_b, d_c, c)

@@ -9,47 +9,60 @@ import numpy as np
 from .model import PartitionSpec, SuperpositionInit
 from .propagation import AmplitudeTrajectory
 
-__all__ = ["ExcitationProfile", "excitation_shares", "excitation_profile",
-           "verify_overlap_factorization"]
+__all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
 
 @dataclass(frozen=True, eq=False)
 class ExcitationProfile:
-    """xi(t) = |f|^2, theta(t) = sum_k |g_k|^2 and optional per-block sums."""
+    """xi(t) = |f|^2, theta(t) = sum_k |g_k|^2 over the n_bath modes and,
+    with a partition, one sum per block."""
 
     times: np.ndarray
     xi: np.ndarray
     theta: np.ndarray
+    n_bath: int
+    partition: PartitionSpec | None = None
     theta_blocks: np.ndarray | None = None
-    block_labels: tuple[str, ...] | None = None
+
+    def norm_residual(self) -> float:
+        """max_t |1 - xi - theta|; the two are summed independently."""
+        return float(np.abs(1.0 - self.xi - self.theta).max())
 
 
-def excitation_shares(source, groups=()) -> np.ndarray:
-    """|u|^2 per sample reduced to the rows xi, theta and one sum per group.
+def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
+    """Excitation profiles of source for each partition (None: no blocks),
+    from one pass over its chunks.
 
-    source is an AmplitudeTrajectory or a SpectralSolution, read chunk by
-    chunk.  groups hold 1-based bath mode indices; they may overlap and
-    need not cover the bath, whose every mode enters theta.  Each chunk is
-    reduced by one product with a 0/1 indicator matrix.
+    source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
+    different partitions may overlap and a partition need not cover the
+    bath, whose every mode enters theta.  Each chunk's |u|^2 is reduced to
+    xi, theta and every block sum by one product with a 0/1 indicator.
     """
-    indicator = np.zeros((source.n_bath + 1, 2 + len(groups)))
+    blocks = []
+    for partition in partitions:
+        if partition is not None:
+            partition.validate_range(source.n_bath)
+            blocks.extend(partition.blocks)
+    indicator = np.zeros((source.n_bath + 1, 2 + len(blocks)))
     indicator[0, 0] = indicator[1:, 1] = 1.0
-    for j, group in enumerate(groups):
-        indicator[np.asarray(group, dtype=int), 2 + j] = 1.0
+    for j, block in enumerate(blocks):
+        indicator[list(block), 2 + j] = 1.0
     shares = np.empty((source.times.size, indicator.shape[1]))
     for rows, re, im in source.chunks():
         shares[rows] = (re * re + im * im) @ indicator
-        del re, im  # free this chunk before the next one is evaluated
-    return shares.T
+    xi, theta, sums = shares[:, 0], shares[:, 1], shares[:, 2:].T
+    profiles, at = [], 0
+    for partition in partitions:
+        size = 0 if partition is None else partition.n_blocks
+        profiles.append(ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
+                                          None if partition is None else sums[at:at + size]))
+        at += size
+    return profiles
 
 
 def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
-    """Excitation shares of source (see excitation_shares), optionally per block."""
-    if partition is None:
-        return ExcitationProfile(source.times, *excitation_shares(source))
-    partition.validate_range(source.n_bath)
-    shares = excitation_shares(source, partition.blocks)
-    return ExcitationProfile(source.times, shares[0], shares[1], shares[2:], partition.labels)
+    """Excitation shares of a trajectory or spectral solution, optionally per block."""
+    return _excitation_profiles(source, [partition])[0]
 
 
 def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionInit,

@@ -84,10 +84,7 @@ def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
     phase = np.outer(times, lam)
     sin = np.sin(phase)
     cos = np.cos(phase, out=phase)
-    if c.imag.any():
-        return cos * c.real + sin * c.imag, cos * c.imag - sin * c.real
-    # real c: the same values without the zero terms, in place
-    return np.multiply(cos, c.real, out=cos), np.multiply(sin, -c.real, out=sin)
+    return cos * c.real + sin * c.imag, cos * c.imag - sin * c.real
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,7 +210,9 @@ class TestSeries:
     def test_rejects_partial_bipartition(self, small_grid, cat_init):
         from oscbath import PartitionSpec
         gen = build_generator(small_grid)
-        traj = evolve_exact(gen, [0.0, 1.0])
         part = PartitionSpec(((1, 2), (3, 4)), ("B", "C"))
-        with pytest.raises(ValueError, match="full bath"):
-            concurrence_series(excitation_profile(traj, part), cat_init)
+        # at t = 0 alone every bath share is 0, so no share sum can tell
+        for times in ([0.0, 1.0], [0.0]):
+            traj = evolve_exact(gen, times)
+            with pytest.raises(ValueError, match="full bath"):
+                concurrence_series(excitation_profile(traj, part), cat_init)

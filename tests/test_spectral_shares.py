@@ -14,9 +14,10 @@ import pytest
 
 from oscbath import (PartitionSpec, banded_blocks, build_generator,
                      centered_bipartition, evolve_exact, excitation_profile,
-                     excitation_shares, interleaved_bipartition, preset_document,
-                     run_scenario, scenario_from_dict, spectral_solution)
+                     interleaved_bipartition, preset_document, run_scenario,
+                     scenario_from_dict, spectral_solution)
 from oscbath import propagation
+from oscbath.observables import _excitation_profiles
 
 TOL = 1e-14
 
@@ -76,16 +77,20 @@ def test_uncovered_modes_still_enter_theta(small_grid, chunking):
     assert np.abs(profile.xi + profile.theta - 1.0).max() < 1e-13
 
 
+def _assert_profiles(gen, times, partitions):
+    """Profiles of several partitions from one pass against the dense path."""
+    profiles = _excitation_profiles(spectral_solution(gen, times), partitions)
+    for partition, profile in zip(partitions, profiles):
+        assert profile.partition is partition
+        _assert_shares(profile, _dense_reference(gen, times, groups=partition.blocks))
+
+
 def test_overlapping_groups_in_one_call(small_grid, chunking):
-    gen = build_generator(small_grid)
     times = np.linspace(0.0, 40.0, 50)
-    groups = [blk for size in (10, 30) for blk in centered_bipartition(small_grid, size).blocks]
-    groups.append((20,))  # inside the two B blocks as well
-    xi, theta, *sums = excitation_shares(spectral_solution(gen, times), groups)
-    ref_xi, ref_theta, ref_sums, _ = _dense_reference(gen, times, groups=groups)
-    assert np.abs(xi - ref_xi).max() <= TOL
-    assert np.abs(theta - ref_theta).max() <= TOL
-    assert np.abs(np.array(sums) - np.array(ref_sums)).max() <= TOL
+    # mode 20 lies in both B blocks as well
+    partitions = [centered_bipartition(small_grid, 10), centered_bipartition(small_grid, 30),
+                  PartitionSpec(((20,),), ("X",))]
+    _assert_profiles(build_generator(small_grid), times, partitions)
 
 
 def test_complex_initial_state(small_grid, chunking):
@@ -115,13 +120,8 @@ def test_reference_scale_sweep_groups(reference_gen, reference_grid):
     # and one of 173
     assert propagation._CHUNK_BYTES // (8 * 1001) == 261
     times = np.linspace(0.0, 100.0, 2000)
-    groups = [blk for size in (100, 500, 900)
-              for blk in centered_bipartition(reference_grid, size).blocks]
-    xi, theta, *sums = excitation_shares(spectral_solution(reference_gen, times), groups)
-    ref_xi, ref_theta, ref_sums, _ = _dense_reference(reference_gen, times, groups=groups)
-    assert np.abs(xi - ref_xi).max() <= TOL
-    assert np.abs(theta - ref_theta).max() <= TOL
-    assert np.abs(np.array(sums) - np.array(ref_sums)).max() <= TOL
+    partitions = [centered_bipartition(reference_grid, size) for size in (100, 500, 900)]
+    _assert_profiles(reference_gen, times, partitions)
 
 
 def test_shares_at_t0_are_computed_not_derived(reference_gen, reference_grid):
@@ -137,7 +137,7 @@ def test_finite_bath_revival(reference_gen):
     # emitted excitation returns to the central oscillator near
     # 2 pi * 999 + 32.2 = 6309.1 (bounds fixed from the dense-state path).
     times = np.linspace(6269.1, 6349.1, 8001)
-    xi = excitation_shares(spectral_solution(reference_gen, times))[0]
+    xi = excitation_profile(spectral_solution(reference_gen, times)).xi
     peak = int(np.argmax(xi))
     assert abs(times[peak] - 6309.1) <= 0.05
     assert abs(xi[peak] - 0.588) <= 1e-3
