@@ -13,15 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SystemConfig",
-    "BathGrid",
-    "PartitionSpec",
-    "SuperpositionInit",
-    "coherent_log_overlap",
-    "build_bath_grid",
-    "centered_bipartition",
-    "banded_blocks",
-    "interleaved_bipartition",
+    "SystemConfig", "BathGrid", "PartitionSpec", "SuperpositionInit", "coherent_log_overlap",
+    "build_bath_grid", "centered_bipartition", "banded_blocks", "interleaved_bipartition",
     "normalize_superposition",
 ]
 

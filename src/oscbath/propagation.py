@@ -2,9 +2,9 @@
 
 The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u with a real
 symmetric arrowhead generator A.  Two independent solvers are provided: a
-spectral propagator (one eigendecomposition, exact unitary evolution evaluated
-in chunks of time rows) and a fixed-step classical RK4 integrator (O(N)
-arrowhead product) to cross-check it.
+spectral propagator (normal modes from the secular equation, exact unitary
+evolution in chunks of time rows) and a fixed-step classical RK4 integrator
+(O(N) arrowhead product) to cross-check it.
 
 Only the slowly varying amplitudes are stored; the pure phase prefactors
 exp(-i*omega0*t) / exp(-i*omega_k*t) of the lab-frame coherent amplitudes
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathGrid
+from .model import BathGrid, _readonly
 
 __all__ = [
     "IntegrationFailure", "AmplitudeTrajectory", "SpectralSolution", "build_generator",
@@ -48,10 +48,8 @@ class AmplitudeTrajectory:
     method: str
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=complex)
-        times.flags.writeable = False
-        states.flags.writeable = False
+        times = _readonly(np.asarray(self.times, dtype=float).view())  # views, no copy
+        states = _readonly(np.asarray(self.states, dtype=complex).view())
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         if times.ndim != 1 or times.size == 0:
@@ -78,6 +76,12 @@ class AmplitudeTrajectory:
         yield slice(None), self.states.real, self.states.imag
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices whose real (rows, n_cols) blocks fit in _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (8 * n_cols))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
     """Real and imaginary parts of exp(-i lam t) c, one row per time:
     (cos c_r + sin c_i) + i (cos c_i - sin c_r)."""
@@ -90,8 +94,8 @@ def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, from one
-    eigendecomposition A = V diag(lam) V^T.  `chunks` evaluates blocks of time
-    rows; only evolve_exact keeps the full T x (N+1) state."""
+    eigendecomposition A = V diag(lam) V^T, lam ascending.  `chunks` evaluates
+    blocks of time rows; only evolve_exact keeps the full T x (N+1) state."""
 
     times: np.ndarray
     lam: np.ndarray
@@ -105,11 +109,10 @@ class SpectralSolution:
     def chunks(self):
         """Yield (rows, re, im): real and imaginary parts of u(times[rows]),
         from two real products with V^T per chunk."""
-        step = max(1, _CHUNK_BYTES // (8 * self.lam.size))
-        for lo in range(0, self.times.size, step):
-            re, im = _scaled_phases(self.times[lo:lo + step], self.lam, self.coeff)
+        for rows in _row_blocks(self.times.size, self.lam.size):
+            re, im = _scaled_phases(self.times[rows], self.lam, self.coeff)
             re, im = re @ self.vec.T, im @ self.vec.T  # drops the phase buffers
-            yield slice(lo, lo + step), re, im
+            yield rows, re, im
 
 
 def build_generator(grid: BathGrid) -> np.ndarray:
@@ -123,8 +126,7 @@ def build_generator(grid: BathGrid) -> np.ndarray:
     a[0, 1:] = grid.couplings
     a[1:, 0] = grid.couplings
     a[np.arange(1, n), np.arange(1, n)] = -2.0 * grid.detunings
-    a.flags.writeable = False
-    return a
+    return _readonly(a)
 
 
 def gershgorin_bound(gen: np.ndarray) -> float:
@@ -133,11 +135,83 @@ def gershgorin_bound(gen: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def _check_generator(a: np.ndarray) -> None:
+def _read_arrow(gen, symmetric: bool) -> tuple:
+    """(a00, row, col, diag) of an arrowhead generator; symmetric requires row == col."""
+    a = np.asarray(gen, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise ValueError("generator must be a square matrix of dimension >= 2")
-    if not np.array_equal(a, a.T):
+    arrow = (float(a[0, 0]), a[0, 1:].copy(), a[1:, 0].copy(), np.diagonal(a)[1:].copy())
+    if np.count_nonzero(a[1:, 1:]) != np.count_nonzero(arrow[3]):
+        raise ValueError("generator is not an arrowhead (nonzero entry off the arrow)")
+    if symmetric and not np.array_equal(arrow[1], arrow[2]):
         raise ValueError("generator is not symmetric; refusing to eigendecompose")
+    return arrow
+
+
+def _secular_sums(poles, gamma2, origin, tau):
+    """sum_k gamma_k^2 / (d_k - lam)^p, p = 1, 2, at lam = origin + tau."""
+    sums = np.empty((2, tau.size))
+    for rows in _row_blocks(tau.size, poles.size):
+        q = poles - origin[rows, None]  # d_k - lam, accurate near origin
+        q -= tau[rows, None]
+        np.reciprocal(q, out=q)
+        sums[0, rows] = q @ gamma2
+        sums[1, rows] = np.square(q, out=q) @ gamma2
+    return sums
+
+
+def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
+    """Ascending eigenvalues lam_j and eigenvectors (rows) v_0j (1, gamma_k / (lam_j - d_k))
+    of the symmetric arrowhead [[a00, gamma^T], [gamma, diag]].  lam_j, a root of
+    F = lam - a00 + sum_k gamma_k^2 / (d_k - lam), is held as its nearer pole plus tau and
+    found by safeguarded Newton steps on F tau (tau - delta), free of both bracketing
+    poles (delta: the other one, infinite at the ends)."""
+    order = np.argsort(diag, kind="stable")
+    d, g = diag[order], gamma[order]
+    if np.any(np.diff(d) == 0):
+        raise ValueError("two equal bath diagonal entries; the arrowhead is degenerate")
+    if np.any(g == 0):
+        raise ValueError("a zero coupling decouples a bath mode; the arrowhead is degenerate")
+    n, g2 = d.size, g * g
+    reach = 2.0 * math.sqrt(float(g2.sum()))
+    # root j lies between left[j] and right[j]: its poles, or an open outer bound
+    left = np.concatenate(([min(d[0], a00) - reach], d))
+    right = np.concatenate((d, [max(d[-1], a00) + reach]))
+    # an inner root is held from its left pole iff F(midpoint) >= 0, an outer one from its pole
+    half = 0.5 * (right - left)
+    from_left = (left - a00) + half + _secular_sums(d, g2, left, half)[0] >= 0
+    from_left[[0, n]], half[[0, n]] = (False, True), 2.0 * half[[0, n]]
+    origin = np.where(from_left, left, right)
+    lo, hi = np.where(from_left, 0.0, -half), np.where(from_left, half, 0.0)
+    other = np.where(from_left, right - left, left - right)
+    other[[0, n]] = -math.inf, math.inf
+
+    tau, active = 0.5 * (lo + hi), np.arange(n + 1)
+    for _ in range(100):  # about 7 passes leave under 1% of the roots active
+        if active.size == 0:
+            break
+        t, base = tau[active], origin[active]
+        s1, s2 = _secular_sums(d, g2, base, t)
+        f = (base - a00) + t + s1
+        below = f < 0  # F increases with tau
+        lo[active[below]], hi[active[~below]] = t[below], t[~below]
+        step = -f / ((1.0 + s2) + f / t + f / (t - other[active]))
+        new, a_lo, a_hi = t + step, lo[active], hi[active]
+        # keep a converged step (F = 0 steps by 0), bisect any other leaving the bracket
+        converged = np.abs(step) <= 2.0 * np.finfo(float).eps * np.abs(t)
+        bisect = ~(converged | ((new > a_lo) & (new < a_hi)))
+        new[bisect] = 0.5 * (a_lo + a_hi)[bisect]
+        tau[active] = new
+        active = active[~(converged | (np.nextafter(a_lo, a_hi) >= a_hi))]
+    else:
+        raise RuntimeError(f"secular equation: {active.size} roots did not converge")
+
+    vecs = np.empty((n + 1, n + 1))
+    for rows in _row_blocks(n + 1, n):
+        q = g / ((d - origin[rows, None]) - tau[rows, None])  # gamma_k / (d_k - lam_j)
+        v0 = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", q, q))
+        vecs[rows, 0], vecs[rows, 1 + order] = v0, -v0[:, None] * q
+    return origin + tau, vecs
 
 
 def _initial_state(n: int, u0) -> np.ndarray:
@@ -152,9 +226,9 @@ def _initial_state(n: int, u0) -> np.ndarray:
 
 
 def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
-    """One symmetric eigendecomposition of gen, sampled at times."""
-    a = np.asarray(gen, dtype=float)
-    _check_generator(a)
+    """One eigendecomposition of the symmetric arrowhead gen, sampled at times;
+    raises ValueError for a degenerate or non-arrowhead gen."""
+    a00, row, _, diag = _read_arrow(gen, symmetric=True)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
@@ -162,8 +236,9 @@ def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
         raise ValueError("times must start at t >= 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    lam, vec = np.linalg.eigh(a)
-    return SpectralSolution(times, lam, vec, vec.T @ _initial_state(a.shape[0], u0))
+    lam, vecs = _arrowhead_eigh(a00, row, diag)
+    u = _initial_state(lam.size, u0)
+    return SpectralSolution(times, lam, vecs.T, vecs @ u.real + 1j * (vecs @ u.imag))
 
 
 def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
@@ -199,12 +274,7 @@ def evolve_rk4(gen: np.ndarray, t_end: float, dt: float,
     Raises IntegrationFailure once the sampled norm drifts from its initial
     value by more than RK4_NORM_LIMIT.
     """
-    a = np.asarray(gen, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("generator must be a square matrix")
-    arrow = (a[0, 0], a[0, 1:].copy(), a[1:, 0].copy(), np.diagonal(a)[1:].copy())
-    if np.count_nonzero(a[1:, 1:]) != np.count_nonzero(arrow[3]):
-        raise ValueError("generator is not an arrowhead (nonzero entry off the arrow)")
+    arrow = _read_arrow(gen, symmetric=False)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
@@ -213,7 +283,7 @@ def evolve_rk4(gen: np.ndarray, t_end: float, dt: float,
         raise ValueError("sample_every must be >= 1")
 
     n_steps = 0 if t_end == 0 else int(math.ceil(t_end / dt - 1e-9))
-    u = _initial_state(a.shape[0], u0)
+    u = _initial_state(arrow[1].size + 1, u0)
     norm0 = float(np.sum(np.abs(u) ** 2))
     sample_times = [0.0]
     samples = [u.copy()]
@@ -224,7 +294,7 @@ def evolve_rk4(gen: np.ndarray, t_end: float, dt: float,
             if drift > RK4_NORM_LIMIT:
                 raise IntegrationFailure(
                     f"norm drift {drift:.3e} at t={step * dt:g} exceeds {RK4_NORM_LIMIT:g}; "
-                    f"reduce dt (guideline dt <= {0.05 / gershgorin_bound(a):.3g})")
+                    f"reduce dt (guideline dt <= {0.05 / gershgorin_bound(gen):.3g})")
             sample_times.append(step * dt)
             samples.append(u.copy())
     return AmplitudeTrajectory(np.array(sample_times), np.array(samples), "rk4")

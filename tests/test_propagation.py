@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oscbath import (BathGrid, IntegrationFailure, SystemConfig,
-                     build_bath_grid, build_generator, evolve_exact,
-                     evolve_rk4, gershgorin_bound, norm_residual)
+from oscbath import (AmplitudeTrajectory, BathGrid, IntegrationFailure,
+                     SystemConfig, build_bath_grid, build_generator,
+                     evolve_exact, evolve_rk4, gershgorin_bound,
+                     norm_residual, spectral_solution)
 
 
 class TestGenerator:
@@ -36,6 +38,18 @@ class TestGenerator:
         bound = gershgorin_bound(reference_gen)
         eigmax = np.abs(np.linalg.eigvalsh(np.array(reference_gen))).max()
         assert bound >= eigmax
+
+
+def _off_arrow(gen):
+    gen[3, 2] = gen[2, 3] = 1e-3
+
+
+def _equal_poles(gen):
+    gen[3, 3] = gen[2, 2]
+
+
+def _zero_coupling(gen):
+    gen[0, 5] = gen[5, 0] = 0.0
 
 
 class TestEvolveExact:
@@ -96,6 +110,32 @@ class TestEvolveExact:
         gen[0, 1] *= 2.0
         with pytest.raises(ValueError, match="symmetric"):
             evolve_exact(gen, [0.0, 1.0])
+
+    @pytest.mark.parametrize("solve", [evolve_exact, spectral_solution])
+    @pytest.mark.parametrize("corrupt, message", [
+        (_off_arrow, "not an arrowhead"),
+        (_equal_poles, "equal bath diagonal"),
+        (_zero_coupling, "zero coupling"),
+    ])
+    def test_rejects_degenerate_or_non_arrowhead(self, small_grid, solve, corrupt, message):
+        gen = np.array(build_generator(small_grid))
+        corrupt(gen)
+        with pytest.raises(ValueError, match=message):
+            solve(gen, [0.0, 1.0])
+
+    def test_materialised_state_is_held_once(self):
+        grid = build_bath_grid(SystemConfig(n_bath=400))
+        gen = build_generator(grid)
+        times = np.linspace(0.0, 100.0, 4000)
+        state_bytes = times.size * 401 * np.dtype(complex).itemsize  # 24.5 MiB
+        tracemalloc.start()
+        try:
+            traj = evolve_exact(gen, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.nbytes == state_bytes
+        assert peak < 1.75 * state_bytes, f"peak {peak / 2**20:.1f} MiB"
 
     def test_rejects_bad_times(self, two_mode_grid):
         gen = build_generator(two_mode_grid)
@@ -185,9 +225,20 @@ class TestEvolveRK4:
         assert norm_residual(traj) < 1e-6
 
 
+class TestAmplitudeTrajectory:
+    def test_states_are_a_read_only_view(self):
+        states = np.zeros((2, 3), dtype=complex)
+        states[:, 0] = 1.0
+        traj = AmplitudeTrajectory(np.array([0.0, 1.0]), states, "exact")
+        assert np.shares_memory(traj.states, states)
+        assert not traj.states.flags.writeable
+        assert states.flags.writeable
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 0.0
+
+
 class TestNormResidual:
     def test_exactly_zero_for_unit_sample(self):
-        from oscbath import AmplitudeTrajectory
         traj = AmplitudeTrajectory([0.0], [[1.0 + 0j, 0.0, 0.0]], "exact")
         assert norm_residual(traj) == 0.0
 

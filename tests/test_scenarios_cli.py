@@ -23,6 +23,18 @@ SMALL_DOC = {
 }
 
 
+@pytest.fixture()
+def decompositions(monkeypatch):
+    """Bath sizes of the arrowhead eigendecompositions made during a test."""
+    from oscbath import propagation
+    calls = []
+    solve = propagation._arrowhead_eigh
+    monkeypatch.setattr(propagation, "_arrowhead_eigh",
+                        lambda a00, gamma, diag: calls.append(diag.size)
+                        or solve(a00, gamma, diag))
+    return calls
+
+
 def _read_csv(path):
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
@@ -251,13 +263,10 @@ class TestRunScenario:
         assert manifest.checks["max_method_deviation"] < 1e-6
         assert manifest.checks["norm_residual_rk4"] < 1e-6
 
-    def test_both_methods_decompose_once(self, tmp_path, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    def test_both_methods_decompose_once(self, tmp_path, decompositions):
         doc = {**SMALL_DOC, "name": "dual", "method": "both", "emit": "bipartition"}
         manifest = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
-        assert calls == [(41, 41)]
+        assert decompositions == [40]
         assert manifest.checks["max_method_deviation"] < 1e-6
 
     def test_concurrence_needs_a_bipartition_of_the_bath(self, tmp_path):
@@ -315,7 +324,8 @@ class TestSweep:
             fname = row.split(",")[2]
             assert (tmp_path / fname).exists()
 
-    def test_one_propagation_feeds_every_grid_point(self, tmp_path, monkeypatch):
+    def test_one_propagation_feeds_every_grid_point(self, tmp_path, monkeypatch,
+                                                    decompositions):
         from oscbath.propagation import SpectralSolution
         calls = []
         chunks = SpectralSolution.chunks
@@ -324,6 +334,7 @@ class TestSweep:
         cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10, 20, 30], "overlaps": [0.5]}
         assert run_sweep(cfg, out_dir=tmp_path).status == "ok"
         assert calls == [50]
+        assert decompositions == [40]
 
     def test_flat_document(self, tmp_path):
         cfg = {**SMALL_DOC, "sizes_b": [10], "overlaps": [0.5]}

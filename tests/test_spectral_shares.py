@@ -1,21 +1,24 @@
-"""The chunked spectral path against the dense-state path it replaced.
+"""The arrowhead spectral path against the dense-state path it replaced.
 
-The reference keeps the old arithmetic: one `eigh`, the full phase matrix
-exp(-i t lam), a complex product with V^T, |u|^2 and block sums by fancy
-indexing.  The chunked path rounds differently (two real products per
-chunk, one indicator product for the sums), so the bound is 1e-14 rather
-than equality.
+The reference keeps the old arithmetic: one dense `eigh`, the full phase
+matrix exp(-i t lam), a complex product with V^T, |u|^2 and block sums by
+fancy indexing.  The spectral path solves the secular equation of the
+arrowhead and rounds differently (two real products per chunk, one
+indicator product for the sums), so the bound is 1e-14 rather than
+equality.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oscbath import (PartitionSpec, banded_blocks, build_generator,
-                     centered_bipartition, evolve_exact, excitation_profile,
-                     interleaved_bipartition, preset_document, run_scenario,
-                     scenario_from_dict, spectral_solution)
+from oscbath import (BathGrid, PartitionSpec, SystemConfig, banded_blocks,
+                     build_bath_grid, build_generator, centered_bipartition,
+                     evolve_exact, excitation_profile, interleaved_bipartition,
+                     preset_document, run_scenario, scenario_from_dict,
+                     spectral_solution)
 from oscbath import propagation
 from oscbath.observables import _excitation_profiles
 
@@ -160,3 +163,68 @@ def test_run_never_holds_the_full_state(tmp_path):
     assert manifest.status == "ok"
     assert peak < state_bytes, f"peak {peak / 2**20:.1f} MiB"
     assert manifest.checks["norm_residual_exact"] < 1e-12
+
+
+def _clustered_grid():
+    """A coarse comb plus modes at 1 + 1e-8 * 2^k, k = 0..24: poles spaced
+    geometrically down to 1e-8 around resonance."""
+    freqs = np.concatenate((np.linspace(0.5, 0.99, 40), 1.0 + 1e-8 * 2.0 ** np.arange(25)))
+    couplings = np.full(freqs.size, 0.1 / math.sqrt(freqs.size))
+    return BathGrid(1.0, freqs, couplings, (1.0 - freqs) / 2.0)
+
+
+def _with_corner(gen, a00):
+    gen = np.array(gen)
+    gen[0, 0] = a00
+    return gen
+
+
+_ORACLE_CASES = {
+    "reference N=1000": lambda request: request.getfixturevalue("reference_gen"),
+    "explicit couplings": lambda request: build_generator(build_bath_grid(SystemConfig(
+        n_bath=200, couplings=tuple(np.random.default_rng(3).uniform(1e-3, 2e-2, 200))))),
+    "clustered poles": lambda request: build_generator(_clustered_grid()),
+    "clustered poles, a00 in the cluster": lambda request: _with_corner(
+        build_generator(_clustered_grid()), 3e-8),
+    "force_resonant": lambda request: build_generator(build_bath_grid(
+        SystemConfig(n_bath=200, force_resonant=True))),
+    "negated": lambda request: -np.array(request.getfixturevalue("reference_gen")),
+    "N=1": lambda request: build_generator(request.getfixturevalue("two_mode_grid")),
+    "N=2": lambda request: build_generator(build_bath_grid(SystemConfig(n_bath=2))),
+    "a00 = 0.25": lambda request: _with_corner(
+        build_generator(request.getfixturevalue("small_grid")), 0.25),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_solver_against_dense_eigh(request, case):
+    # bounds fixed before the first run: eigenvalues within
+    # 1e-14 max(1, ||A||), a unit first row of V and max|V^T V - I| within
+    # 1e-13, shares within TOL of the dense path
+    gen = _ORACLE_CASES[case](request)
+    lam, _ = np.linalg.eigh(gen)
+    times = np.linspace(0.0, 100.0, 201)
+    solution = spectral_solution(gen, times)
+    assert np.abs(solution.lam - lam).max() <= 1e-14 * max(1.0, np.abs(lam).max())
+    vec = solution.vec
+    assert abs(np.sum(vec[0] ** 2) - 1.0) <= 1e-13
+    assert np.abs(vec.T @ vec - np.eye(lam.size)).max() <= 1e-13
+    n = lam.size - 1
+    half = max(1, n // 2)
+    blocks = tuple(b for b in (tuple(range(1, half + 1)), tuple(range(half + 1, n + 1))) if b)
+    part = PartitionSpec(blocks, ("B", "C")[:len(blocks)])
+    _assert_shares(excitation_profile(solution, part),
+                   _dense_reference(gen, times, groups=part.blocks))
+
+
+def test_solver_holds_one_eigenvector_matrix():
+    # an unblocked (N+1) x N temporary would add another 32 MB
+    gen = build_generator(build_bath_grid(SystemConfig(n_bath=2000)))
+    tracemalloc.start()
+    try:
+        solution = spectral_solution(gen, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.vec.nbytes == 2001 * 2001 * 8  # 32 MB
+    assert peak <= solution.vec.nbytes + 8 * 2 ** 20, f"peak {peak / 2**20:.1f} MiB"
