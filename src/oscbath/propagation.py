@@ -30,6 +30,8 @@ __all__ = [
 RK4_NORM_LIMIT = 1e-4
 # each real (rows, N+1) array of a spectral chunk takes about this many bytes
 _CHUNK_BYTES = 2 ** 21
+# exp(-i lam t) is evaluated directly on every this-many-th row of a chunk
+_PHASE_ANCHOR = 16
 
 
 class IntegrationFailure(RuntimeError):
@@ -84,11 +86,31 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
     """Real and imaginary parts of exp(-i lam t) c, one row per time:
-    (cos c_r + sin c_i) + i (cos c_i - sin c_r)."""
-    phase = np.outer(times, lam)
-    sin = np.sin(phase)
-    cos = np.cos(phase, out=phase)
-    return cos * c.real + sin * c.imag, cos * c.imag - sin * c.real
+    (cos c_r + sin c_i) + i (cos c_i - sin c_r), with cos + i sin = exp(i lam t).
+
+    exp(i lam t) comes from cos and sin of t lam on every _PHASE_ANCHOR-th
+    row and is the previous row times exp(i lam (t_n - t_{n-1})) in between,
+    from one exp row per distinct increment."""
+    k = _PHASE_ANCHOR
+    phases = np.empty((times.size, lam.size), dtype=complex)
+    anchors = np.outer(times[::k], lam)
+    np.cos(anchors, out=phases.real[::k])
+    np.sin(anchors, out=phases.imag[::k])
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    turns = np.exp(1j * np.outer(steps, lam))
+    for j in range(1, min(k, times.size)):  # rows j, j + k, ... from rows j - 1, j - 1 + k, ...
+        turn = turns[which[j - 1::k]]
+        np.multiply(phases[j - 1::k][:len(turn)], turn, out=phases[j::k])
+    # c enters after the recurrence by separate real products, so scaling u0 by a power
+    # of two scales the result exactly; no temporaries
+    cos, sin = phases.real, phases.imag
+    c_r, c_i = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+    re, im = np.empty((2, *phases.shape))
+    np.multiply(cos, c_r, out=re)
+    re += np.multiply(sin, c_i, out=im)
+    np.multiply(cos, c_i, out=im)
+    im -= np.multiply(sin, c_r, out=sin)
+    return re, im
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,20 +219,25 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
         lo[active[below]], hi[active[~below]] = t[below], t[~below]
         step = -f / ((1.0 + s2) + f / t + f / (t - other[active]))
         new, a_lo, a_hi = t + step, lo[active], hi[active]
-        # keep a converged step (F = 0 steps by 0), bisect any other leaving the bracket
+        # keep a converged step (F = 0 steps by 0), land one past hi on it (F >= 0 there
+        # unless hi is the pole tau = 0), bisect any other leaving the bracket
         converged = np.abs(step) <= 2.0 * np.finfo(float).eps * np.abs(t)
-        bisect = ~(converged | ((new > a_lo) & (new < a_hi)))
+        past_hi = (new >= a_hi) & (a_hi != 0)
+        new[past_hi] = a_hi[past_hi]
+        bisect = ~(converged | past_hi | ((new > a_lo) & (new < a_hi)))
         new[bisect] = 0.5 * (a_lo + a_hi)[bisect]
         tau[active] = new
         active = active[~(converged | (np.nextafter(a_lo, a_hi) >= a_hi))]
     else:
         raise RuntimeError(f"secular equation: {active.size} roots did not converge")
 
+    # in place and in the generator's column order: v_0j gamma_k / (lam_j - d_k)
     vecs = np.empty((n + 1, n + 1))
-    for rows in _row_blocks(n + 1, n):
-        q = g / ((d - origin[rows, None]) - tau[rows, None])  # gamma_k / (d_k - lam_j)
-        v0 = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", q, q))
-        vecs[rows, 0], vecs[rows, 1 + order] = v0, -v0[:, None] * q
+    q = np.subtract(diag, origin[:, None], out=vecs[:, 1:])
+    q -= tau[:, None]
+    np.divide(gamma, q, out=q)
+    vecs[:, 0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", q, q))
+    q *= -vecs[:, :1]
     return origin + tau, vecs
 
 

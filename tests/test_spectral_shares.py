@@ -16,9 +16,9 @@ import pytest
 
 from oscbath import (BathGrid, PartitionSpec, SystemConfig, banded_blocks,
                      build_bath_grid, build_generator, centered_bipartition,
-                     evolve_exact, excitation_profile, interleaved_bipartition,
-                     preset_document, run_scenario, scenario_from_dict,
-                     spectral_solution)
+                     evolve_exact, evolve_rk4, excitation_profile,
+                     interleaved_bipartition, preset_document, run_scenario,
+                     scenario_from_dict, spectral_solution)
 from oscbath import propagation
 from oscbath.observables import _excitation_profiles
 
@@ -147,6 +147,49 @@ def test_finite_bath_revival(reference_gen):
     assert 0 < peak < times.size - 1
 
 
+def _direct_scaled_phases(times, lam, c):
+    """exp(-i lam t) c from cos and sin of the whole t lam block."""
+    phase = np.outer(times, lam)
+    sin, cos = np.sin(phase), np.cos(phase)
+    return cos * c.real + sin * c.imag, cos * c.imag - sin * c.real
+
+
+def _short_last_step_times(gen):
+    # 501 steps of 0.1 sampled every 4: the last sample step is one step long
+    times = evolve_rk4(gen, 50.05, 0.1, sample_every=4).times
+    assert np.diff(times)[-1] < np.diff(times)[-2]
+    return times
+
+
+_PHASE_GRIDS = {
+    "linspace": lambda gen: np.linspace(0.0, 100.0, 2000),
+    "non-uniform": lambda gen: np.cumsum(np.random.default_rng(11).uniform(0.01, 0.1, 1000)),
+    "rk4 samples": _short_last_step_times,
+    # the rows of test_finite_bath_revival's grid around the peak at 6309.1
+    "revival window": lambda gen: np.linspace(6269.1, 6349.1, 8001)[3500:4501],
+}
+
+
+@pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
+def test_phase_recurrence_against_direct_phases(reference_gen, grid):
+    # bound fixed before the first run: the direct phases round t lam to
+    # eps |lam t| / 2, and every recurrence row is at most _PHASE_ANCHOR - 1
+    # products of unit factors (a few eps each) from an anchor row that the
+    # direct formula gives as well; 8 eps max|lam t| covers both while
+    # max|lam t| >= 25, as on every grid here
+    times = _PHASE_GRIDS[grid](reference_gen)
+    lam = spectral_solution(reference_gen, [0.0]).lam
+    c = np.exp(2j * np.pi * np.random.default_rng(5).random(lam.size))  # |c_j| = 1
+    lam_t = np.abs(lam).max() * np.abs(times).max()
+    assert lam_t >= 25.0
+    worst = 0.0
+    for rows in propagation._row_blocks(times.size, lam.size):
+        got = propagation._scaled_phases(times[rows], lam, c)
+        want = _direct_scaled_phases(times[rows], lam, c)
+        worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
+    assert worst <= 8 * np.finfo(float).eps * lam_t
+
+
 def test_run_never_holds_the_full_state(tmp_path):
     doc = preset_document("fig10a")
     doc["system"]["n_bath"] = 400
@@ -215,6 +258,22 @@ def test_solver_against_dense_eigh(request, case):
     part = PartitionSpec(blocks, ("B", "C")[:len(blocks)])
     _assert_shares(excitation_profile(solution, part),
                    _dense_reference(gen, times, groups=part.blocks))
+
+
+def test_solver_pass_count_on_the_reference_generator(reference_gen, monkeypatch):
+    # the centre root of the symmetric band sits on the midpoint end of its
+    # bracket, where F >= 0; a Newton step past that end lands on it rather
+    # than being bisected, which would halve the bracket once per pass
+    calls = []
+    sums = propagation._secular_sums
+
+    def counted(poles, gamma2, origin, tau):
+        calls.append(tau.size)
+        return sums(poles, gamma2, origin, tau)
+
+    monkeypatch.setattr(propagation, "_secular_sums", counted)
+    spectral_solution(reference_gen, [0.0])
+    assert len(calls) <= 12, calls
 
 
 def test_solver_holds_one_eigenvector_matrix():
