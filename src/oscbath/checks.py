@@ -16,7 +16,8 @@ from .concurrence import concurrence_series
 from .model import (SystemConfig, build_bath_grid, centered_bipartition,
                     normalize_superposition)
 from .observables import excitation_profile, verify_overlap_factorization
-from .propagation import build_generator, evolve_exact, evolve_rk4, norm_residual
+from .propagation import (build_generator, evolve_exact, evolve_rk4, norm_residual,
+                          spectral_solution)
 from .scenarios import _reject_unknown
 from .wootters import crosscheck, oracle_residuals
 
@@ -102,7 +103,8 @@ def run_verification(config: dict | None = None,
     state: dict = {}
 
     def norm_conservation():
-        state["traj"] = evolve_exact(gen, times)
+        state["solution"] = spectral_solution(gen, times)
+        state["traj"] = state["solution"].trajectory()
         return norm_residual(state["traj"])
 
     _guarded(results, "norm_conservation_exact", 1e-9, norm_conservation)
@@ -116,6 +118,17 @@ def run_verification(config: dict | None = None,
         return excitation_profile(trajectory()).norm_residual()
 
     _guarded(results, "excitation_conservation", 1e-9, excitation_conservation)
+
+    def shares_vs_state():
+        # the share kernel integrates the bath amplitudes between anchor rows; the
+        # materialised state takes every row from the eigenvectors.  The last user
+        # of the decomposition drops it.
+        direct = excitation_profile(trajectory(), partition)
+        kernel = excitation_profile(state.pop("solution"), partition)
+        return max(float(np.abs(getattr(kernel, name) - getattr(direct, name)).max())
+                   for name in ("xi", "theta", "theta_blocks"))
+
+    _guarded(results, "shares_vs_state", 1e-13, shares_vs_state)
 
     def rk4_norm():
         traj = evolve_rk4(gen, float(cfg["rk4_t_end"]), float(cfg["dt"]),

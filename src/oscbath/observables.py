@@ -31,7 +31,7 @@ class ExcitationProfile:
 
 def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     """Excitation profiles of source for each partition (None: no blocks),
-    from one pass over its chunks.
+    from one pass over its share chunks.
 
     source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
     different partitions may overlap and a partition need not cover the
@@ -48,8 +48,8 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     for j, block in enumerate(blocks):
         indicator[list(block), 2 + j] = 1.0
     shares = np.empty((source.times.size, indicator.shape[1]))
-    for rows, re, im in source.chunks():
-        shares[rows] = (re * re + im * im) @ indicator
+    for rows, u2 in source.share_chunks():
+        shares[rows] = u2 @ indicator
     xi, theta, sums = shares[:, 0], shares[:, 1], shares[:, 2:].T
     profiles, at = [], 0
     for partition in partitions:

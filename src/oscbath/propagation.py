@@ -28,10 +28,14 @@ __all__ = [
 
 # norm drift beyond this flags the fixed-step integration as failed
 RK4_NORM_LIMIT = 1e-4
-# each real (rows, N+1) array of a spectral chunk takes about this many bytes
+# each real (rows, N+1) array of a spectral chunk, and each complex one of a share
+# chunk, takes about this many bytes
 _CHUNK_BYTES = 2 ** 21
 # exp(-i lam t) is evaluated directly on every this-many-th row of a chunk
 _PHASE_ANCHOR = 16
+# a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
+# its end row takes the V product instead
+_MAX_NODES = 16
 
 
 class IntegrationFailure(RuntimeError):
@@ -73,9 +77,10 @@ class AmplitudeTrajectory:
         """Bath amplitude series, column k-1 for mode k."""
         return self.states[:, 1:]
 
-    def chunks(self):
-        """The whole state as one chunk (rows, re, im), as SpectralSolution.chunks."""
-        yield slice(None), self.states.real, self.states.imag
+    def share_chunks(self):
+        """|u|^2 of the whole state as one chunk (rows, u2), as SpectralSolution.share_chunks."""
+        re, im = self.states.real, self.states.imag
+        yield slice(None), re * re + im * im
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -84,45 +89,103 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray):
-    """Real and imaginary parts of exp(-i lam t) c, one row per time:
-    (cos c_r + sin c_i) + i (cos c_i - sin c_r), with cos + i sin = exp(i lam t).
+def _phase_rows(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """exp(i freq t), one row per time.
 
-    exp(i lam t) comes from cos and sin of t lam on every _PHASE_ANCHOR-th
-    row and is the previous row times exp(i lam (t_n - t_{n-1})) in between,
-    from one exp row per distinct increment."""
+    cos and sin of t freq give every _PHASE_ANCHOR-th row and each row whose
+    increment t_n - t_{n-1} occurs once among times; every other row is the
+    previous one times exp(i freq (t_n - t_{n-1})), from one exp row per
+    repeated increment."""
     k = _PHASE_ANCHOR
-    phases = np.empty((times.size, lam.size), dtype=complex)
-    anchors = np.outer(times[::k], lam)
-    np.cos(anchors, out=phases.real[::k])
-    np.sin(anchors, out=phases.imag[::k])
-    steps, which = np.unique(np.diff(times), return_inverse=True)
-    turns = np.exp(1j * np.outer(steps, lam))
+    steps, which, counts = np.unique(np.diff(times), return_inverse=True, return_counts=True)
+    direct = np.arange(times.size) % k == 0
+    direct[1:] |= counts[which] == 1
+    rows = np.flatnonzero(direct)
+    angles = np.outer(times[rows], freq)
+    block = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=block.real)
+    np.sin(angles, out=block.imag)
+    if rows.size == times.size:
+        return block
+    phases = np.empty((times.size, freq.size), dtype=complex)
+    phases[::k] = block[rows % k == 0]
+    repeated = counts > 1
+    turns = np.exp(1j * np.outer(steps[repeated], freq))
+    slot = (np.cumsum(repeated) - 1)[which]  # any slot for a once-only increment
     for j in range(1, min(k, times.size)):  # rows j, j + k, ... from rows j - 1, j - 1 + k, ...
-        turn = turns[which[j - 1::k]]
+        turn = turns[slot[j - 1::k]]
         np.multiply(phases[j - 1::k][:len(turn)], turn, out=phases[j::k])
+        again = rows % k == j  # direct rows among them
+        phases[rows[again]] = block[again]
+    return phases
+
+
+def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of exp(-i lam t) c, stacked as (2, times, lam):
+    (cos c_r + sin c_i) + i (cos c_i - sin c_r), with cos + i sin = exp(i lam t)
+    from _phase_rows."""
+    phases = _phase_rows(times, lam)
     # c enters after the recurrence by separate real products, so scaling u0 by a power
     # of two scales the result exactly; no temporaries
     cos, sin = phases.real, phases.imag
     c_r, c_i = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-    re, im = np.empty((2, *phases.shape))
+    parts = np.empty((2, *phases.shape))
+    re, im = parts
     np.multiply(cos, c_r, out=re)
     re += np.multiply(sin, c_i, out=im)
     np.multiply(cos, c_i, out=im)
     im -= np.multiply(sin, c_r, out=sin)
-    return re, im
+    return parts
+
+
+def _node_counts(reach: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre nodes that integrate exp(i omega s) over [0, h] to within
+    eps h whenever |omega| h <= reach, from the remainder
+    h (omega h)^2m (m!)^4 / ((2m + 1) ((2m)!)^3) of the m-node rule;
+    0 where more than _MAX_NODES would be needed."""
+    m = np.arange(1, _MAX_NODES + 1)
+    log_rest = np.array([4 * math.lgamma(k + 1) - math.log(2 * k + 1) - 3 * math.lgamma(2 * k + 1)
+                         for k in m])
+    with np.errstate(divide="ignore"):  # reach 0 needs one node
+        enough = log_rest + 2 * m * np.log(reach)[:, None] < math.log(np.finfo(float).eps)
+    return np.where(enough.any(axis=1), enough.argmax(axis=1) + 1, 0)
+
+
+def _legendre(x: np.ndarray, m: int):
+    """P_m(x) and its derivative, by the three-term recurrence."""
+    p, q = np.ones_like(x), x
+    for n in range(1, m):
+        p, q = q, ((2 * n + 1) * x * q - n * p) / (n + 1)
+    return q, m * (p - x * q) / ((1.0 - x) * (1.0 + x))
+
+
+def _interval_nodes(h: float, m: int):
+    """The m Gauss-Legendre nodes in [0, h] and their weights: the roots of P_m
+    from its Jacobi matrix, one Newton step, weights 2 / ((1 - x^2) P_m'(x)^2).
+    (numpy.polynomial.legendre.leggauss would import a package that adds about
+    2 MB to the resident size of a process that otherwise never loads it.)"""
+    k = np.arange(1.0, m)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    p, slope = _legendre(x, m)
+    x -= p / slope
+    slope = _legendre(x, m)[1]
+    return 0.5 * h * (x + 1.0), h / ((1.0 - x) * (1.0 + x) * slope * slope)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
     """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, from one
-    eigendecomposition A = V diag(lam) V^T, lam ascending.  `chunks` evaluates
-    blocks of time rows; only evolve_exact keeps the full T x (N+1) state."""
+    eigendecomposition A = V diag(lam) V^T, lam ascending, of the arrowhead with
+    couplings gamma and bath diagonal diag.  `chunks` evaluates blocks of time
+    rows and `share_chunks` their |u|^2; only evolve_exact keeps the full
+    T x (N+1) state."""
 
     times: np.ndarray
     lam: np.ndarray
     vec: np.ndarray
     coeff: np.ndarray
+    gamma: np.ndarray
+    diag: np.ndarray
 
     @property
     def n_bath(self) -> int:
@@ -135,6 +198,68 @@ class SpectralSolution:
             re, im = _scaled_phases(self.times[rows], self.lam, self.coeff)
             re, im = re @ self.vec.T, im @ self.vec.T  # drops the phase buffers
             yield rows, re, im
+
+    def trajectory(self) -> AmplitudeTrajectory:
+        """The materialised T x (N+1) state."""
+        states = np.empty((self.times.size, self.lam.size), dtype=complex)
+        for rows, re, im in self.chunks():
+            states[rows].real, states[rows].imag = re, im
+        return AmplitudeTrajectory(self.times, states, "exact")
+
+    def share_chunks(self):
+        """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor rows.
+
+        The first row of each chunk is an anchor, from the V product, and so is
+        every row whose increment t_n - t_{n-1} occurs once in its chunk or needs
+        more than _MAX_NODES nodes.  Any other row follows from the row before
+        by the Duhamel integral of f(s) = sum_j w_j exp(-i lam_j s), by
+        Gauss-Legendre nodes: with h = t_n - t_{n-1},
+        g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1}) - i gamma_k int_0^h exp(i d_k s)
+        f(t_{n-1} + s) ds]."""
+        lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
+        w = self.vec[0] * self.coeff  # f(t) = sum_j w_j exp(-i lam_j t)
+        steps, which = np.unique(np.diff(times), return_inverse=True)
+        nodes = _node_counts(steps * max(diag.max() - lam[0], lam[-1] - diag.min()))
+        # increment -> (w exp(-i lam x) at the nodes x and at h, the weighted
+        # -i gamma_k exp(i d_k x) of the nodes, exp(-i d h)), built once for the grid
+        rules = {}
+        for rows in _row_blocks(times.size, 2 * lam.size):  # complex (rows, N+1) blocks
+            t = times[rows]
+            step = which[rows.start:rows.start + t.size - 1]  # increment into rows 1, 2, ...
+            integrable = (np.bincount(step, minlength=steps.size) > 1) & (nodes > 0)
+            integrated = np.zeros(t.size, dtype=bool)
+            integrated[1:] = integrable[step]
+            later, anchors = np.flatnonzero(integrated), np.flatnonzero(~integrated)
+            parts = _scaled_phases(t[anchors], lam, self.coeff)
+            re, im = (parts.reshape(-1, lam.size) @ self.vec.T).reshape(parts.shape)  # one V pass
+            u2 = np.empty((t.size, lam.size))
+            if later.size:
+                phases = _phase_rows(t, -lam)  # exp(-i lam t)
+                sums = []  # f at the nodes and the end of each interval, by increment
+                for s in np.flatnonzero(integrable):
+                    if s not in rules:
+                        h = steps[s]
+                        x, q = _interval_nodes(h, nodes[s])
+                        rules[s] = (w[:, None] * np.exp(-1j * np.outer(lam, np.append(x, h))),
+                                    -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag))),
+                                    np.exp(-1j * h * diag))
+                    into = later[step[later - 1] == s]
+                    sums.append((into, phases[into - 1] @ rules[s][0], rules[s][1]))
+                del phases
+                g = np.empty((t.size, gamma.size), dtype=complex)
+                g[anchors] = re[:, 1:] + 1j * im[:, 1:]
+                for into, f, quad in sums:  # -i gamma_k times the integrals
+                    u2[into, 0] = f[:, -1].real ** 2 + f[:, -1].imag ** 2
+                    g[into] = f[:, :-1] @ quad
+                for n in later:
+                    g[n] += g[n - 1]
+                    g[n] *= rules[step[n - 1]][2]
+                pairs = g.view(float)
+                np.square(pairs, out=pairs)
+                np.add(pairs[:, ::2], pairs[:, 1::2], out=u2[:, 1:])
+                del g, pairs
+            u2[anchors] = re * re + im * im
+            yield rows, u2
 
 
 def build_generator(grid: BathGrid) -> np.ndarray:
@@ -265,17 +390,13 @@ def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
         raise ValueError("times must be strictly increasing")
     lam, vecs = _arrowhead_eigh(a00, row, diag)
     u = _initial_state(lam.size, u0)
-    return SpectralSolution(times, lam, vecs.T, vecs @ u.real + 1j * (vecs @ u.imag))
+    return SpectralSolution(times, lam, vecs.T, vecs @ u.real + 1j * (vecs @ u.imag), row, diag)
 
 
 def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
     """Unitary evolution u(t) = V exp(-i Lambda t) V^T u(0): the materialised
     state of spectral_solution(gen, times, u0).  Norm is conserved to roundoff."""
-    solution = spectral_solution(gen, times, u0)
-    states = np.empty((solution.times.size, solution.lam.size), dtype=complex)
-    for rows, re, im in solution.chunks():
-        states[rows].real, states[rows].imag = re, im
-    return AmplitudeTrajectory(solution.times, states, "exact")
+    return spectral_solution(gen, times, u0).trajectory()
 
 
 def _rk4_rhs(arrow: tuple, u: np.ndarray) -> np.ndarray:

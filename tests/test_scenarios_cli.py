@@ -328,9 +328,9 @@ class TestSweep:
                                                     decompositions):
         from oscbath.propagation import SpectralSolution
         calls = []
-        chunks = SpectralSolution.chunks
-        monkeypatch.setattr(SpectralSolution, "chunks",
-                            lambda self: calls.append(self.times.size) or chunks(self))
+        share_chunks = SpectralSolution.share_chunks
+        monkeypatch.setattr(SpectralSolution, "share_chunks",
+                            lambda self: calls.append(self.times.size) or share_chunks(self))
         cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10, 20, 30], "overlaps": [0.5]}
         assert run_sweep(cfg, out_dir=tmp_path).status == "ok"
         assert calls == [50]

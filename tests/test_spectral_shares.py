@@ -18,7 +18,7 @@ from oscbath import (BathGrid, PartitionSpec, SystemConfig, banded_blocks,
                      build_bath_grid, build_generator, centered_bipartition,
                      evolve_exact, evolve_rk4, excitation_profile,
                      interleaved_bipartition, preset_document, run_scenario,
-                     scenario_from_dict, spectral_solution)
+                     run_verification, scenario_from_dict, spectral_solution)
 from oscbath import propagation
 from oscbath.observables import _excitation_profiles
 
@@ -188,6 +188,102 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
         want = _direct_scaled_phases(times[rows], lam, c)
         worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
     assert worst <= 8 * np.finfo(float).eps * lam_t
+
+
+@pytest.fixture()
+def anchor_rows(monkeypatch):
+    """Row counts of the phases scaled for a V product (share_chunks: its anchor rows)."""
+    rows = []
+    scaled = propagation._scaled_phases
+    monkeypatch.setattr(propagation, "_scaled_phases",
+                        lambda times, lam, c: rows.append(times.size) or scaled(times, lam, c))
+    return rows
+
+
+def _reach(solution, h):
+    """h max|d_k - lam_j|: the largest phase an interval of length h integrates."""
+    return h * max(solution.diag.max() - solution.lam[0], solution.lam[-1] - solution.diag.min())
+
+
+def test_coarse_grid_takes_many_nodes(small_grid, chunking, anchor_rows):
+    gen = build_generator(small_grid)
+    times = np.linspace(0.0, 200.0, 41)  # h = 5
+    solution = spectral_solution(gen, times)
+    nodes = propagation._node_counts(np.array([_reach(solution, 5.0)]))[0]
+    assert _reach(solution, 5.0) >= 5 and 8 <= nodes <= propagation._MAX_NODES
+    part = centered_bipartition(small_grid, 10)
+    _assert_shares(excitation_profile(solution, part),
+                   _dense_reference(gen, times, groups=part.blocks))
+    assert sum(anchor_rows) < times.size // 2  # most rows come from the integral
+
+
+def test_all_distinct_increments_are_anchor_rows(small_grid, chunking, anchor_rows):
+    gen = build_generator(small_grid)
+    times = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, 50))
+    assert np.unique(np.diff(times)).size == times.size - 1
+    part = centered_bipartition(small_grid, 10)
+    _assert_shares(excitation_profile(spectral_solution(gen, times), part),
+                   _dense_reference(gen, times, groups=part.blocks))
+    assert sum(anchor_rows) == times.size  # one V product row per sample, as before
+
+
+def test_window_far_from_zero(small_grid, anchor_rows):
+    gen = build_generator(small_grid)
+    part = centered_bipartition(small_grid, 10)
+    costs = []
+    for start in (0.0, 400.0):
+        times = np.linspace(start, start + 40.0, 50)
+        _assert_shares(excitation_profile(spectral_solution(gen, times), part),
+                       _dense_reference(gen, times, groups=part.blocks))
+        costs.append(sum(anchor_rows))
+        anchor_rows.clear()
+    assert costs[1] <= costs[0] < 5  # V product rows: the far window costs no more
+
+
+def test_node_rule_integrates_exponentials():
+    # bound fixed before the first run: the remainder of the chosen rule is
+    # below eps h in each of the real and imaginary parts, and the sum of at
+    # most _MAX_NODES positive weights rounds to a few eps h more
+    eps = np.finfo(float).eps
+    reach = np.linspace(0.0, 20.0, 4001)
+    nodes = propagation._node_counts(reach)
+    served = reach[nodes > 0].max()
+    assert served > 10 and np.all(nodes[reach > served] == 0)
+    assert np.all(np.diff(nodes[nodes > 0]) >= 0)
+    for h in (0.05, 1.0, 5.0):
+        for m in np.unique(nodes[nodes > 0]):
+            x, q = propagation._interval_nodes(h, m)
+            omega = np.concatenate((reach[nodes == m], -reach[nodes == m])) / h
+            rule = np.exp(1j * np.outer(omega, x)) @ q
+            # (exp(i omega h) - 1) / (i omega), without its cancellation near 0
+            exact = h * np.exp(0.5j * omega * h) * np.sinc(omega * h / (2 * np.pi))
+            assert np.abs(rule - exact).max() <= 4 * eps * h, (h, m)
+
+
+def test_finite_bath_revival_at_4000_modes():
+    # ROADMAP item 1: at N = 4000 the bath diagonal has spacing 1/3999 and xi
+    # returns near 2 pi * 3999 + 32.2 = 25158.7 (bounds fixed from ROADMAP)
+    gen = build_generator(build_bath_grid(SystemConfig(n_bath=4000, coupling_amplitude=0.1,
+                                                       band=(0.5, 1.5))))
+    times = np.linspace(25118.7, 25198.7, 801)
+    xi = excitation_profile(spectral_solution(gen, times)).xi
+    peak = int(np.argmax(xi))
+    assert abs(times[peak] - 25158.6) <= 0.05
+    assert abs(xi[peak] - 0.588) <= 1e-3
+    assert 0 < peak < times.size - 1
+
+
+def test_verify_checks_the_kernel_against_the_state():
+    results = {r.name: r for r in run_verification({"n_bath": 100, "samples": 21,
+                                                     "rk4_t_end": 1.0})}
+    assert results["shares_vs_state"].passed
+    assert results["shares_vs_state"].threshold == 1e-13
+    faulty = {r.name: r for r in run_verification({"n_bath": 100, "samples": 21,
+                                                    "rk4_t_end": 1.0},
+                                                   inject_fault="generator-asymmetry")}
+    result = faulty["shares_vs_state"]
+    assert not result.passed and result.residual == math.inf
+    assert "norm_conservation_exact" in result.note
 
 
 def test_run_never_holds_the_full_state(tmp_path):
