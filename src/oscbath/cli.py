@@ -41,6 +41,14 @@ def _apply_overrides(s: Scenario, args) -> Scenario:
     return replace(s, **updates) if updates else s
 
 
+def _report(manifest) -> int:
+    """Print each output with its sha256 prefix and the status; the exit status."""
+    for entry in manifest.outputs:
+        print(f"wrote {entry['path']}  sha256 {entry['sha256'][:16]}")
+    print(f"status: {manifest.status}  ({manifest.duration_s:.2f}s)")
+    return EXIT_OK if manifest.status == "ok" else EXIT_CHECK_FAILED
+
+
 def _cmd_simulate(args) -> int:
     if (args.config is None) == (args.preset is None):
         print("simulate needs a config file or --preset (exactly one)", file=sys.stderr)
@@ -50,11 +58,7 @@ def _cmd_simulate(args) -> int:
     else:
         scenario = scenario_from_dict(_load_json(args.config))
     scenario = _apply_overrides(scenario, args)
-    manifest = run_scenario(scenario, out_dir=args.out)
-    for entry in manifest.outputs:
-        print(f"wrote {entry['path']}  sha256 {entry['sha256'][:16]}")
-    print(f"status: {manifest.status}  ({manifest.duration_s:.2f}s)")
-    return EXIT_OK if manifest.status == "ok" else EXIT_CHECK_FAILED
+    return _report(run_scenario(scenario, out_dir=args.out))
 
 
 def _cmd_verify(args) -> int:
@@ -83,11 +87,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    manifest = run_sweep(_load_json(args.config), out_dir=args.out)
-    for entry in manifest.outputs:
-        print(f"wrote {entry['path']}")
-    print(f"status: {manifest.status}  ({manifest.duration_s:.2f}s)")
-    return EXIT_OK if manifest.status == "ok" else EXIT_CHECK_FAILED
+    return _report(run_sweep(_load_json(args.config), out_dir=args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:

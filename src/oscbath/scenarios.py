@@ -289,15 +289,13 @@ def preset(name: str) -> Scenario:
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """17-significant-digit CSV with LF endings for byte reproducibility."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    """CSV with LF endings for byte reproducibility: floats to 17 significant
+    digits, integer and text columns as they are."""
+    formats = {"i": "%d", "u": "%d", "U": "%s"}  # by dtype kind; any other is a float
+    line = ",".join(formats.get(c.dtype.kind, "%.17g") for c in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(line % row for row in zip(*map(np.ndarray.tolist, columns)))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @dataclass
@@ -316,11 +314,6 @@ class RunManifest:
         with open(path, "w", newline="\n") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _config_hash(doc: dict) -> str:
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _concurrence_table(init: SuperpositionInit, profile: ExcitationProfile):
@@ -346,6 +339,43 @@ def _emit_table(s: Scenario, profile: ExcitationProfile):
     return _concurrence_table(s.superposition, profile)
 
 
+def _setup(s: Scenario, out_dir, sizes_b=None):
+    """Output directory, generator and partitions (the scenario's own, or one
+    centered bipartition per size_b); a bad partition raises before the mkdir."""
+    grid = build_bath_grid(s.system)
+    gen = build_generator(grid)
+    partitions = ([s.partition_spec(grid)] if sizes_b is None
+                  else [centered_bipartition(grid, size_b) for size_b in sizes_b])
+    out = Path(out_dir if out_dir is not None else (s.out_dir or "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out, gen, partitions
+
+
+def _emit(out: Path, name: str, doc: dict, tables, checks: dict, start: float,
+          svg: bool = False) -> RunManifest:
+    """Write each (file stem, header, columns) table as a CSV (plus an SVG
+    titled name with svg), hash every file and save the manifest; the run
+    fails when a max oracle residual in checks exceeds ORACLE_RESIDUAL_LIMIT."""
+    outputs: list[dict] = []
+    for stem, header, columns in tables:
+        paths = [out / f"{stem}.csv"]
+        write_csv(paths[0], header, columns)
+        if svg:
+            from .svgplot import write_line_svg
+            paths.append(out / f"{stem}.svg")
+            write_line_svg(paths[1], columns[0], dict(zip(header[1:], columns[1:])), title=name)
+        outputs.extend({"path": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                       for path in paths)
+    failed = any(value > ORACLE_RESIDUAL_LIMIT for key, value in checks.items()
+                 if key.startswith("max_oracle_residual"))
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    manifest = RunManifest(scenario=doc, config_hash=hashlib.sha256(payload).hexdigest(),
+                           tool_version=TOOL_VERSION, duration_s=time.perf_counter() - start,
+                           outputs=outputs, status="failed" if failed else "ok", checks=checks)
+    manifest.save(out / f"{name}_manifest.json")
+    return manifest
+
+
 def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
     """Propagate, emit CSV (and optional SVG), write the manifest.
 
@@ -353,18 +383,12 @@ def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
     spin-flip oracle beyond ORACLE_RESIDUAL_LIMIT.
     """
     start = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else (s.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
-    grid = build_bath_grid(s.system)
-    gen = build_generator(grid)
-    partition = s.partition_spec(grid)
-
+    out, gen, (partition,) = _setup(s, out_dir)
     methods = ("exact", "rk4") if s.method == "both" else (s.method,)
     # one decomposition serves the exact run and the method comparison
     exact = spectral_solution(gen, s.exact_times()) if s.method != "rk4" else None
-    status = "ok"
     checks: dict = {}
-    outputs: list[dict] = []
+    tables = []
     for method in methods:
         if method == "rk4":  # rk4_sample_every rounds, so this can differ from samples
             rk4 = evolve_rk4(gen, s.t_end, s.dt, s.rk4_sample_every())
@@ -372,38 +396,15 @@ def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
         profile = excitation_profile(exact if method == "exact" else rk4, partition)
         checks[f"norm_residual_{method}"] = profile.norm_residual()
         header, columns, max_resid = _emit_table(s, profile)
-        suffix = "" if len(methods) == 1 else f"_{method}"
-        csv_path = out / f"{s.name}{suffix}.csv"
-        write_csv(csv_path, header, columns)
-        outputs.append({"path": csv_path.name, "sha256": _sha256(csv_path)})
-        if s.svg:
-            from .svgplot import write_line_svg
-            svg_path = out / f"{s.name}{suffix}.svg"
-            series = {name: col for name, col in zip(header[1:], columns[1:])}
-            write_line_svg(svg_path, columns[0], series, title=s.name)
-            outputs.append({"path": svg_path.name, "sha256": _sha256(svg_path)})
         if max_resid is not None:
             checks[f"max_oracle_residual_{method}"] = max_resid
-            if max_resid > ORACLE_RESIDUAL_LIMIT:
-                status = "failed"
+        tables.append((s.name if len(methods) == 1 else f"{s.name}_{method}", header, columns))
 
     if s.method == "both":  # the same decomposition, at the RK4 sample times
         checks["max_method_deviation"] = float(max(
             np.abs(re + 1j * im - rk4.states[rows]).max()
             for rows, re, im in replace(exact, times=rk4.times).chunks()))
-
-    doc = scenario_to_dict(s)
-    manifest = RunManifest(
-        scenario=doc,
-        config_hash=_config_hash(doc),
-        tool_version=TOOL_VERSION,
-        duration_s=time.perf_counter() - start,
-        outputs=outputs,
-        status=status,
-        checks=checks,
-    )
-    manifest.save(out / f"{s.name}_manifest.json")
-    return manifest
+    return _emit(out, s.name, scenario_to_dict(s), tables, checks, start, s.svg)
 
 
 def run_sweep(doc: dict, out_dir=None) -> RunManifest:
@@ -414,8 +415,8 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     realized by symmetric real amplitudes +-d/2 with d = sqrt(-2 ln o0).
     doc is {"name", "base" or "preset", "sizes_b", "overlaps"}, a flat
     scenario document plus the grid keys, or a sweep manifest (its
-    "scenario"); unknown keys and a base method other than "exact" raise
-    ValueError.
+    "scenario"); unknown keys, a base method other than "exact", an empty
+    grid axis and a repeated size_b raise ValueError before any output.
     """
     start = time.perf_counter()
     if "scenario" in doc:  # rerun a previously written manifest
@@ -435,50 +436,35 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     name = str(doc.get("name", f"{base.name}_sweep"))
     sizes = [int(v) for v in doc.get("sizes_b", [100, 500, 900])]
     overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]
+    if not sizes or not overlaps:
+        raise ValueError("a sweep needs at least one entry in sizes_b and in overlaps")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"sizes_b repeats an entry: {sizes}")
     for o0 in overlaps:
         if not 0.0 < o0 < 1.0:
             raise ValueError(f"overlaps must lie strictly inside (0, 1), got {o0}")
     sup = base.superposition
     weight_a, weight_b = (sup.a, sup.b) if sup is not None else (1.0, -1.0)
 
-    out = Path(out_dir if out_dir is not None else (base.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
-    grid = build_bath_grid(base.system)
-    gen = build_generator(grid)
-    partitions = [centered_bipartition(grid, size_b) for size_b in sizes]
+    out, gen, partitions = _setup(base, out_dir, sizes)
     # one propagation and one reduction feed every grid point
     profiles = _excitation_profiles(spectral_solution(gen, base.exact_times()), partitions)
-
-    outputs: list[dict] = []
-    index = ["size_b,o0,file,c_end,theta_b_end,theta_c_end,max_oracle_residual"]
-    worst = 0.0
+    tables, index = [], []
     for size_b, profile in zip(sizes, profiles):
         for j, o0 in enumerate(overlaps):
             half = math.sqrt(-2.0 * math.log(o0)) / 2.0
             init = normalize_superposition(weight_a, weight_b, half, -half)
             header, columns, residual = _concurrence_table(init, profile)
-            worst = max(worst, residual)
-            fname = f"{name}_b{size_b}_o{j}.csv"
-            write_csv(out / fname, header, columns)
-            outputs.append({"path": fname, "sha256": _sha256(out / fname)})
+            stem = f"{name}_b{size_b}_o{j}"
+            tables.append((stem, header, columns))
             col = dict(zip(header, columns))
-            ends = (col["concurrence"][-1], col["theta_b"][-1], col["theta_c"][-1], residual)
-            index.append("%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g" % (size_b, o0, fname, *ends))
-
-    index_path = out / f"{name}_index.csv"
-    index_path.write_text("\n".join(index) + "\n", newline="\n")
-    outputs.append({"path": index_path.name, "sha256": _sha256(index_path)})
+            index.append((size_b, o0, f"{stem}.csv", col["concurrence"][-1],
+                          col["theta_b"][-1], col["theta_c"][-1], residual))
+    tables.append((f"{name}_index", ["size_b", "o0", "file", "c_end", "theta_b_end",
+                                     "theta_c_end", "max_oracle_residual"],
+                   [np.array(column) for column in zip(*index)]))
 
     sweep_doc = {"name": name, "base": scenario_to_dict(base),
                  "sizes_b": sizes, "overlaps": overlaps}
-    manifest = RunManifest(
-        scenario=sweep_doc,
-        config_hash=_config_hash(sweep_doc),
-        tool_version=TOOL_VERSION,
-        duration_s=time.perf_counter() - start,
-        outputs=outputs,
-        status="failed" if worst > ORACLE_RESIDUAL_LIMIT else "ok",
-        checks={"max_oracle_residual": worst},
-    )
-    manifest.save(out / f"{name}_manifest.json")
-    return manifest
+    checks = {"max_oracle_residual": max(row[-1] for row in index)}
+    return _emit(out, name, sweep_doc, tables, checks, start)

@@ -311,6 +311,29 @@ def test_csv_rows_match_per_value_format(tmp_path):
     assert (tmp_path / "edge.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+def test_csv_text_and_integer_columns(tmp_path):
+    # an integer column is written whole, a text column as it is
+    columns = [np.array([1, 10**18, -7]), np.array(["a.csv", "b_o1.csv", "c"]),
+               np.array([0.1, -0.0, 2.0])]
+    write_csv(tmp_path / "mixed.csv", ["n", "file", "x"], columns)
+    assert (tmp_path / "mixed.csv").read_bytes() == (
+        b"n,file,x\n1,a.csv,0.10000000000000001\n"
+        b"1000000000000000000,b_o1.csv,-0\n-7,c,2\n")
+
+
+def test_index_rows_match_former_format(tmp_path):
+    values = [np.array([1, 100, 999]), np.array([5e-324, 1.523e-8, 0.5]),
+              np.array(["s_b1_o0.csv", "s_b100_o1.csv", "s_b999_o2.csv"])]
+    values += [np.array([-0.0, 1 / 3, 1.2e17]) * k for k in (1, 2, 3, 4)]
+    write_csv(tmp_path / "index.csv", ["size_b", "o0", "file", "c_end", "theta_b_end",
+                                      "theta_c_end", "max_oracle_residual"], values)
+    # the former index writer: one hand-written format per row
+    rows = ["size_b,o0,file,c_end,theta_b_end,theta_c_end,max_oracle_residual"]
+    rows += ["%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g" % row
+             for row in zip(*map(np.ndarray.tolist, values))]
+    assert (tmp_path / "index.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 class TestSweep:
     def test_grid_outputs(self, tmp_path):
         cfg = {"name": "scan", "base": SMALL_DOC,
@@ -387,6 +410,23 @@ class TestSweep:
         for entry in first.outputs:
             assert ((tmp_path / "one" / entry["path"]).read_bytes()
                     == (tmp_path / "two" / entry["path"]).read_bytes())
+
+    def test_index_lists_each_grid_point_in_the_former_format(self, tmp_path):
+        cfg = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10, 30], "overlaps": [0.5, 0.1]}
+        manifest = run_sweep(cfg, out_dir=tmp_path)
+        expected = ["size_b,o0,file,c_end,theta_b_end,theta_c_end,max_oracle_residual"]
+        for size_b in cfg["sizes_b"]:
+            for j, o0 in enumerate(cfg["overlaps"]):
+                fname = f"scan_b{size_b}_o{j}.csv"
+                # 17 significant digits round-trip, so the parsed values reformat exactly
+                _, rows = _read_csv(tmp_path / fname)
+                ends = (rows[-1, 6], rows[-1, 2], rows[-1, 3], rows[:, 7].max())
+                expected.append("%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g"
+                                % (size_b, o0, fname, *ends))
+        assert (tmp_path / "scan_index.csv").read_text().splitlines() == expected
+        assert [entry["path"] for entry in manifest.outputs] == [
+            "scan_b10_o0.csv", "scan_b10_o1.csv", "scan_b30_o0.csv", "scan_b30_o1.csv",
+            "scan_index.csv"]
 
 
 class TestCli:
@@ -517,3 +557,49 @@ class TestCli:
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "sizes" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"sizes_b": [], "overlaps": [0.5]}, "at least one"),
+        ({"sizes_b": [10], "overlaps": []}, "at least one"),
+        ({"sizes_b": [10, 20, 10], "overlaps": [0.5]}, "repeats"),
+        ({"sizes_b": [0], "overlaps": [0.5]}, "size_b must be in"),
+        ({"sizes_b": [10, 41], "overlaps": [0.5]}, "size_b must be in")])
+    def test_sweep_bad_grid_exits_bad_input_before_output(self, tmp_path, capsys,
+                                                          grid, message):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"name": "scan", "base": SMALL_DOC, **grid}))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("partition, message", [
+        ({"scheme": "centered", "size_b": 0}, "size_b must be in"),
+        ({"scheme": "centered", "size_b": 41}, "size_b must be in"),
+        ({"scheme": "explicit", "blocks": [[1, 41], list(range(2, 41))],
+          "labels": ["B", "C"]}, "exceeds bath size")])
+    def test_simulate_partition_out_of_range_exits_before_output(self, tmp_path, capsys,
+                                                                 partition, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_DOC, "partition": partition}))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_and_sweep_print_the_same_report(self, tmp_path, capsys):
+        import hashlib
+        import re
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_DOC))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"name": "scan", "base": SMALL_DOC,
+                                     "sizes_b": [10], "overlaps": [0.5]}))
+        for argv, out, names in (
+                (["simulate", str(cfg)], tmp_path / "sim", ["small.csv"]),
+                (["sweep", str(sweep)], tmp_path / "swp", ["scan_b10_o0.csv", "scan_index.csv"])):
+            assert main([*argv, "--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == len(names) + 1
+            for line, name in zip(lines, names):
+                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                assert line == f"wrote {name}  sha256 {digest[:16]}"
+            assert re.fullmatch(r"status: ok  \(\d+\.\d\ds\)", lines[-1])
