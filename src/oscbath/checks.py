@@ -89,9 +89,9 @@ def run_verification(config: dict | None = None,
     grid = build_bath_grid(system)
     gen = build_generator(grid)
     if inject_fault == "generator-asymmetry":
-        corrupted = np.array(gen)
-        corrupted[0, 1] *= 1.5  # breaks the symmetry that unitarity rests on
-        gen = corrupted
+        row = np.array(gen.row)
+        row[0] *= 1.5  # breaks the symmetry that unitarity rests on
+        gen = gen._replace(row=row)
     sup = cfg["superposition"]
     _reject_unknown("verify superposition", sup, ("a", "b", "alpha0", "beta0"))
     init = normalize_superposition(sup["a"], sup["b"], sup["alpha0"], sup["beta0"])

@@ -111,12 +111,17 @@ class ConcurrenceSeries:
     c_closed: np.ndarray
 
 
+def _require_bipartition(partition, n_bath: int) -> None:
+    """Raise unless partition splits the whole bath of n_bath modes in two."""
+    if partition is None or not partition.is_bipartition_of(n_bath):
+        raise ValueError("partition must split the full bath into exactly two blocks")
+
+
 def concurrence_series(profile: ExcitationProfile,
                        init: SuperpositionInit) -> ConcurrenceSeries:
     """Closed-form concurrence per sample from the excitation profile of a
     bipartition of the whole bath."""
-    if profile.partition is None or not profile.partition.is_bipartition_of(profile.n_bath):
-        raise ValueError("partition must split the full bath into exactly two blocks")
+    _require_bipartition(profile.partition, profile.n_bath)
     theta_b, theta_c = profile.theta_blocks
     d_b, d_c, c = _init_kernel(init, profile.xi, theta_b, theta_c)
     return ConcurrenceSeries(profile.times, profile.xi, theta_b, theta_c, d_b, d_c, c)

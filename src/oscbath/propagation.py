@@ -1,10 +1,12 @@
 """Amplitude dynamics of the coupled system.
 
 The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u with a real
-symmetric arrowhead generator A.  Two independent solvers are provided: a
-spectral propagator (normal modes from the secular equation, exact unitary
-evolution in chunks of time rows) and a fixed-step classical RK4 integrator
-(O(N) arrowhead product) to cross-check it.
+symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two
+independent solvers are provided: a spectral propagator (normal modes from
+the secular equation, exact unitary evolution in chunks of time rows) and a
+fixed-step classical RK4 integrator (O(N) arrowhead product) to cross-check
+it.  Neither forms an (N+1)^2 array: the eigenvectors enter through their
+closed form v_kj = gamma_k v_0j / (lam_j - d_k), one block of rows at a time.
 
 Only the slowly varying amplitudes are stored; the pure phase prefactors
 exp(-i*omega0*t) / exp(-i*omega_k*t) of the lab-frame coherent amplitudes
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import BathGrid, _readonly
 
 __all__ = [
-    "IntegrationFailure", "AmplitudeTrajectory", "SpectralSolution", "build_generator",
-    "spectral_solution", "evolve_exact", "evolve_rk4", "norm_residual",
+    "IntegrationFailure", "AmplitudeTrajectory", "Arrowhead", "SpectralSolution",
+    "build_generator", "spectral_solution", "evolve_exact", "evolve_rk4", "norm_residual",
     "gershgorin_bound", "RK4_NORM_LIMIT",
 ]
 
@@ -34,8 +37,12 @@ _CHUNK_BYTES = 2 ** 21
 # exp(-i lam t) is evaluated directly on every this-many-th row of a chunk
 _PHASE_ANCHOR = 16
 # a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
-# its end row takes the V product instead
+# its end row is an anchor instead
 _MAX_NODES = 16
+# share_chunks takes every this-many-th row from the Cauchy product, whatever the chunk
+_ANCHOR_ROWS = 256
+# share_chunks keeps the Duhamel rules of at most this many increments across chunks
+_MAX_RULES = 16
 
 
 class IntegrationFailure(RuntimeError):
@@ -83,14 +90,36 @@ class AmplitudeTrajectory:
         yield slice(None), re * re + im * im
 
 
+class Arrowhead(NamedTuple):
+    """The generator A of i du/dt = A u as its arrow: A[0, 0] = a00, first row
+    `row`, first column `col` and bath diagonal `diag`; every other entry is 0."""
+
+    a00: float
+    row: np.ndarray
+    col: np.ndarray
+    diag: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: a00 and the three length-N arrays."""
+        return 8 + self.row.nbytes + self.col.nbytes + self.diag.nbytes
+
+
+def _arrow(gen) -> Arrowhead:
+    if not isinstance(gen, Arrowhead):
+        raise ValueError("generator is not an arrowhead: build it with build_generator, "
+                         "not as a matrix")
+    return gen
+
+
 def _row_blocks(n_rows: int, n_cols: int):
     """Row slices whose real (rows, n_cols) blocks fit in _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _phase_rows(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
-    """exp(i freq t), one row per time.
+def _phase_rows(times: np.ndarray, freq: np.ndarray, out=None) -> np.ndarray:
+    """exp(i freq t), one row per time, in out when given.
 
     cos and sin of t freq give every _PHASE_ANCHOR-th row and each row whose
     increment t_n - t_{n-1} occurs once among times; every other row is the
@@ -102,12 +131,12 @@ def _phase_rows(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
     direct[1:] |= counts[which] == 1
     rows = np.flatnonzero(direct)
     angles = np.outer(times[rows], freq)
-    block = np.empty(angles.shape, dtype=complex)
+    phases = np.empty((times.size, freq.size), dtype=complex) if out is None else out
+    block = phases if rows.size == times.size else np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=block.real)
     np.sin(angles, out=block.imag)
-    if rows.size == times.size:
-        return block
-    phases = np.empty((times.size, freq.size), dtype=complex)
+    if block is phases:
+        return phases
     phases[::k] = block[rows % k == 0]
     repeated = counts > 1
     turns = np.exp(1j * np.outer(steps[repeated], freq))
@@ -172,147 +201,187 @@ def _interval_nodes(h: float, m: int):
     return 0.5 * h * (x + 1.0), h / ((1.0 - x) * (1.0 + x) * slope * slope)
 
 
+def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray):
+    """Yield (rows, block): block = 1/(lam_j - d_k) for lam_j = pole_j + tau_j,
+    j in rows, with lam_j - d_k taken as (pole_j - d_k) + tau_j so that it stays
+    accurate next to the pole; one buffer serves every block."""
+    buf = None
+    for rows in _row_blocks(pole.size, diag.size):
+        size = min(rows.stop, pole.size) - rows.start
+        buf = np.empty((size, diag.size)) if buf is None else buf  # the first block is the largest
+        block = np.subtract(pole[rows, None], diag, out=buf[:size])
+        block += tau[rows, None]
+        yield rows, np.reciprocal(block, out=block)
+
+
+def _coefficients(pole, tau, v0, gamma, diag, u0) -> np.ndarray:
+    """c = V^T u0: c_j = v0_j (u0_0 + sum_k gamma_k u0_k / (lam_j - d_k)),
+    from one real product per Cauchy block."""
+    x = gamma * u0[1:]
+    pair, acc = np.stack((x.real, x.imag), axis=1), np.empty((v0.size, 2))
+    for rows, block in _cauchy_blocks(pole, tau, diag):
+        np.matmul(block, pair, out=acc[rows])
+    coeff = np.empty(v0.size, dtype=complex)
+    coeff.real, coeff.imag = v0 * (u0[0].real + acc[:, 0]), v0 * (u0[0].imag + acc[:, 1])
+    return coeff
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, from one
-    eigendecomposition A = V diag(lam) V^T, lam ascending, of the arrowhead with
-    couplings gamma and bath diagonal diag.  `chunks` evaluates blocks of time
+    """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, for the
+    arrowhead A = V diag(lam) V^T with couplings gamma and bath diagonal diag.
+    Each eigenvalue lam_j = pole_j + tau_j (ascending) is held as its nearer
+    pole plus tau; V is never formed, only its first row v0 is kept:
+    v_kj = gamma_k v0_j / (lam_j - d_k).  `chunks` evaluates blocks of time
     rows and `share_chunks` their |u|^2; only evolve_exact keeps the full
     T x (N+1) state."""
 
     times: np.ndarray
-    lam: np.ndarray
-    vec: np.ndarray
+    pole: np.ndarray
+    tau: np.ndarray
+    v0: np.ndarray
     coeff: np.ndarray
     gamma: np.ndarray
     diag: np.ndarray
 
     @property
+    def lam(self) -> np.ndarray:
+        return self.pole + self.tau
+
+    @property
     def n_bath(self) -> int:
-        return self.lam.size - 1
+        return self.v0.size - 1
+
+    def _amplitudes(self, times: np.ndarray) -> np.ndarray:
+        """Real and imaginary parts of u(times), stacked as (2, times, N+1): with
+        p = exp(-i lam t) v0 c, f = sum_j p_j and g_k = gamma_k sum_j p_j / (lam_j - d_k),
+        from one pass over the Cauchy blocks; re and im take separate real products."""
+        parts = _scaled_phases(times, self.lam, self.v0 * self.coeff)
+        out, part = np.empty_like(parts), None
+        np.sum(parts, axis=2, out=out[:, :, 0])
+        for rows, block in _cauchy_blocks(self.pole, self.tau, self.diag):
+            for src, dst in zip(parts, out[:, :, 1:]):
+                if rows.start == 0:
+                    np.matmul(src[:, rows], block, out=dst)
+                else:
+                    part = np.matmul(src[:, rows], block, out=part)
+                    dst += part
+        out[:, :, 1:] *= self.gamma
+        return out
 
     def chunks(self):
-        """Yield (rows, re, im): real and imaginary parts of u(times[rows]),
-        from two real products with V^T per chunk."""
-        for rows in _row_blocks(self.times.size, self.lam.size):
-            re, im = _scaled_phases(self.times[rows], self.lam, self.coeff)
-            re, im = re @ self.vec.T, im @ self.vec.T  # drops the phase buffers
+        """Yield (rows, re, im): real and imaginary parts of u(times[rows])."""
+        for rows in _row_blocks(self.times.size, self.v0.size):
+            re, im = self._amplitudes(self.times[rows])
             yield rows, re, im
 
     def trajectory(self) -> AmplitudeTrajectory:
         """The materialised T x (N+1) state."""
-        states = np.empty((self.times.size, self.lam.size), dtype=complex)
+        states = np.empty((self.times.size, self.v0.size), dtype=complex)
         for rows, re, im in self.chunks():
             states[rows].real, states[rows].imag = re, im
         return AmplitudeTrajectory(self.times, states, "exact")
 
     def share_chunks(self):
-        """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor rows.
+        """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor
+        rows.  u2 is one buffer, overwritten by the next chunk.
 
-        The first row of each chunk is an anchor, from the V product, and so is
-        every row whose increment t_n - t_{n-1} occurs once in its chunk or needs
-        more than _MAX_NODES nodes.  Any other row follows from the row before
-        by the Duhamel integral of f(s) = sum_j w_j exp(-i lam_j s), by
-        Gauss-Legendre nodes: with h = t_n - t_{n-1},
-        g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1}) - i gamma_k int_0^h exp(i d_k s)
-        f(t_{n-1} + s) ds]."""
+        Row 0, every _ANCHOR_ROWS-th row and each row whose increment
+        t_n - t_{n-1} occurs once among times or needs more than _MAX_NODES
+        nodes are anchors, from the Cauchy product.  Any other row follows from
+        the row before, in its chunk or the last one, by the Duhamel integral of
+        f(s) = sum_j w_j exp(-i lam_j s), by Gauss-Legendre nodes: with
+        h = t_n - t_{n-1}, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
+        - i gamma_k int_0^h exp(i d_k s) f(t_{n-1} + s) ds]."""
         lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
-        w = self.vec[0] * self.coeff  # f(t) = sum_j w_j exp(-i lam_j t)
-        steps, which = np.unique(np.diff(times), return_inverse=True)
+        n = lam.size
+        w = self.v0 * self.coeff  # f(t) = sum_j w_j exp(-i lam_j t)
+        steps, which, counts = np.unique(np.diff(times), return_inverse=True, return_counts=True)
         nodes = _node_counts(steps * max(diag.max() - lam[0], lam[-1] - diag.min()))
+        integrated = np.zeros(times.size, dtype=bool)
+        integrated[1:] = ((counts > 1) & (nodes > 0))[which]
+        integrated[::_ANCHOR_ROWS] = False
+        marked = np.flatnonzero(~integrated)  # u at each in turn, one Cauchy pass per batch
+        anchors = (u for batch in _row_blocks(marked.size, 2 * n)
+                   for u in zip(*self._amplitudes(times[marked[batch]])))
         # increment -> (w exp(-i lam x) at the nodes x and at h, the weighted
-        # -i gamma_k exp(i d_k x) of the nodes, exp(-i d h)), built once for the grid
+        # -i gamma_k exp(i d_k x) of the nodes, exp(-i d h)); the latest _MAX_RULES
         rules = {}
-        for rows in _row_blocks(times.size, 2 * lam.size):  # complex (rows, N+1) blocks
-            t = times[rows]
-            step = which[rows.start:rows.start + t.size - 1]  # increment into rows 1, 2, ...
-            integrable = (np.bincount(step, minlength=steps.size) > 1) & (nodes > 0)
-            integrated = np.zeros(t.size, dtype=bool)
-            integrated[1:] = integrable[step]
-            later, anchors = np.flatnonzero(integrated), np.flatnonzero(~integrated)
-            parts = _scaled_phases(t[anchors], lam, self.coeff)
-            re, im = (parts.reshape(-1, lam.size) @ self.vec.T).reshape(parts.shape)  # one V pass
-            u2 = np.empty((t.size, lam.size))
-            if later.size:
-                phases = _phase_rows(t, -lam)  # exp(-i lam t)
-                sums = []  # f at the nodes and the end of each interval, by increment
-                for s in np.flatnonzero(integrable):
+        # work buffers of the largest (first) chunk, reused by every chunk; g[1 + i]
+        # holds row lo + i of the chunk and g[0] the row before, carried over
+        size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))
+        u2, phases = np.empty((size, n)), np.empty((size, n), dtype=complex)
+        g, work = np.empty((size + 1, n - 1), dtype=complex), np.empty(size * n, dtype=complex)
+        for rows in _row_blocks(times.size, 2 * n):  # complex (rows, N+1) blocks
+            lo, k = rows.start, min(rows.stop, times.size) - rows.start
+            for i in np.flatnonzero(~integrated[rows]):
+                re, im = next(anchors)
+                u2[i, 0] = re[0] * re[0] + im[0] * im[0]
+                g[1 + i].real, g[1 + i].imag = re[1:], im[1:]
+            inner = np.flatnonzero(integrated[rows])
+            if inner.size:
+                skip = int(lo == 0)  # phases[i] = exp(-i lam t) of row lo + i - 1
+                _phase_rows(times[lo - 1 + skip:lo + k - 1], -lam, out=phases[skip:k])
+                step = which[lo + inner - 1]
+                turns = {}
+                for s in np.flatnonzero(np.bincount(step)):  # the increments present
                     if s not in rules:
+                        if len(rules) == _MAX_RULES:
+                            del rules[next(iter(rules))]  # the oldest
                         h = steps[s]
                         x, q = _interval_nodes(h, nodes[s])
                         rules[s] = (w[:, None] * np.exp(-1j * np.outer(lam, np.append(x, h))),
                                     -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag))),
                                     np.exp(-1j * h * diag))
-                    into = later[step[later - 1] == s]
-                    sums.append((into, phases[into - 1] @ rules[s][0], rules[s][1]))
-                del phases
-                g = np.empty((t.size, gamma.size), dtype=complex)
-                g[anchors] = re[:, 1:] + 1j * im[:, 1:]
-                for into, f, quad in sums:  # -i gamma_k times the integrals
-                    u2[into, 0] = f[:, -1].real ** 2 + f[:, -1].imag ** 2
-                    g[into] = f[:, :-1] @ quad
-                for n in later:
-                    g[n] += g[n - 1]
-                    g[n] *= rules[step[n - 1]][2]
-                pairs = g.view(float)
-                np.square(pairs, out=pairs)
-                np.add(pairs[:, ::2], pairs[:, 1::2], out=u2[:, 1:])
-                del g, pairs
-            u2[anchors] = re * re + im * im
-            yield rows, u2
+                    fmat, quad, turns[s] = rules[s]
+                    into = inner[step == s]
+                    prior = work[:into.size * n].reshape(into.size, n)
+                    f = np.take(phases, into, axis=0, out=prior, mode="clip") @ fmat
+                    u2[into, 0] = f[:, -1].real ** 2 + f[:, -1].imag ** 2  # f at t_n
+                    # -i gamma_k times the integrals, in the buffer prior has left
+                    g[1 + into] = np.matmul(f[:, :-1], quad, out=work[:into.size * (n - 1)]
+                                            .reshape(into.size, n - 1))
+                for i, s in zip(inner, step):
+                    g[1 + i] += g[i]
+                    g[1 + i] *= turns[s]
+            g[0] = g[k]
+            pairs = g[1:k + 1].view(float)
+            np.square(pairs, out=pairs)
+            np.add(pairs[:, ::2], pairs[:, 1::2], out=u2[:k, 1:])
+            yield rows, u2[:k]
 
 
-def build_generator(grid: BathGrid) -> np.ndarray:
-    """Dense real symmetric generator of i du/dt = A u.
-
-    First row/column carry the couplings gamma_k, the bath diagonal holds
-    -2*delta_k, and A[0, 0] = 0.
-    """
-    n = grid.n + 1
-    a = np.zeros((n, n))
-    a[0, 1:] = grid.couplings
-    a[1:, 0] = grid.couplings
-    a[np.arange(1, n), np.arange(1, n)] = -2.0 * grid.detunings
-    return _readonly(a)
+def build_generator(grid: BathGrid) -> Arrowhead:
+    """The arrowhead generator of i du/dt = A u: its first row and column carry
+    the couplings gamma_k, the bath diagonal holds -2*delta_k, and A[0, 0] = 0."""
+    return Arrowhead(0.0, grid.couplings, grid.couplings, _readonly(-2.0 * grid.detunings))
 
 
-def gershgorin_bound(gen: np.ndarray) -> float:
-    """Upper bound on the spectral radius (row sums of absolute values)."""
-    a = np.asarray(gen, dtype=float)
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
-def _read_arrow(gen, symmetric: bool) -> tuple:
-    """(a00, row, col, diag) of an arrowhead generator; symmetric requires row == col."""
-    a = np.asarray(gen, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-        raise ValueError("generator must be a square matrix of dimension >= 2")
-    arrow = (float(a[0, 0]), a[0, 1:].copy(), a[1:, 0].copy(), np.diagonal(a)[1:].copy())
-    if np.count_nonzero(a[1:, 1:]) != np.count_nonzero(arrow[3]):
-        raise ValueError("generator is not an arrowhead (nonzero entry off the arrow)")
-    if symmetric and not np.array_equal(arrow[1], arrow[2]):
-        raise ValueError("generator is not symmetric; refusing to eigendecompose")
-    return arrow
+def gershgorin_bound(gen: Arrowhead) -> float:
+    """Upper bound on the spectral radius: the largest row sum of absolute
+    values, O(N) from the arrow."""
+    gen = _arrow(gen)
+    first = np.abs(np.append(gen.a00, gen.row)).sum()
+    return float(max(first, (np.abs(gen.col) + np.abs(gen.diag)).max()))
 
 
 def _secular_sums(poles, gamma2, origin, tau):
     """sum_k gamma_k^2 / (d_k - lam)^p, p = 1, 2, at lam = origin + tau."""
     sums = np.empty((2, tau.size))
-    for rows in _row_blocks(tau.size, poles.size):
-        q = poles - origin[rows, None]  # d_k - lam, accurate near origin
-        q -= tau[rows, None]
-        np.reciprocal(q, out=q)
-        sums[0, rows] = q @ gamma2
+    for rows, q in _cauchy_blocks(origin, tau, poles):  # q = 1 / (lam - d_k)
+        sums[0, rows] = -(q @ gamma2)
         sums[1, rows] = np.square(q, out=q) @ gamma2
     return sums
 
 
 def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
-    """Ascending eigenvalues lam_j and eigenvectors (rows) v_0j (1, gamma_k / (lam_j - d_k))
-    of the symmetric arrowhead [[a00, gamma^T], [gamma, diag]].  lam_j, a root of
+    """(pole, tau, v0) of the symmetric arrowhead [[a00, gamma^T], [gamma, diag]]:
+    its ascending eigenvalues lam_j = pole_j + tau_j and the first entries v0_j of
+    the eigenvectors v_0j (1, gamma_k / (lam_j - d_k)).  lam_j, a root of
     F = lam - a00 + sum_k gamma_k^2 / (d_k - lam), is held as its nearer pole plus tau and
     found by safeguarded Newton steps on F tau (tau - delta), free of both bracketing
-    poles (delta: the other one, infinite at the ends)."""
+    poles (delta: the other one, infinite at the ends); v0_j = (1 + sum_k gamma_k^2 /
+    (lam_j - d_k)^2)^(-1/2) takes one more secular-sum pass."""
     order = np.argsort(diag, kind="stable")
     d, g = diag[order], gamma[order]
     if np.any(np.diff(d) == 0):
@@ -356,14 +425,7 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
     else:
         raise RuntimeError(f"secular equation: {active.size} roots did not converge")
 
-    # in place and in the generator's column order: v_0j gamma_k / (lam_j - d_k)
-    vecs = np.empty((n + 1, n + 1))
-    q = np.subtract(diag, origin[:, None], out=vecs[:, 1:])
-    q -= tau[:, None]
-    np.divide(gamma, q, out=q)
-    vecs[:, 0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", q, q))
-    q *= -vecs[:, :1]
-    return origin + tau, vecs
+    return origin, tau, 1.0 / np.sqrt(1.0 + _secular_sums(d, g2, origin, tau)[1])
 
 
 def _initial_state(n: int, u0) -> np.ndarray:
@@ -377,10 +439,12 @@ def _initial_state(n: int, u0) -> np.ndarray:
     return u
 
 
-def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
-    """One eigendecomposition of the symmetric arrowhead gen, sampled at times;
-    raises ValueError for a degenerate or non-arrowhead gen."""
-    a00, row, _, diag = _read_arrow(gen, symmetric=True)
+def spectral_solution(gen: Arrowhead, times, u0=None) -> SpectralSolution:
+    """The normal modes of the symmetric arrowhead gen, sampled at times;
+    raises ValueError for a degenerate or asymmetric gen."""
+    gen = _arrow(gen)
+    if not np.array_equal(gen.row, gen.col):
+        raise ValueError("generator is not symmetric; refusing to eigendecompose")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
@@ -388,41 +452,44 @@ def spectral_solution(gen: np.ndarray, times, u0=None) -> SpectralSolution:
         raise ValueError("times must start at t >= 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    lam, vecs = _arrowhead_eigh(a00, row, diag)
-    u = _initial_state(lam.size, u0)
-    return SpectralSolution(times, lam, vecs.T, vecs @ u.real + 1j * (vecs @ u.imag), row, diag)
+    pole, tau, v0 = _arrowhead_eigh(gen.a00, gen.row, gen.diag)
+    if u0 is None:  # u0 = e_0: c = V^T e_0 = v0
+        coeff = v0.astype(complex)
+    else:
+        coeff = _coefficients(pole, tau, v0, gen.row, gen.diag, _initial_state(v0.size, u0))
+    return SpectralSolution(times, pole, tau, v0, coeff, gen.row, gen.diag)
 
 
-def evolve_exact(gen: np.ndarray, times, u0=None) -> AmplitudeTrajectory:
+def evolve_exact(gen: Arrowhead, times, u0=None) -> AmplitudeTrajectory:
     """Unitary evolution u(t) = V exp(-i Lambda t) V^T u(0): the materialised
     state of spectral_solution(gen, times, u0).  Norm is conserved to roundoff."""
     return spectral_solution(gen, times, u0).trajectory()
 
 
-def _rk4_rhs(arrow: tuple, u: np.ndarray) -> np.ndarray:
-    a00, row, col, diag = arrow
+def _rk4_rhs(gen: Arrowhead, u: np.ndarray) -> np.ndarray:
+    a00, row, col, diag = gen
     return -1j * np.concatenate(([a00 * u[0] + row @ u[1:]], col * u[0] + diag * u[1:]))
 
 
-def _rk4_step(arrow: tuple, u: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _rk4_rhs(arrow, u)
-    k2 = _rk4_rhs(arrow, u + (0.5 * dt) * k1)
-    k3 = _rk4_rhs(arrow, u + (0.5 * dt) * k2)
-    k4 = _rk4_rhs(arrow, u + dt * k3)
+def _rk4_step(gen: Arrowhead, u: np.ndarray, dt: float) -> np.ndarray:
+    k1 = _rk4_rhs(gen, u)
+    k2 = _rk4_rhs(gen, u + (0.5 * dt) * k1)
+    k3 = _rk4_rhs(gen, u + (0.5 * dt) * k2)
+    k4 = _rk4_rhs(gen, u + dt * k3)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def evolve_rk4(gen: np.ndarray, t_end: float, dt: float,
+def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
                sample_every: int = 1, u0=None) -> AmplitudeTrajectory:
     """Classical fixed-step RK4 integration of du/dt = -iAu, O(N) per stage.
 
-    gen must be an arrowhead matrix; its first row and column apply as given.
+    The first row and column of the arrowhead gen apply as given.
     Steps dt until t >= t_end; samples every sample_every steps plus the
     final step.  Stability guideline: dt <= 0.05 / gershgorin_bound(gen).
     Raises IntegrationFailure once the sampled norm drifts from its initial
     value by more than RK4_NORM_LIMIT.
     """
-    arrow = _read_arrow(gen, symmetric=False)
+    gen = _arrow(gen)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
@@ -431,12 +498,12 @@ def evolve_rk4(gen: np.ndarray, t_end: float, dt: float,
         raise ValueError("sample_every must be >= 1")
 
     n_steps = 0 if t_end == 0 else int(math.ceil(t_end / dt - 1e-9))
-    u = _initial_state(arrow[1].size + 1, u0)
+    u = _initial_state(gen.diag.size + 1, u0)
     norm0 = float(np.sum(np.abs(u) ** 2))
     sample_times = [0.0]
     samples = [u.copy()]
     for step in range(1, n_steps + 1):
-        u = _rk4_step(arrow, u, dt)
+        u = _rk4_step(gen, u, dt)
         if step % sample_every == 0 or step == n_steps:
             drift = abs(norm0 - float(np.sum(np.abs(u) ** 2)))
             if drift > RK4_NORM_LIMIT:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concurrence import concurrence_series
+from .concurrence import _require_bipartition, concurrence_series
 from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
                     banded_blocks, build_bath_grid, centered_bipartition,
                     interleaved_bipartition, normalize_superposition)
@@ -45,6 +45,8 @@ _EMITS = ("excitation", "blocks", "bipartition", "concurrence")
 _METHODS = ("exact", "rk4", "both")
 # the keys of a sweep's grid, which no scenario document takes
 _GRID_KEYS = ("sizes_b", "overlaps")
+# an rk4 or both run that would hold more bytes of sampled RK4 states than this is refused
+_MAX_STATE_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -341,11 +343,22 @@ def _emit_table(s: Scenario, profile: ExcitationProfile):
 
 def _setup(s: Scenario, out_dir, sizes_b=None):
     """Output directory, generator and partitions (the scenario's own, or one
-    centered bipartition per size_b); a bad partition raises before the mkdir."""
+    centered bipartition per size_b).  RK4 states over _MAX_STATE_BYTES, a bad
+    partition and emit 'concurrence' on a partition that is not a bipartition
+    raise before the mkdir."""
+    if s.method != "exact":  # evolve_rk4 keeps every sample of the (N+1)-mode state
+        n_steps = math.ceil(s.t_end / s.dt - 1e-9)
+        held = (n_steps // s.rk4_sample_every() + 2) * (s.system.n_bath + 1) * 16
+        if held > _MAX_STATE_BYTES:
+            raise ValueError(f"method {s.method!r} would hold {held / 2 ** 30:.2f} GiB of RK4 "
+                             f"samples, over the {_MAX_STATE_BYTES / 2 ** 30:g} GiB budget; "
+                             "use method 'exact' or fewer samples")
     grid = build_bath_grid(s.system)
     gen = build_generator(grid)
     partitions = ([s.partition_spec(grid)] if sizes_b is None
                   else [centered_bipartition(grid, size_b) for size_b in sizes_b])
+    if sizes_b is None and s.emit == "concurrence":
+        _require_bipartition(partitions[0], grid.n)
     out = Path(out_dir if out_dir is not None else (s.out_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
     return out, gen, partitions
@@ -353,14 +366,15 @@ def _setup(s: Scenario, out_dir, sizes_b=None):
 
 def _emit(out: Path, name: str, doc: dict, tables, checks: dict, start: float,
           svg: bool = False) -> RunManifest:
-    """Write each (file stem, header, columns) table as a CSV (plus an SVG
-    titled name with svg), hash every file and save the manifest; the run
-    fails when a max oracle residual in checks exceeds ORACLE_RESIDUAL_LIMIT."""
+    """Write each (file stem, header, columns) table as a CSV (plus, with svg,
+    an SVG titled name of each time series), hash every file and save the
+    manifest; the run fails when a max oracle residual in checks exceeds
+    ORACLE_RESIDUAL_LIMIT."""
     outputs: list[dict] = []
     for stem, header, columns in tables:
         paths = [out / f"{stem}.csv"]
         write_csv(paths[0], header, columns)
-        if svg:
+        if svg and header[0] == "t":  # a sweep index is no time series
             from .svgplot import write_line_svg
             paths.append(out / f"{stem}.svg")
             write_line_svg(paths[1], columns[0], dict(zip(header[1:], columns[1:])), title=name)
@@ -467,4 +481,4 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     sweep_doc = {"name": name, "base": scenario_to_dict(base),
                  "sizes_b": sizes, "overlaps": overlaps}
     checks = {"max_oracle_residual": max(row[-1] for row in index)}
-    return _emit(out, name, sweep_doc, tables, checks, start)
+    return _emit(out, name, sweep_doc, tables, checks, start, base.svg)

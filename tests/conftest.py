@@ -8,6 +8,13 @@ REFERENCE_T_END = 100.0
 REFERENCE_SAMPLES = 2000
 
 
+def dense_matrix(gen):
+    """The (N+1) x (N+1) matrix of an Arrowhead generator, for dense oracles."""
+    a = np.diag(np.concatenate(([gen.a00], gen.diag)))
+    a[0, 1:], a[1:, 0] = gen.row, gen.col
+    return a
+
+
 @pytest.fixture(scope="session")
 def reference_grid():
     return build_bath_grid(SystemConfig(n_bath=1000, coupling_amplitude=0.1,

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_matrix
 
-from oscbath import (AmplitudeTrajectory, BathGrid, IntegrationFailure,
+from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, IntegrationFailure,
                      SystemConfig, build_bath_grid, build_generator,
                      evolve_exact, evolve_rk4, gershgorin_bound,
                      norm_residual, spectral_solution)
@@ -13,7 +14,8 @@ from oscbath import (AmplitudeTrajectory, BathGrid, IntegrationFailure,
 class TestGenerator:
     def test_two_mode_resonant(self, two_mode_grid):
         gen = build_generator(two_mode_grid)
-        assert np.array_equal(gen, [[0.0, 0.1], [0.1, 0.0]])
+        assert isinstance(gen, Arrowhead)
+        assert np.array_equal(dense_matrix(gen), [[0.0, 0.1], [0.1, 0.0]])
 
     def test_three_by_three_entries(self):
         grid = BathGrid(1.0, [0.5, 1.5], [0.1, 0.1], [0.25, -0.25])
@@ -21,35 +23,44 @@ class TestGenerator:
         expected = [[0.0, 0.1, 0.1],
                     [0.1, -0.5, 0.0],
                     [0.1, 0.0, 0.5]]
-        assert np.allclose(gen, expected, atol=0)
+        assert np.allclose(dense_matrix(gen), expected, atol=0)
 
     def test_reference_generator_shape(self, reference_gen):
-        assert reference_gen.shape == (1001, 1001)
         gamma = 0.1 / math.sqrt(1000)
-        assert np.all(reference_gen[0, 1:] == gamma)
-        assert np.all(reference_gen[1:, 0] == gamma)
-        assert reference_gen[0, 0] == 0.0
-        assert np.array_equal(reference_gen, reference_gen.T)
-        off_arrow = reference_gen[1:, 1:].copy()
-        np.fill_diagonal(off_arrow, 0.0)
-        assert np.all(off_arrow == 0.0)
+        assert reference_gen.a00 == 0.0
+        assert np.all(reference_gen.row == gamma)
+        assert np.all(reference_gen.col == gamma)
+        assert reference_gen.diag.shape == (1000,)
+        # three length-N arrays and a00: no (N+1)^2 matrix
+        assert reference_gen.nbytes == 3 * 1000 * 8 + 8
+        assert not any(a.flags.writeable for a in reference_gen[1:])
 
     def test_gershgorin_bound(self, reference_gen):
         bound = gershgorin_bound(reference_gen)
-        eigmax = np.abs(np.linalg.eigvalsh(np.array(reference_gen))).max()
+        dense = dense_matrix(reference_gen)
+        # the O(N) bound is the dense row-sum bound, summed the same way
+        assert bound == float(np.max(np.sum(np.abs(dense), axis=1)))
+        eigmax = np.abs(np.linalg.eigvalsh(dense)).max()
         assert bound >= eigmax
 
 
 def _off_arrow(gen):
-    gen[3, 2] = gen[2, 3] = 1e-3
+    # a dense matrix, which may carry entries off the arrow, is refused as such
+    dense = dense_matrix(gen)
+    dense[3, 2] = dense[2, 3] = 1e-3
+    return dense
 
 
 def _equal_poles(gen):
-    gen[3, 3] = gen[2, 2]
+    diag = np.array(gen.diag)
+    diag[2] = diag[1]
+    return gen._replace(diag=diag)
 
 
 def _zero_coupling(gen):
-    gen[0, 5] = gen[5, 0] = 0.0
+    row = np.array(gen.row)
+    row[4] = 0.0
+    return gen._replace(row=row, col=row)
 
 
 class TestEvolveExact:
@@ -79,7 +90,8 @@ class TestEvolveExact:
         gen = build_generator(small_grid)
         forward = evolve_exact(gen, [0.0, 7.3])
         # the propagator for -t is the propagator of the negated generator
-        back = evolve_exact(-np.array(gen), [0.0, 7.3], u0=forward.states[-1])
+        negated = Arrowhead(-gen.a00, -gen.row, -gen.col, -gen.diag)
+        back = evolve_exact(negated, [0.0, 7.3], u0=forward.states[-1])
         unit = np.zeros(small_grid.n + 1, dtype=complex)
         unit[0] = 1.0
         assert np.abs(back.states[-1] - unit).max() < 1e-9
@@ -106,10 +118,11 @@ class TestEvolveExact:
         assert np.abs(scaled.states - u0[0] * base.states).max() < 1e-13
 
     def test_rejects_asymmetric_generator(self, small_grid):
-        gen = np.array(build_generator(small_grid))
-        gen[0, 1] *= 2.0
+        gen = build_generator(small_grid)
+        row = np.array(gen.row)
+        row[0] *= 2.0
         with pytest.raises(ValueError, match="symmetric"):
-            evolve_exact(gen, [0.0, 1.0])
+            evolve_exact(gen._replace(row=row), [0.0, 1.0])
 
     @pytest.mark.parametrize("solve", [evolve_exact, spectral_solution])
     @pytest.mark.parametrize("corrupt, message", [
@@ -118,8 +131,7 @@ class TestEvolveExact:
         (_zero_coupling, "zero coupling"),
     ])
     def test_rejects_degenerate_or_non_arrowhead(self, small_grid, solve, corrupt, message):
-        gen = np.array(build_generator(small_grid))
-        corrupt(gen)
+        gen = corrupt(build_generator(small_grid))
         with pytest.raises(ValueError, match=message):
             solve(gen, [0.0, 1.0])
 
@@ -149,7 +161,7 @@ class TestEvolveExact:
 
 def _dense_rk4(gen, t_end, dt):
     """Reference RK4 with the dense matvec A @ [re, im] at every stage."""
-    a = np.array(gen, dtype=float)
+    a = dense_matrix(gen)
 
     def rhs(u):
         w = a @ np.column_stack((u.real, u.imag))
@@ -173,15 +185,18 @@ class TestEvolveRK4:
     # norm then grows, past RK4_NORM_LIMIT near t = 0.9 on this grid
     @pytest.mark.parametrize("row_scale, t_end", [(1.0, 5.0), (1.5, 0.5)])
     def test_arrowhead_matches_dense_reference(self, small_grid, row_scale, t_end):
-        gen = np.array(build_generator(small_grid))
-        gen[0, 1] *= row_scale
+        gen = build_generator(small_grid)
+        row = np.array(gen.row)
+        row[0] *= row_scale
+        gen = gen._replace(row=row)
         traj = evolve_rk4(gen, t_end, 0.01)
         reference = _dense_rk4(gen, t_end, 0.01)
         assert traj.states.shape == reference.shape
         assert np.abs(traj.states - reference).max() <= 1e-15
 
     def test_rejects_entry_off_the_arrow(self, small_grid):
-        gen = np.array(build_generator(small_grid))
+        # only an Arrowhead is integrated: a dense matrix could carry this entry
+        gen = dense_matrix(build_generator(small_grid))
         gen[3, 2] = 1e-3
         with pytest.raises(ValueError, match="not an arrowhead"):
             evolve_rk4(gen, 1.0, 0.01)

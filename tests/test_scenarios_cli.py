@@ -359,6 +359,20 @@ class TestSweep:
         assert calls == [50]
         assert decompositions == [40]
 
+    def test_base_svg_writes_plots(self, tmp_path):
+        import hashlib
+        cfg = {"name": "scan", "base": {**SMALL_DOC, "svg": True},
+               "sizes_b": [10, 20], "overlaps": [0.5]}
+        manifest = run_sweep(cfg, out_dir=tmp_path)
+        assert manifest.scenario["base"]["svg"] is True
+        digests = {entry["path"]: entry["sha256"] for entry in manifest.outputs}
+        for stem in ("scan_b10_o0", "scan_b20_o0"):
+            svg = tmp_path / f"{stem}.svg"
+            assert svg.read_text().startswith("<svg")
+            assert digests[svg.name] == hashlib.sha256(svg.read_bytes()).hexdigest()
+        # the index is no time series: a CSV only
+        assert "scan_index.csv" in digests and not (tmp_path / "scan_index.svg").exists()
+
     def test_flat_document(self, tmp_path):
         cfg = {**SMALL_DOC, "sizes_b": [10], "overlaps": [0.5]}
         manifest = run_sweep(cfg, out_dir=tmp_path)
@@ -583,6 +597,39 @@ class TestCli:
         cfg.write_text(json.dumps({**SMALL_DOC, "partition": partition}))
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_concurrence_on_a_partial_partition_exits_before_output(self, tmp_path, capsys,
+                                                                    decompositions):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_DOC, "partition": {
+            "scheme": "explicit", "blocks": [[1, 2], [3, 4]], "labels": ["B", "C"]}}))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "full bath" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert decompositions == []  # refused before the propagation
+
+    @pytest.mark.parametrize("method", ["rk4", "both"])
+    def test_rk4_states_over_budget_exit_before_anything(self, tmp_path, capsys, method):
+        import tracemalloc
+        from oscbath.scenarios import _MAX_STATE_BYTES
+        # 2001 samples of 10^5 + 1 modes: 3.2 GB of complex states
+        doc = {**SMALL_DOC, "system": {**SMALL_DOC["system"], "n_bath": 100_000},
+               "time": {"t_end": 20.0, "samples": 2001, "dt": 0.01}, "method": method}
+        assert 2001 * 100_001 * 16 > _MAX_STATE_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                run_scenario(scenario_from_dict(doc), out_dir=tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bath grid alone would take 2.4 MB (three arrays of 10^5 floats)
+        assert peak < 2 ** 20, f"peak {peak / 2**20:.1f} MiB"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_simulate_and_sweep_print_the_same_report(self, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The arrowhead spectral path against the dense-state path it replaced.
 
-The reference keeps the old arithmetic: one dense `eigh`, the full phase
-matrix exp(-i t lam), a complex product with V^T, |u|^2 and block sums by
-fancy indexing.  The spectral path solves the secular equation of the
-arrowhead and rounds differently (two real products per chunk, one
+The reference keeps the old arithmetic: one dense `eigh` of the densified
+generator, the full phase matrix exp(-i t lam), a complex product with V^T,
+|u|^2 and block sums by fancy indexing.  The spectral path solves the
+secular equation of the arrowhead, never forms V and rounds differently
+(Cauchy products in row blocks, the Duhamel rows between anchors, one
 indicator product for the sums), so the bound is 1e-14 rather than
 equality.
 """
@@ -13,8 +14,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_matrix
 
-from oscbath import (BathGrid, PartitionSpec, SystemConfig, banded_blocks,
+from oscbath import (Arrowhead, BathGrid, PartitionSpec, SystemConfig, banded_blocks,
                      build_bath_grid, build_generator, centered_bipartition,
                      evolve_exact, evolve_rk4, excitation_profile,
                      interleaved_bipartition, preset_document, run_scenario,
@@ -27,7 +29,7 @@ TOL = 1e-14
 
 def _dense_reference(gen, times, u0=None, groups=()):
     """xi, theta and the group sums of the old dense-state path."""
-    lam, vec = np.linalg.eigh(gen)
+    lam, vec = np.linalg.eigh(dense_matrix(gen))
     if u0 is None:
         u0 = np.eye(len(lam))[0]
     states = (np.exp(-1j * np.outer(times, lam)) * (vec.T @ u0)) @ vec.T
@@ -192,7 +194,7 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
 
 @pytest.fixture()
 def anchor_rows(monkeypatch):
-    """Row counts of the phases scaled for a V product (share_chunks: its anchor rows)."""
+    """Row counts of the phases scaled for a Cauchy product (share_chunks: its anchor rows)."""
     rows = []
     scaled = propagation._scaled_phases
     monkeypatch.setattr(propagation, "_scaled_phases",
@@ -224,7 +226,7 @@ def test_all_distinct_increments_are_anchor_rows(small_grid, chunking, anchor_ro
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(spectral_solution(gen, times), part),
                    _dense_reference(gen, times, groups=part.blocks))
-    assert sum(anchor_rows) == times.size  # one V product row per sample, as before
+    assert sum(anchor_rows) == times.size  # one Cauchy product row per sample, as before
 
 
 def test_window_far_from_zero(small_grid, anchor_rows):
@@ -237,7 +239,7 @@ def test_window_far_from_zero(small_grid, anchor_rows):
                        _dense_reference(gen, times, groups=part.blocks))
         costs.append(sum(anchor_rows))
         anchor_rows.clear()
-    assert costs[1] <= costs[0] < 5  # V product rows: the far window costs no more
+    assert costs[1] <= costs[0] < 5  # anchor rows: the far window costs no more
 
 
 def test_node_rule_integrates_exponentials():
@@ -271,6 +273,62 @@ def test_finite_bath_revival_at_4000_modes():
     assert abs(times[peak] - 25158.6) <= 0.05
     assert abs(xi[peak] - 0.588) <= 1e-3
     assert 0 < peak < times.size - 1
+
+
+def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunking,
+                                           anchor_rows):
+    # every increment is exactly 2^-4, so all rows but each _ANCHOR_ROWS-th
+    # follow from the row before by the Duhamel integral, across chunk ends
+    spacing = propagation._ANCHOR_ROWS
+    times = np.arange(4 * spacing + 1) / 16.0
+    part = centered_bipartition(reference_grid, 100)
+    _assert_shares(excitation_profile(spectral_solution(reference_gen, times), part),
+                   _dense_reference(reference_gen, times, groups=part.blocks))
+    assert sum(anchor_rows) == 5
+
+
+def test_rule_cache_is_bounded(reference_gen, reference_grid):
+    # 200 distinct increments, each three times in a row, all multiples of
+    # 2^-12 so that the differences of the sampled times are exact
+    steps = np.repeat((64.0 + np.arange(200)) / 4096.0, 3)
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    assert np.unique(np.diff(times)).size == 200
+    solution = spectral_solution(reference_gen, times)
+    reach = steps[::3] * max(solution.diag.max() - solution.lam[0],
+                             solution.lam[-1] - solution.diag.min())
+    nodes = propagation._node_counts(reach)
+    assert np.all(nodes > 0)
+    # each rule holds (m + 1)(N + 1) + m N + N complex numbers
+    all_rules = int(np.sum(((nodes + 1) * 1001 + (nodes + 1) * 1000) * 16))
+    bound = 20 * 2 ** 20  # fixed before the first run
+    assert all_rules > bound
+    part = centered_bipartition(reference_grid, 100)
+    tracemalloc.start()
+    try:
+        profile = excitation_profile(solution, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
+    _assert_shares(profile, _dense_reference(reference_gen, times, groups=part.blocks))
+
+
+def test_fig10a_style_run_at_4000_modes_holds_no_square_array(tmp_path):
+    # ROADMAP item 1: no (N+1)^2 array on the run path; bound fixed before the
+    # first run: 32 MiB, a quarter of one V (128 MB at N = 4000)
+    doc = preset_document("fig10a")
+    doc["system"]["n_bath"] = 4000
+    doc["partition"]["size_b"] = 400
+    scenario = scenario_from_dict(doc)
+    assert scenario.exact_times().size == 2000
+    tracemalloc.start()
+    try:
+        manifest = run_scenario(scenario, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest.status == "ok"
+    assert peak <= 32 * 2 ** 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_verify_checks_the_kernel_against_the_state():
@@ -313,9 +371,18 @@ def _clustered_grid():
 
 
 def _with_corner(gen, a00):
-    gen = np.array(gen)
-    gen[0, 0] = a00
-    return gen
+    return gen._replace(a00=a00)
+
+
+def _negated(gen):
+    return Arrowhead(-gen.a00, -gen.row, -gen.col, -gen.diag)
+
+
+def _eigenvectors(solution):
+    """V (eigenvectors as columns) from lam and v0 by the closed form
+    v_kj = gamma_k v0_j / (lam_j - d_k), lam_j - d_k as (pole_j - d_k) + tau_j."""
+    gap = (solution.pole[:, None] - solution.diag) + solution.tau[:, None]
+    return np.vstack((solution.v0, solution.gamma[:, None] * solution.v0 / gap.T))
 
 
 _ORACLE_CASES = {
@@ -327,7 +394,7 @@ _ORACLE_CASES = {
         build_generator(_clustered_grid()), 3e-8),
     "force_resonant": lambda request: build_generator(build_bath_grid(
         SystemConfig(n_bath=200, force_resonant=True))),
-    "negated": lambda request: -np.array(request.getfixturevalue("reference_gen")),
+    "negated": lambda request: _negated(request.getfixturevalue("reference_gen")),
     "N=1": lambda request: build_generator(request.getfixturevalue("two_mode_grid")),
     "N=2": lambda request: build_generator(build_bath_grid(SystemConfig(n_bath=2))),
     "a00 = 0.25": lambda request: _with_corner(
@@ -341,11 +408,11 @@ def test_solver_against_dense_eigh(request, case):
     # 1e-14 max(1, ||A||), a unit first row of V and max|V^T V - I| within
     # 1e-13, shares within TOL of the dense path
     gen = _ORACLE_CASES[case](request)
-    lam, _ = np.linalg.eigh(gen)
+    lam, _ = np.linalg.eigh(dense_matrix(gen))
     times = np.linspace(0.0, 100.0, 201)
     solution = spectral_solution(gen, times)
     assert np.abs(solution.lam - lam).max() <= 1e-14 * max(1.0, np.abs(lam).max())
-    vec = solution.vec
+    vec = _eigenvectors(solution)
     assert abs(np.sum(vec[0] ** 2) - 1.0) <= 1e-13
     assert np.abs(vec.T @ vec - np.eye(lam.size)).max() <= 1e-13
     n = lam.size - 1
@@ -372,8 +439,10 @@ def test_solver_pass_count_on_the_reference_generator(reference_gen, monkeypatch
     assert len(calls) <= 12, calls
 
 
-def test_solver_holds_one_eigenvector_matrix():
-    # an unblocked (N+1) x N temporary would add another 32 MB
+def test_solver_holds_no_square_array():
+    # bound fixed before the first run: the solver keeps O(N) arrays and one
+    # _CHUNK_BYTES block of secular sums, so a quarter of one (N+1)^2 V
+    # (32 MB at N = 2000) is ample
     gen = build_generator(build_bath_grid(SystemConfig(n_bath=2000)))
     tracemalloc.start()
     try:
@@ -381,5 +450,5 @@ def test_solver_holds_one_eigenvector_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert solution.vec.nbytes == 2001 * 2001 * 8  # 32 MB
-    assert peak <= solution.vec.nbytes + 8 * 2 ** 20, f"peak {peak / 2**20:.1f} MiB"
+    assert not hasattr(solution, "vec")
+    assert peak <= 2001 * 2001 * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
