@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .checks import FAULT_MODES, run_verification
 from .propagation import IntegrationFailure
@@ -27,18 +28,9 @@ def _load_json(path: str) -> dict:
 
 
 def _apply_overrides(s: Scenario, args) -> Scenario:
-    updates = {}
-    if args.method is not None:
-        updates["method"] = args.method
-    if args.t_end is not None:
-        updates["t_end"] = args.t_end
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    if args.svg:
-        updates["svg"] = True
-    return replace(s, **updates) if updates else s
+    updates = {key: getattr(args, key) for key in ("method", "t_end", "dt", "samples")
+               if getattr(args, key) is not None}
+    return replace(s, **updates, **({"svg": True} if args.svg else {}))
 
 
 def _report(manifest) -> int:
@@ -53,25 +45,23 @@ def _cmd_simulate(args) -> int:
     if (args.config is None) == (args.preset is None):
         print("simulate needs a config file or --preset (exactly one)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.preset is not None:
-        scenario = preset(args.preset)
-    else:
-        scenario = scenario_from_dict(_load_json(args.config))
-    scenario = _apply_overrides(scenario, args)
-    return _report(run_scenario(scenario, out_dir=args.out))
+    scenario = (preset(args.preset) if args.preset is not None
+                else scenario_from_dict(_load_json(args.config)))
+    return _report(run_scenario(_apply_overrides(scenario, args), out_dir=args.out))
 
 
 def _cmd_verify(args) -> int:
     config = _load_json(args.config) if args.config else None
     results = run_verification(config, inject_fault=args.inject_fault)
-    for result in results:
-        print(result.line())
     failed = [r.name for r in results if not r.passed]
-    if failed:
-        print(f"FAILED checks: {', '.join(failed)}")
-        return EXIT_CHECK_FAILED
-    print("all checks passed")
-    return EXIT_OK
+    if args.json:  # strict JSON: the residual inf of a check that raised is null
+        print(json.dumps([dict(asdict(r), residual=r.residual if math.isfinite(r.residual)
+                               else None) for r in results], allow_nan=False))
+    else:
+        for result in results:
+            print(result.line())
+        print(f"FAILED checks: {', '.join(failed)}" if failed else "all checks passed")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_preset(args) -> int:
@@ -111,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--config", help="JSON file overriding check parameters")
     ver.add_argument("--inject-fault", choices=FAULT_MODES,
                      help="deliberately corrupt the run to exercise failure paths")
+    ver.add_argument("--json", action="store_true",
+                     help="print the check results as one JSON list")
     ver.set_defaults(func=_cmd_verify)
 
     pre = sub.add_parser("preset", help="list or dump built-in scenarios")
@@ -136,7 +128,3 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -168,10 +168,7 @@ class PartitionSpec:
 
     def covers(self, n_bath: int) -> bool:
         """True when the blocks exactly tile {1..n_bath}."""
-        union = set()
-        for blk in self.blocks:
-            union.update(blk)
-        return union == set(range(1, n_bath + 1))
+        return set().union(*self.blocks) == set(range(1, n_bath + 1))
 
     def is_bipartition_of(self, n_bath: int) -> bool:
         return self.n_blocks == 2 and self.covers(n_bath)

@@ -15,6 +15,7 @@ cancel in every observable built here and are left to the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,15 +35,16 @@ RK4_NORM_LIMIT = 1e-4
 # each real (rows, N+1) array of a spectral chunk, and each complex one of a share
 # chunk, takes about this many bytes
 _CHUNK_BYTES = 2 ** 21
-# exp(-i lam t) is evaluated directly on every this-many-th row of a chunk
-_PHASE_ANCHOR = 16
 # a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
 # its end row is an anchor instead
 _MAX_NODES = 16
 # share_chunks takes every this-many-th row from the Cauchy product, whatever the chunk
 _ANCHOR_ROWS = 256
-# share_chunks keeps the Duhamel rules of at most this many increments across chunks
+# share_chunks keeps the Duhamel rules of at most this many spacings at a time
 _MAX_RULES = 16
+# rows share a spacing h, and a row stays in a block started at t_b, while their
+# times stay within this many ulp of max|t| of t_b + r h
+_SLACK = 4
 
 
 class IntegrationFailure(RuntimeError):
@@ -118,44 +120,21 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def _phase_rows(times: np.ndarray, freq: np.ndarray, out=None) -> np.ndarray:
-    """exp(i freq t), one row per time, in out when given.
-
-    cos and sin of t freq give every _PHASE_ANCHOR-th row and each row whose
-    increment t_n - t_{n-1} occurs once among times; every other row is the
-    previous one times exp(i freq (t_n - t_{n-1})), from one exp row per
-    repeated increment."""
-    k = _PHASE_ANCHOR
-    steps, which, counts = np.unique(np.diff(times), return_inverse=True, return_counts=True)
-    direct = np.arange(times.size) % k == 0
-    direct[1:] |= counts[which] == 1
-    rows = np.flatnonzero(direct)
-    angles = np.outer(times[rows], freq)
-    phases = np.empty((times.size, freq.size), dtype=complex) if out is None else out
-    block = phases if rows.size == times.size else np.empty(angles.shape, dtype=complex)
-    np.cos(angles, out=block.real)
-    np.sin(angles, out=block.imag)
-    if block is phases:
-        return phases
-    phases[::k] = block[rows % k == 0]
-    repeated = counts > 1
-    turns = np.exp(1j * np.outer(steps[repeated], freq))
-    slot = (np.cumsum(repeated) - 1)[which]  # any slot for a once-only increment
-    for j in range(1, min(k, times.size)):  # rows j, j + k, ... from rows j - 1, j - 1 + k, ...
-        turn = turns[slot[j - 1::k]]
-        np.multiply(phases[j - 1::k][:len(turn)], turn, out=phases[j::k])
-        again = rows % k == j  # direct rows among them
-        phases[rows[again]] = block[again]
+def _phases(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """exp(i freq t), one row per time, from cos and sin of t freq."""
+    angles = np.outer(times, freq)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
     return phases
 
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of exp(-i lam t) c, stacked as (2, times, lam):
-    (cos c_r + sin c_i) + i (cos c_i - sin c_r), with cos + i sin = exp(i lam t)
-    from _phase_rows."""
-    phases = _phase_rows(times, lam)
-    # c enters after the recurrence by separate real products, so scaling u0 by a power
-    # of two scales the result exactly; no temporaries
+    (cos c_r + sin c_i) + i (cos c_i - sin c_r), cos + i sin = exp(i lam t)."""
+    phases = _phases(times, lam)
+    # c enters by separate real products, so scaling u0 by a power of two scales the
+    # result exactly
     cos, sin = phases.real, phases.imag
     c_r, c_i = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
     parts = np.empty((2, *phases.shape))
@@ -199,6 +178,75 @@ def _interval_nodes(h: float, m: int):
     x -= p / slope
     slope = _legendre(x, m)[1]
     return 0.5 * h * (x + 1.0), h / ((1.0 - x) * (1.0 + x) * slope * slope)
+
+
+def _labels(times: np.ndarray, reach: float):
+    """(label, spacing, nodes, tol): increments t_n - t_{n-1} whose sorted neighbours
+    lie within tol form a group, its spacing their mean and nodes its node count for
+    |omega| <= reach.  label[n] is the spacing of row n, or -1 where row n is an
+    anchor: row 0, every _ANCHOR_ROWS-th row and a row whose increment is alone in its
+    group, off its spacing by more than tol or in need of over _MAX_NODES nodes."""
+    tol = _SLACK * np.spacing(times[-1])
+    steps = np.diff(times)
+    order = np.argsort(steps, kind="stable")
+    ranked = steps[order]
+    group = np.cumsum(np.diff(ranked, prepend=-np.inf) > tol) - 1
+    counts = np.bincount(group)
+    base = ranked[np.cumsum(counts) - counts]  # the smallest of each group
+    # the mean as an offset from it, which the summation cannot round away
+    spacing = base + np.bincount(group, weights=ranked - base[group]) / counts
+    nodes = _node_counts(spacing * reach)
+    which = group[np.argsort(order)]
+    label = np.full(times.size, -1)
+    label[1:] = np.where((counts[which] > 1) & (nodes[which] > 0)
+                         & (np.abs(steps - spacing[which]) <= tol), which, -1)
+    label[::_ANCHOR_ROWS] = -1
+    return label, spacing, nodes, tol
+
+
+def _blocks(times: np.ndarray, label: np.ndarray, spacing: np.ndarray, tol: float,
+            limit: int):
+    """(first, size): runs of rows n of one label s >= 0, each within one stretch
+    [j limit, (j + 1) limit), along which t_n stays within tol of t_b + (n - first + 1) h,
+    with t_b = t_{first-1} and h = spacing[s]; a row that strays starts the next run
+    at its exact time."""
+    firsts, sizes = [], []
+    cut = np.diff(label, prepend=-1, append=-1) != 0
+    cut[::limit] = cut[-1] = True
+    cut = np.flatnonzero(cut)
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        while lo < hi and label[lo] >= 0:
+            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1)
+                                           * spacing[label[lo]])) > tol
+            k = (int(stray.argmax()) or 1) if stray.any() else hi - lo
+            firsts.append(lo)
+            sizes.append(k)
+            lo += k
+    return np.array(firsts, dtype=int), np.array(sizes, dtype=int)
+
+
+def _node_values(times, lam, w, firsts, sizes, labels, spacing, nodes) -> np.ndarray:
+    """f(t) = sum_j w_j exp(-i lam_j t) at t_{n-1} + (h, x_1, ..., x_m) on each row n
+    of the blocks (firsts, sizes) of _blocks, labels their spacings (h = spacing[s],
+    x the nodes[s] Gauss-Legendre nodes in [0, h]), as row n of a T x (1 + max m)
+    array; f(t_n) comes first.  exp(-i lam (t_b + r h + x)) = exp(-i lam t_b)
+    exp(-i lam r h) exp(-i lam x): one row per block start, one table of r h per
+    spacing and one product per batch of blocks."""
+    values = np.zeros((times.size, 1 + nodes[labels].max(initial=0)), dtype=complex)
+    for s in np.flatnonzero(np.bincount(labels, minlength=spacing.size)):
+        h, m = spacing[s], nodes[s]
+        first, size = firsts[labels == s], sizes[labels == s]
+        table = _phases(np.arange(size.max()) * h, -lam)  # (R, N+1)
+        weighted = _phases(np.append(h, _interval_nodes(h, m)[0]), -lam).T * w[:, None]
+        r = np.arange(table.shape[0])[:, None]
+        per = max(1, _CHUNK_BYTES // (16 * lam.size * (m + 1)))  # blocks per product
+        for lo in range(0, first.size, per):
+            starts = _phases(times[first[lo:lo + per] - 1], -lam)
+            batch = (starts.T[:, :, None] * weighted[:, None, :]).reshape(lam.size, -1)
+            vals = (table @ batch).reshape(r.size, -1, m + 1)
+            held = r < size[lo:lo + per]
+            values[(first[lo:lo + per] + r)[held], :m + 1] = vals[held]
+    return values
 
 
 def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray):
@@ -257,15 +305,12 @@ class SpectralSolution:
         p = exp(-i lam t) v0 c, f = sum_j p_j and g_k = gamma_k sum_j p_j / (lam_j - d_k),
         from one pass over the Cauchy blocks; re and im take separate real products."""
         parts = _scaled_phases(times, self.lam, self.v0 * self.coeff)
-        out, part = np.empty_like(parts), None
+        out, part = np.zeros_like(parts), None
         np.sum(parts, axis=2, out=out[:, :, 0])
         for rows, block in _cauchy_blocks(self.pole, self.tau, self.diag):
             for src, dst in zip(parts, out[:, :, 1:]):
-                if rows.start == 0:
-                    np.matmul(src[:, rows], block, out=dst)
-                else:
-                    part = np.matmul(src[:, rows], block, out=part)
-                    dst += part
+                part = np.matmul(src[:, rows], block, out=part)
+                dst += part
         out[:, :, 1:] *= self.gamma
         return out
 
@@ -286,64 +331,49 @@ class SpectralSolution:
         """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor
         rows.  u2 is one buffer, overwritten by the next chunk.
 
-        Row 0, every _ANCHOR_ROWS-th row and each row whose increment
-        t_n - t_{n-1} occurs once among times or needs more than _MAX_NODES
-        nodes are anchors, from the Cauchy product.  Any other row follows from
-        the row before, in its chunk or the last one, by the Duhamel integral of
-        f(s) = sum_j w_j exp(-i lam_j s), by Gauss-Legendre nodes: with
-        h = t_n - t_{n-1}, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
+        Anchor rows (_labels) come from the Cauchy product.  Any other row follows
+        from the row before, in its chunk or the last one, by the Duhamel integral
+        of f(s) = sum_j w_j exp(-i lam_j s) at Gauss-Legendre nodes (_node_values):
+        with h the spacing of row n, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
         - i gamma_k int_0^h exp(i d_k s) f(t_{n-1} + s) ds]."""
         lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
         n = lam.size
-        w = self.v0 * self.coeff  # f(t) = sum_j w_j exp(-i lam_j t)
-        steps, which, counts = np.unique(np.diff(times), return_inverse=True, return_counts=True)
-        nodes = _node_counts(steps * max(diag.max() - lam[0], lam[-1] - diag.min()))
-        integrated = np.zeros(times.size, dtype=bool)
-        integrated[1:] = ((counts > 1) & (nodes > 0))[which]
-        integrated[::_ANCHOR_ROWS] = False
-        marked = np.flatnonzero(~integrated)  # u at each in turn, one Cauchy pass per batch
+        label, spacing, nodes, tol = _labels(
+            times, max(diag.max() - lam[0], lam[-1] - diag.min()))
+        size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))  # rows per chunk
+        firsts, sizes = _blocks(times, label, spacing, tol, size)
+        ends, labels = firsts + sizes, label[firsts]
+        values = _node_values(times, lam, self.v0 * self.coeff, firsts, sizes, labels,
+                              spacing, nodes)
+        marked = np.flatnonzero(label < 0)  # u at each in turn, one Cauchy pass per batch
         anchors = (u for batch in _row_blocks(marked.size, 2 * n)
                    for u in zip(*self._amplitudes(times[marked[batch]])))
-        # increment -> (w exp(-i lam x) at the nodes x and at h, the weighted
-        # -i gamma_k exp(i d_k x) of the nodes, exp(-i d h)); the latest _MAX_RULES
-        rules = {}
-        # work buffers of the largest (first) chunk, reused by every chunk; g[1 + i]
-        # holds row lo + i of the chunk and g[0] the row before, carried over
-        size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))
-        u2, phases = np.empty((size, n)), np.empty((size, n), dtype=complex)
-        g, work = np.empty((size + 1, n - 1), dtype=complex), np.empty(size * n, dtype=complex)
+
+        @functools.lru_cache(maxsize=_MAX_RULES)
+        def rule(s):
+            """The weighted -i gamma_k exp(i d_k x) of the nodes of spacing s, exp(-i d h)."""
+            x, q = _interval_nodes(spacing[s], nodes[s])
+            return (-1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag))),
+                    np.exp(-1j * spacing[s] * diag))
+
+        # g[1 + i] holds row lo + i of the chunk and g[0] the row before, carried over
+        u2, g = np.empty((size, n)), np.empty((size + 1, n - 1), dtype=complex)
         for rows in _row_blocks(times.size, 2 * n):  # complex (rows, N+1) blocks
             lo, k = rows.start, min(rows.stop, times.size) - rows.start
-            for i in np.flatnonzero(~integrated[rows]):
+            f = values[rows, 0]
+            u2[:k, 0] = f.real ** 2 + f.imag ** 2
+            for i in np.flatnonzero(label[rows] < 0):
                 re, im = next(anchors)
                 u2[i, 0] = re[0] * re[0] + im[0] * im[0]
                 g[1 + i].real, g[1 + i].imag = re[1:], im[1:]
-            inner = np.flatnonzero(integrated[rows])
-            if inner.size:
-                skip = int(lo == 0)  # phases[i] = exp(-i lam t) of row lo + i - 1
-                _phase_rows(times[lo - 1 + skip:lo + k - 1], -lam, out=phases[skip:k])
-                step = which[lo + inner - 1]
-                turns = {}
-                for s in np.flatnonzero(np.bincount(step)):  # the increments present
-                    if s not in rules:
-                        if len(rules) == _MAX_RULES:
-                            del rules[next(iter(rules))]  # the oldest
-                        h = steps[s]
-                        x, q = _interval_nodes(h, nodes[s])
-                        rules[s] = (w[:, None] * np.exp(-1j * np.outer(lam, np.append(x, h))),
-                                    -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag))),
-                                    np.exp(-1j * h * diag))
-                    fmat, quad, turns[s] = rules[s]
-                    into = inner[step == s]
-                    prior = work[:into.size * n].reshape(into.size, n)
-                    f = np.take(phases, into, axis=0, out=prior, mode="clip") @ fmat
-                    u2[into, 0] = f[:, -1].real ** 2 + f[:, -1].imag ** 2  # f at t_n
-                    # -i gamma_k times the integrals, in the buffer prior has left
-                    g[1 + into] = np.matmul(f[:, :-1], quad, out=work[:into.size * (n - 1)]
-                                            .reshape(into.size, n - 1))
-                for i, s in zip(inner, step):
+            for b in range(*np.searchsorted(firsts, (lo, lo + k))):  # the chunk's blocks
+                s, a, z = labels[b], firsts[b] - lo, ends[b] - lo
+                quad, turn = rule(s)
+                # -i gamma_k times the integrals
+                np.matmul(values[lo + a:lo + z, 1:1 + nodes[s]], quad, out=g[1 + a:1 + z])
+                for i in range(a, z):
                     g[1 + i] += g[i]
-                    g[1 + i] *= turns[s]
+                    g[1 + i] *= turn
             g[0] = g[k]
             pairs = g[1:k + 1].view(float)
             np.square(pairs, out=pairs)

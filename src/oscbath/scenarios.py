@@ -115,10 +115,8 @@ class Scenario:
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, complex)):
         return complex(value)
-    if isinstance(value, complex):
-        return value
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     if isinstance(value, str):
@@ -183,13 +181,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     samples = int(timed.get("samples", 2000))
 
     emit = doc.get("emit")
-    if emit is None:
-        if scheme == "none":
-            emit = "excitation"
-        elif scheme == "banded":
-            emit = "blocks"
-        else:
-            emit = "concurrence" if init is not None else "bipartition"
+    if emit is None:  # the richest output the partition and superposition allow
+        emit = {"none": "excitation", "banded": "blocks"}.get(
+            scheme, "concurrence" if init is not None else "bipartition")
 
     return Scenario(
         name=str(doc.get("name", "run")),
@@ -239,6 +233,12 @@ def scenario_to_dict(s: Scenario) -> dict:
 _REFERENCE_SYSTEM = {"n_bath": 1000, "coupling_amplitude": 0.1, "band": [0.5, 1.5]}
 _CAT_INIT = {"a": 1, "b": -1, "alpha0": 3, "beta0": -3}
 
+
+def _centered_preset(name: str, size_b: int, emit: str) -> dict:
+    return {"name": name, "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
+            "partition": {"scheme": "centered", "size_b": size_b}, "emit": emit}
+
+
 _PRESETS: dict[str, dict] = {
     "fig3": {
         "name": "fig3", "system": _REFERENCE_SYSTEM,
@@ -248,30 +248,11 @@ _PRESETS: dict[str, dict] = {
         "name": "fig5", "system": _REFERENCE_SYSTEM,
         "partition": {"scheme": "banded", "n_blocks": 10}, "emit": "blocks",
     },
-    "fig7": {
-        "name": "fig7", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 100}, "emit": "bipartition",
-    },
-    "fig8": {
-        "name": "fig8", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 500}, "emit": "bipartition",
-    },
-    "fig9": {
-        "name": "fig9", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 900}, "emit": "bipartition",
-    },
-    "fig10a": {
-        "name": "fig10a", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 100}, "emit": "concurrence",
-    },
-    "fig10b": {
-        "name": "fig10b", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 500}, "emit": "concurrence",
-    },
-    "fig10c": {
-        "name": "fig10c", "system": _REFERENCE_SYSTEM, "superposition": _CAT_INIT,
-        "partition": {"scheme": "centered", "size_b": 900}, "emit": "concurrence",
-    },
+    # B the 100, 500 or 900 modes nearest resonance
+    **{name: _centered_preset(name, size_b, emit) for name, size_b, emit in (
+        ("fig7", 100, "bipartition"), ("fig8", 500, "bipartition"),
+        ("fig9", 900, "bipartition"), ("fig10a", 100, "concurrence"),
+        ("fig10b", 500, "concurrence"), ("fig10c", 900, "concurrence"))},
 }
 
 

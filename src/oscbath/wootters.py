@@ -25,12 +25,8 @@ __all__ = [
 ]
 
 # sigma_y (x) sigma_y in the ordered basis (1 up, 1 down, 0 up, 0 down)
-_SY2 = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
+_SY = np.array([[0.0, -1j], [1j, 0.0]])
+_SY2 = np.kron(_SY, _SY).real
 # system and environment weight index (0: s_plus, 1: s_minus) of each
 # basis state, and which of r, u, u*, v sits at each matrix entry
 _SYS, _ENV = np.divmod(np.arange(4), 2)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -500,6 +503,42 @@ class TestCli:
         failed = out.splitlines()[-1]
         assert "norm_conservation_exact" in failed
         assert "rk4_norm_drift" in failed
+
+    @pytest.mark.parametrize("fault", [None, "generator-asymmetry"])
+    def test_verify_json(self, tmp_path, capsys, fault):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"n_bath": 60, "samples": 41, "draws": 10,
+                                   "rk4_t_end": 5.0}))
+        argv = ["verify", "--config", str(cfg), "--json"]
+        assert main(argv + (["--inject-fault", fault] if fault else [])) == (1 if fault else 0)
+        out = capsys.readouterr().out
+
+        def strict(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        results = json.loads(out, parse_constant=strict)  # the whole of stdout
+        assert [r["name"] for r in results] == [r.name for r in run_verification(
+            {"n_bath": 60, "samples": 41, "draws": 10, "rk4_t_end": 5.0})]
+        for r in results:
+            assert set(r) == {"name", "residual", "threshold", "passed", "note"}
+            assert r["passed"] == (r["residual"] is not None
+                                   and r["residual"] <= r["threshold"])
+        failed = {r["name"]: r for r in results if not r["passed"]}
+        if fault is None:
+            assert not failed
+        else:
+            # the check that raised has no residual, and its note says why
+            check = failed["norm_conservation_exact"]
+            assert check["residual"] is None and "not symmetric" in check["note"]
+            assert "rk4_norm_drift" in failed
+
+    def test_python_m_oscbath(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-m", "oscbath", "preset", "--list"], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == list(preset_names())
 
     @pytest.mark.parametrize("cfg_doc, key", [
         ({"n_bath": 60, "rk4_tend": 5.0}, "rk4_tend"),

@@ -172,23 +172,42 @@ _PHASE_GRIDS = {
 }
 
 
+def _reach(solution, h):
+    """h max|d_k - lam_j|: the largest phase an interval of length h integrates."""
+    return h * max(solution.diag.max() - solution.lam[0], solution.lam[-1] - solution.diag.min())
+
+
+def _kernel_blocks(solution, times):
+    """The labels, spacings and blocks share_chunks takes for times."""
+    label, spacing, nodes, tol = propagation._labels(times, _reach(solution, 1.0))
+    limit = propagation._CHUNK_BYTES // (16 * solution.lam.size)
+    return label, spacing, propagation._blocks(times, label, spacing, tol, limit)
+
+
 @pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
 def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     # bound fixed before the first run: the direct phases round t lam to
-    # eps |lam t| / 2, and every recurrence row is at most _PHASE_ANCHOR - 1
-    # products of unit factors (a few eps each) from an anchor row that the
-    # direct formula gives as well; 8 eps max|lam t| covers both while
-    # max|lam t| >= 25, as on every grid here
+    # eps |lam t| / 2.  Row n of a block takes exp(-i lam t_n) as
+    # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], as share_chunks does; each
+    # factor rounds its phase as the direct formula does, and t_b + (r + 1) h lies
+    # within _SLACK = 4 ulp of max|t| of t_n; 8 eps max|lam t| covers both while
+    # max|lam t| >= 25, as on every grid here.  Anchor rows take the direct phases.
     times = _PHASE_GRIDS[grid](reference_gen)
-    lam = spectral_solution(reference_gen, [0.0]).lam
+    solution = spectral_solution(reference_gen, [0.0])
+    lam = solution.lam
     c = np.exp(2j * np.pi * np.random.default_rng(5).random(lam.size))  # |c_j| = 1
     lam_t = np.abs(lam).max() * np.abs(times).max()
     assert lam_t >= 25.0
+    label, spacing, (firsts, sizes) = _kernel_blocks(solution, times)
+    assert sizes.sum() == np.count_nonzero(label >= 0)  # every integrated row, once
     worst = 0.0
-    for rows in propagation._row_blocks(times.size, lam.size):
-        got = propagation._scaled_phases(times[rows], lam, c)
-        want = _direct_scaled_phases(times[rows], lam, c)
-        worst = max(worst, *(np.abs(g - w).max() for g, w in zip(got, want)))
+    for first, size in zip(firsts, sizes):
+        h = spacing[label[first]]
+        lead = propagation._phases(times[first - 1:first], -lam) * propagation._phases(
+            [h], -lam) * c
+        got = propagation._phases(np.arange(size) * h, -lam) * lead
+        re, im = _direct_scaled_phases(times[first:first + size], lam, c)
+        worst = max(worst, np.abs(got - (re + 1j * im)).max())
     assert worst <= 8 * np.finfo(float).eps * lam_t
 
 
@@ -200,11 +219,6 @@ def anchor_rows(monkeypatch):
     monkeypatch.setattr(propagation, "_scaled_phases",
                         lambda times, lam, c: rows.append(times.size) or scaled(times, lam, c))
     return rows
-
-
-def _reach(solution, h):
-    """h max|d_k - lam_j|: the largest phase an interval of length h integrates."""
-    return h * max(solution.diag.max() - solution.lam[0], solution.lam[-1] - solution.diag.min())
 
 
 def test_coarse_grid_takes_many_nodes(small_grid, chunking, anchor_rows):
@@ -285,6 +299,44 @@ def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunki
     _assert_shares(excitation_profile(spectral_solution(reference_gen, times), part),
                    _dense_reference(reference_gen, times, groups=part.blocks))
     assert sum(anchor_rows) == 5
+
+
+def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, anchor_rows):
+    # the 13 bitwise-distinct increments of the presets' grid lie within a few ulp
+    # of one spacing, so only every _ANCHOR_ROWS-th row is an anchor
+    times = np.linspace(0.0, 100.0, 2000)
+    assert np.unique(np.diff(times)).size == 13
+    solution = spectral_solution(reference_gen, times)
+    excitation_profile(solution, centered_bipartition(reference_grid, 100))
+    assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS) == 8
+    label, spacing, _ = _kernel_blocks(solution, times)
+    assert np.unique(spacing[label[label >= 0]]).size == 1
+
+
+_RESTART_GRIDS = {
+    # the sums drift off n h by accumulated rounding
+    "drifting": lambda: np.cumsum(np.full(400, 0.1)),
+    "two spacings": lambda: np.concatenate((np.linspace(0.0, 20.0, 101),
+                                            20.0 + 0.05 * np.arange(1, 151))),
+}
+
+
+@pytest.mark.parametrize("grid", list(_RESTART_GRIDS))
+def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
+    gen = build_generator(small_grid)
+    times = _RESTART_GRIDS[grid]()
+    solution = spectral_solution(gen, times)
+    part = centered_bipartition(small_grid, 10)
+    _assert_shares(excitation_profile(solution, part),
+                   _dense_reference(gen, times, groups=part.blocks))
+    # only every _ANCHOR_ROWS-th row is an anchor: the others are integrated
+    assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS)
+    label, spacing, (firsts, _) = _kernel_blocks(solution, times)
+    assert np.unique(spacing[label[label >= 0]]).size == {"drifting": 1, "two spacings": 2}[grid]
+    if grid == "drifting" and chunking == "default":
+        # the grid is one chunk, so a block that starts right after an integrated
+        # row was started by a row that strayed from t_b + r h
+        assert np.any(label[firsts - 1] >= 0)
 
 
 def test_rule_cache_is_bounded(reference_gen, reference_grid):
