@@ -46,9 +46,18 @@ def _kernel(lo: float, prefactor: float, xi, theta_b, theta_c):
     return d_b, d_c, prefactor * np.exp(xi * lo) * d_b * d_c
 
 
-def _init_kernel(init: SuperpositionInit, xi, theta_b, theta_c):
-    prefactor = 2.0 * abs(init.a * init.b) * init.norm_const ** 2
-    return _kernel(init.log_overlap.real, prefactor, xi, theta_b, theta_c)
+def _per_row(init, terms):
+    """terms(init), or for a sequence of inits arrays of terms taken row by row in
+    Python: numpy's complex abs and product can round otherwise in the last bit."""
+    if isinstance(init, SuperpositionInit):
+        return terms(init)
+    return tuple(np.array(v) for v in zip(*map(terms, init)))
+
+
+def _init_kernel(init, xi, theta_b, theta_c):
+    prefactor, lo = _per_row(init, lambda i: (2.0 * abs(i.a * i.b) * i.norm_const ** 2,
+                                              i.log_overlap.real))
+    return _kernel(lo, prefactor, xi, theta_b, theta_c)
 
 
 def distinguishability(o0: float, theta_p: float) -> float:
@@ -70,11 +79,12 @@ def distinguishability(o0: float, theta_p: float) -> float:
 def concurrence_closed_form(init: SuperpositionInit, xi, theta_b, theta_c):
     """Concurrence between two bath blocks from their excitation shares.
 
-    Takes scalars (returns a float) or arrays (returns an array); range
-    checks and the physical-sum warning apply to every element.  Physically
-    consistent inputs satisfy xi + theta_b + theta_c = 1; other combinations
-    are accepted for what-if scans but trigger a warning since the in-range
-    guarantee C <= 1 only holds on the physical set.
+    Takes scalars (returns a float) or arrays (returns an array), and one
+    init or a sequence with one per row; range checks and the physical-sum
+    warning apply to every element.  Physically consistent inputs satisfy
+    xi + theta_b + theta_c = 1; other combinations are accepted for what-if
+    scans but trigger a warning since the in-range guarantee C <= 1 only
+    holds on the physical set.
     """
     xi = _check_unit_range("xi", xi)
     theta_b = _check_unit_range("theta_b", theta_b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import concurrence_closed_form
+from .concurrence import _per_row, concurrence_closed_form
 from .model import SuperpositionInit
 
 __all__ = [
@@ -189,20 +189,21 @@ def factored_product_eigenvalues(weight: float, p: float, q: float, z: complex,
             scale * (abs(z) + root_pq) ** 2)
 
 
-def oracle_residuals(init: SuperpositionInit, xi, theta_b, theta_c) -> np.ndarray:
+def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
     """|closed-form C - spin-flip numeric C| per set of excitation shares.
 
-    Clips the shares to [0, 1] (trajectory roundoff can push them past by up
-    to the norm drift), builds the block overlaps o^theta and the branch
-    factor from the stored log-overlap, runs the stacked numeric pipeline
-    (embedding, density matrix, spin flip, spectrum), and compares against
-    the closed form.
+    init is one SuperpositionInit, or a sequence with one per row.  Clips the
+    shares to [0, 1] (roundoff can push them past by up to the norm drift),
+    builds the block overlaps o^theta and the branch factor from the stored
+    log-overlap, runs the stacked numeric pipeline (embedding, density
+    matrix, spin flip, spectrum), and compares against the closed form.
     """
     xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
                             for v in (xi, theta_b, theta_c))
-    wc = init.log_overlap.conjugate()
-    z = init.a * init.b.conjugate() * np.exp(xi * wc)
-    rho = build_density_matrix(init.norm_const ** 2, abs(init.a) ** 2, abs(init.b) ** 2, z,
+    weight, p, q, ab, wc = _per_row(init, lambda i: (
+        i.norm_const ** 2, abs(i.a) ** 2, abs(i.b) ** 2, i.a * i.b.conjugate(),
+        i.log_overlap.conjugate()))
+    rho = build_density_matrix(weight, p, q, ab * np.exp(xi * wc),
                                qubit_embedding(np.exp(theta_b * wc)),
                                qubit_embedding(np.exp(theta_c * wc)))
     closed = concurrence_closed_form(init, xi, theta_b, theta_c)

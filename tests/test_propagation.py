@@ -239,6 +239,17 @@ class TestEvolveRK4:
         traj = evolve_rk4(gen, 50.0, 0.01, sample_every=100)
         assert norm_residual(traj) < 1e-6
 
+    def test_samples_are_held_once(self):
+        gen = build_generator(build_bath_grid(SystemConfig(n_bath=400)))
+        tracemalloc.start()
+        try:
+            traj = evolve_rk4(gen, 20.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (2001, 401)  # 12.2 MiB
+        assert peak <= 1.25 * traj.states.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestAmplitudeTrajectory:
     def test_states_are_a_read_only_view(self):

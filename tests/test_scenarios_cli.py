@@ -520,9 +520,10 @@ class TestCli:
         assert [r["name"] for r in results] == [r.name for r in run_verification(
             {"n_bath": 60, "samples": 41, "draws": 10, "rk4_t_end": 5.0})]
         for r in results:
-            assert set(r) == {"name", "residual", "threshold", "passed", "note"}
+            assert set(r) == {"name", "residual", "threshold", "passed", "note", "seconds"}
             assert r["passed"] == (r["residual"] is not None
                                    and r["residual"] <= r["threshold"])
+            assert math.isfinite(r["seconds"]) and r["seconds"] >= 0
         failed = {r["name"]: r for r in results if not r["passed"]}
         if fault is None:
             assert not failed

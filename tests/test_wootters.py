@@ -302,6 +302,23 @@ class TestCrosscheck:
         assert worst < 1e-10
 
 
+def _oracle_draws(seed, count=200):
+    """Initial states and shares drawn as verify's closed_form_vs_oracle draws
+    them: the same rng calls in the same order, tiny weights skipped."""
+    rng = np.random.default_rng(seed)
+    inits, shares = [], []
+    for _ in range(count):
+        a = complex(rng.normal(), rng.normal())
+        b = complex(rng.normal(), rng.normal())
+        if abs(a) < 1e-6 or abs(b) < 1e-6:
+            continue
+        alpha0 = complex(rng.normal(scale=2), rng.normal(scale=2))
+        beta0 = complex(rng.normal(scale=2), rng.normal(scale=2))
+        inits.append(normalize_superposition(a, b, alpha0, beta0))
+        shares.append(rng.dirichlet([1.0, 1.0, 1.0]))
+    return inits, np.array(shares)
+
+
 def _stacked_embedding(embeddings):
     return QubitEmbedding(*(np.array([getattr(e, name) for e in embeddings])
                             for name in ("s_plus", "s_minus", "phase")))
@@ -389,3 +406,27 @@ class TestStackedPipeline:
         assert stacked.shape == (41,)
         assert np.abs(stacked - rows).max() <= 1e-15
         assert stacked.max() < 1e-10
+
+    @pytest.mark.parametrize("seed", [20260810, 1, 2, 3])
+    def test_stacked_inits_match_crosscheck(self, seed):
+        inits, shares = _oracle_draws(seed)
+        stacked = oracle_residuals(inits, *shares.T)
+        rows = [crosscheck(init, *map(float, row)) for init, row in zip(inits, shares)]
+        assert stacked.shape == (len(inits),)
+        assert np.abs(stacked - rows).max() <= 1e-15
+        assert stacked.max() < 1e-10
+
+    def test_stacked_inits_warn_off_the_physical_set(self):
+        inits, shares = _oracle_draws(1, count=5)
+        shares[2] = (0.3, 0.3, 0.3)
+
+        def messages(init, *row):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                oracle_residuals(init, *row)
+            return [str(w.message) for w in record]
+
+        stacked = messages(inits, *shares.T)
+        assert stacked == messages(inits[2], *shares[2])
+        assert ("xi + theta_b + theta_c = 0.9 differs from 1; treating inputs as a "
+                "what-if scan") in stacked
