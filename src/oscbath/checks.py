@@ -19,7 +19,7 @@ from .model import (SystemConfig, build_bath_grid, centered_bipartition,
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import (build_generator, evolve_exact, evolve_rk4, norm_residual,
                           spectral_solution)
-from .scenarios import _reject_unknown
+from .scenarios import _integer, _reject_unknown
 from .wootters import oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
@@ -83,10 +83,12 @@ def run_verification(config: dict | None = None,
     if config:
         _reject_unknown("verify config", config, tuple(cfg))
         cfg.update(config)
+    for key in ("n_bath", "samples", "draws", "seed"):
+        cfg[key] = _integer(key, cfg[key])
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
 
-    system = SystemConfig(n_bath=int(cfg["n_bath"]),
+    system = SystemConfig(n_bath=cfg["n_bath"],
                           coupling_amplitude=float(cfg["coupling_amplitude"]),
                           band=tuple(cfg["band"]))
     grid = build_bath_grid(system)
@@ -99,8 +101,8 @@ def run_verification(config: dict | None = None,
     _reject_unknown("verify superposition", sup, ("a", "b", "alpha0", "beta0"))
     init = normalize_superposition(sup["a"], sup["b"], sup["alpha0"], sup["beta0"])
     size_b = cfg["size_b"] if cfg["size_b"] is not None else max(1, grid.n // 10)
-    partition = centered_bipartition(grid, int(size_b))
-    times = np.linspace(0.0, float(cfg["t_end"]), int(cfg["samples"]))
+    partition = centered_bipartition(grid, _integer("size_b", size_b))
+    times = np.linspace(0.0, float(cfg["t_end"]), cfg["samples"])
 
     results: list[CheckResult] = []
     state: dict = {}
@@ -139,8 +141,8 @@ def run_verification(config: dict | None = None,
         series = concurrence_series(excitation_profile(trajectory(), partition), init)
         inits = [init] * series.xi.size
         shares = list(zip(series.xi, series.theta_b, series.theta_c))
-        rng = np.random.default_rng(int(cfg["seed"]))
-        for _ in range(int(cfg["draws"])):
+        rng = np.random.default_rng(cfg["seed"])
+        for _ in range(cfg["draws"]):
             a = complex(rng.normal(), rng.normal())
             b = complex(rng.normal(), rng.normal())
             if abs(a) < 1e-6 or abs(b) < 1e-6:

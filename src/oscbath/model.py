@@ -60,6 +60,8 @@ class SystemConfig:
             raise ValueError(f"band must satisfy 0 < low <= high, got {self.band}")
         if self.n_bath > 1 and low == high:
             raise ValueError("degenerate band (low == high) is only valid for n_bath == 1")
+        if not isinstance(self.force_resonant, bool):  # bool() would read "false" as True
+            raise ValueError(f"force_resonant must be true or false, got {self.force_resonant!r}")
         if self.couplings is not None:
             object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
             if len(self.couplings) != self.n_bath:

@@ -18,7 +18,6 @@ cancel in every observable built here and are left to the caller.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,10 +42,8 @@ _CHUNK_BYTES = 2 ** 21
 _MAX_NODES = 16
 # share_chunks takes every this-many-th row from the Cauchy product, whatever the chunk
 _ANCHOR_ROWS = 256
-# share_chunks keeps the Duhamel rules of at most this many spacings at a time
-_MAX_RULES = 16
-# rows share a spacing h, and a row stays in a block started at t_b, while their
-# times stay within this many ulp of max|t| of t_b + r h
+# a row takes the spacing h, and stays in a block started at t_b, while its
+# increment and time stay within this many ulp of max|t| of h and t_b + r h
 _SLACK = 4
 
 
@@ -183,44 +180,39 @@ def _interval_nodes(h: float, m: int):
     return 0.5 * h * (x + 1.0), h / ((1.0 - x) * (1.0 + x) * slope * slope)
 
 
-def _labels(times: np.ndarray, reach: float):
-    """(label, spacing, nodes, tol): increments t_n - t_{n-1} whose sorted neighbours
-    lie within tol form a group, its spacing their mean and nodes its node count for
-    |omega| <= reach.  label[n] is the spacing of row n, or -1 where row n is an
-    anchor: row 0, every _ANCHOR_ROWS-th row and a row whose increment is alone in its
-    group, off its spacing by more than tol or in need of over _MAX_NODES nodes."""
+def _spacing(times: np.ndarray, reach: float):
+    """(anchor, h, m, tol): h is the mean of the increments t_n - t_{n-1} that lie
+    within tol of their median (the upper one of an even count), m its node count for
+    |omega| <= reach, 0 unless two increments take h.  anchor[n] marks row 0, every
+    _ANCHOR_ROWS-th row and, while m > 0, a row whose increment is off h by more than
+    tol; with m = 0, every row."""
     tol = _SLACK * np.spacing(times[-1])
     steps = np.diff(times)
-    order = np.argsort(steps, kind="stable")
-    ranked = steps[order]
-    group = np.cumsum(np.diff(ranked, prepend=-np.inf) > tol) - 1
-    counts = np.bincount(group)
-    base = ranked[np.cumsum(counts) - counts]  # the smallest of each group
-    # the mean as an offset from it, which the summation cannot round away
-    spacing = base + np.bincount(group, weights=ranked - base[group]) / counts
-    nodes = _node_counts(spacing * reach)
-    which = group[np.argsort(order)]
-    label = np.full(times.size, -1)
-    label[1:] = np.where((counts[which] > 1) & (nodes[which] > 0)
-                         & (np.abs(steps - spacing[which]) <= tol), which, -1)
-    label[::_ANCHOR_ROWS] = -1
-    return label, spacing, nodes, tol
+    # not np.median, which imports numpy.ma: about 1.8 MB more resident size
+    median = np.partition(steps, steps.size // 2)[steps.size // 2] if steps.size else 0.0
+    near = steps[np.abs(steps - median) <= tol]
+    anchor = np.ones(times.size, dtype=bool)
+    if near.size < 2:
+        return anchor, 0.0, 0, tol
+    base = near.min()
+    h = base + (near - base).mean()  # the mean as an offset, which the sum cannot round away
+    m = int(_node_counts(np.array([h * reach]))[0])
+    anchor[1:] = (np.abs(steps - h) > tol) | (m == 0)
+    anchor[::_ANCHOR_ROWS] = True
+    return anchor, h, m, tol
 
 
-def _blocks(times: np.ndarray, label: np.ndarray, spacing: np.ndarray, tol: float,
-            limit: int):
-    """(first, size): runs of rows n of one label s >= 0, each within one stretch
+def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float, limit: int):
+    """(first, size): runs of rows n that are no anchors, each within one stretch
     [j limit, (j + 1) limit), along which t_n stays within tol of t_b + (n - first + 1) h,
-    with t_b = t_{first-1} and h = spacing[s]; a row that strays starts the next run
-    at its exact time."""
+    with t_b = t_{first-1}; a row that strays starts the next run at its exact time."""
     firsts, sizes = [], []
-    cut = np.diff(label, prepend=-1, append=-1) != 0
+    cut = np.diff(anchor, prepend=True, append=True)
     cut[::limit] = cut[-1] = True
     cut = np.flatnonzero(cut)
     for lo, hi in zip(cut[:-1], cut[1:]):
-        while lo < hi and label[lo] >= 0:
-            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1)
-                                           * spacing[label[lo]])) > tol
+        while lo < hi and not anchor[lo]:
+            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1) * h)) > tol
             k = (int(stray.argmax()) or 1) if stray.any() else hi - lo
             firsts.append(lo)
             sizes.append(k)
@@ -228,27 +220,23 @@ def _blocks(times: np.ndarray, label: np.ndarray, spacing: np.ndarray, tol: floa
     return np.array(firsts, dtype=int), np.array(sizes, dtype=int)
 
 
-def _node_values(times, lam, w, firsts, sizes, labels, spacing, nodes) -> np.ndarray:
+def _node_values(times, lam, w, firsts, sizes, h, x) -> np.ndarray:
     """f(t) = sum_j w_j exp(-i lam_j t) at t_{n-1} + (h, x_1, ..., x_m) on each row n
-    of the blocks (firsts, sizes) of _blocks, labels their spacings (h = spacing[s],
-    x the nodes[s] Gauss-Legendre nodes in [0, h]), as row n of a T x (1 + max m)
-    array; f(t_n) comes first.  exp(-i lam (t_b + r h + x)) = exp(-i lam t_b)
-    exp(-i lam r h) exp(-i lam x): one row per block start, one table of r h per
-    spacing and one product per batch of blocks."""
-    values = np.zeros((times.size, 1 + nodes[labels].max(initial=0)), dtype=complex)
-    for s in np.flatnonzero(np.bincount(labels, minlength=spacing.size)):
-        h, m = spacing[s], nodes[s]
-        first, size = firsts[labels == s], sizes[labels == s]
-        table = _phases(np.arange(size.max()) * h, -lam)  # (R, N+1)
-        weighted = _phases(np.append(h, _interval_nodes(h, m)[0]), -lam).T * w[:, None]
-        r = np.arange(table.shape[0])[:, None]
-        per = max(1, _CHUNK_BYTES // (16 * lam.size * (m + 1)))  # blocks per product
-        for lo in range(0, first.size, per):
-            starts = _phases(times[first[lo:lo + per] - 1], -lam)
-            batch = (starts.T[:, :, None] * weighted[:, None, :]).reshape(lam.size, -1)
-            vals = (table @ batch).reshape(r.size, -1, m + 1)
-            held = r < size[lo:lo + per]
-            values[(first[lo:lo + per] + r)[held], :m + 1] = vals[held]
+    of the blocks (firsts, sizes) of _blocks, as row n of a T x (1 + m) array; f(t_n)
+    comes first.  exp(-i lam (t_b + r h + x)) = exp(-i lam t_b) exp(-i lam r h)
+    exp(-i lam x): one row per block start, one table of r h and one product per
+    batch of blocks."""
+    values = np.zeros((times.size, 1 + x.size), dtype=complex)
+    table = _phases(np.arange(sizes.max(initial=0)) * h, -lam)  # (R, N+1)
+    weighted = _phases(np.append(h, x), -lam).T * w[:, None]
+    r = np.arange(table.shape[0])[:, None]
+    per = max(1, _CHUNK_BYTES // (16 * lam.size * (x.size + 1)))  # blocks per product
+    for lo in range(0, firsts.size, per):
+        starts = _phases(times[firsts[lo:lo + per] - 1], -lam)
+        batch = (starts.T[:, :, None] * weighted[:, None, :]).reshape(lam.size, -1)
+        vals = (table @ batch).reshape(r.size, -1, x.size + 1)
+        held = r < sizes[lo:lo + per]
+        values[(firsts[lo:lo + per] + r)[held]] = vals[held]
     return values
 
 
@@ -334,30 +322,24 @@ class SpectralSolution:
         """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor
         rows.  u2 is one buffer, overwritten by the next chunk.
 
-        Anchor rows (_labels) come from the Cauchy product.  Any other row follows
+        Anchor rows (_spacing) come from the Cauchy product.  Any other row follows
         from the row before, in its chunk or the last one, by the Duhamel integral
         of f(s) = sum_j w_j exp(-i lam_j s) at Gauss-Legendre nodes (_node_values):
-        with h the spacing of row n, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
+        with h the one spacing, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
         - i gamma_k int_0^h exp(i d_k s) f(t_{n-1} + s) ds]."""
         lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
         n = lam.size
-        label, spacing, nodes, tol = _labels(
-            times, max(diag.max() - lam[0], lam[-1] - diag.min()))
+        anchor, h, m, tol = _spacing(times, max(diag.max() - lam[0], lam[-1] - diag.min()))
         size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))  # rows per chunk
-        firsts, sizes = _blocks(times, label, spacing, tol, size)
-        ends, labels = firsts + sizes, label[firsts]
-        values = _node_values(times, lam, self.v0 * self.coeff, firsts, sizes, labels,
-                              spacing, nodes)
-        marked = np.flatnonzero(label < 0)  # u at each in turn, one Cauchy pass per batch
+        firsts, sizes = _blocks(times, anchor, h, tol, size)
+        x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
+        values = _node_values(times, lam, self.v0 * self.coeff, firsts, sizes, h, x)
+        # the weighted -i gamma_k exp(i d_k x) of the nodes, and exp(-i d h)
+        quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
+        turn = np.exp(-1j * h * diag)
+        marked = np.flatnonzero(anchor)  # u at each in turn, one Cauchy pass per batch
         anchors = (u for batch in _row_blocks(marked.size, 2 * n)
                    for u in zip(*self._amplitudes(times[marked[batch]])))
-
-        @functools.lru_cache(maxsize=_MAX_RULES)
-        def rule(s):
-            """The weighted -i gamma_k exp(i d_k x) of the nodes of spacing s, exp(-i d h)."""
-            x, q = _interval_nodes(spacing[s], nodes[s])
-            return (-1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag))),
-                    np.exp(-1j * spacing[s] * diag))
 
         # g[1 + i] holds row lo + i of the chunk and g[0] the row before, carried over
         u2, g = np.empty((size, n)), np.empty((size + 1, n - 1), dtype=complex)
@@ -365,15 +347,14 @@ class SpectralSolution:
             lo, k = rows.start, min(rows.stop, times.size) - rows.start
             f = values[rows, 0]
             u2[:k, 0] = f.real ** 2 + f.imag ** 2
-            for i in np.flatnonzero(label[rows] < 0):
+            for i in np.flatnonzero(anchor[rows]):
                 re, im = next(anchors)
                 u2[i, 0] = re[0] * re[0] + im[0] * im[0]
                 g[1 + i].real, g[1 + i].imag = re[1:], im[1:]
             for b in range(*np.searchsorted(firsts, (lo, lo + k))):  # the chunk's blocks
-                s, a, z = labels[b], firsts[b] - lo, ends[b] - lo
-                quad, turn = rule(s)
+                a, z = firsts[b] - lo, firsts[b] + sizes[b] - lo
                 # -i gamma_k times the integrals
-                np.matmul(values[lo + a:lo + z, 1:1 + nodes[s]], quad, out=g[1 + a:1 + z])
+                np.matmul(values[lo + a:lo + z, 1:], quad, out=g[1 + a:1 + z])
                 for i in range(a, z):
                     g[1 + i] += g[i]
                     g[1 + i] *= turn
@@ -499,6 +480,11 @@ def evolve_exact(gen: Arrowhead, times, u0=None) -> AmplitudeTrajectory:
     return spectral_solution(gen, times, u0).trajectory()
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """The RK4 steps of dt until t >= t_end: a ratio 1e-9 over an integer is rounding."""
+    return int(math.ceil(t_end / dt - 1e-9))
+
+
 def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
                sample_every: int = 1, u0=None) -> AmplitudeTrajectory:
     """Classical fixed-step RK4 integration of du/dt = -iAu, O(N) per stage.
@@ -517,7 +503,7 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
 
-    n_steps = 0 if t_end == 0 else int(math.ceil(t_end / dt - 1e-9))
+    n_steps = _step_count(t_end, dt)
     times = np.zeros(1 - (-n_steps // sample_every))
     states = np.empty((times.size, gen.diag.size + 1), dtype=complex)
     states[0] = _initial_state(states.shape[1], u0)

@@ -23,7 +23,7 @@ from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
                     banded_blocks, build_bath_grid, centered_bipartition,
                     interleaved_bipartition, normalize_superposition)
 from .observables import ExcitationProfile, _excitation_profiles, excitation_profile
-from .propagation import build_generator, evolve_rk4, spectral_solution
+from .propagation import _step_count, build_generator, evolve_rk4, spectral_solution
 from .wootters import oracle_residuals
 
 __all__ = [
@@ -85,15 +85,17 @@ class Scenario:
             raise ValueError(f"emit {self.emit!r} needs a partition scheme")
         if self.emit == "concurrence" and self.superposition is None:
             raise ValueError("emit 'concurrence' needs superposition parameters")
+        if not isinstance(self.svg, bool):  # bool() would read "no" as True
+            raise ValueError(f"svg must be true or false, got {self.svg!r}")
 
     def partition_spec(self, grid: BathGrid) -> PartitionSpec | None:
         params = self.partition_params
         if self.partition_scheme == "none":
             return None
         if self.partition_scheme == "centered":
-            spec = centered_bipartition(grid, int(params["size_b"]))
+            spec = centered_bipartition(grid, _integer("size_b", params["size_b"]))
         elif self.partition_scheme == "banded":
-            spec = banded_blocks(grid, int(params["n_blocks"]))
+            spec = banded_blocks(grid, _integer("n_blocks", params["n_blocks"]))
         elif self.partition_scheme == "interleaved":
             spec = interleaved_bipartition(grid)
         else:
@@ -108,10 +110,8 @@ class Scenario:
         return np.linspace(0.0, self.t_end, self.samples)
 
     def rk4_sample_every(self) -> int:
-        n_steps = max(1, int(math.ceil(self.t_end / self.dt - 1e-9)))
-        if self.samples <= 1:
-            return n_steps
-        return max(1, int(round(n_steps / (self.samples - 1))))
+        n_steps = max(1, _step_count(self.t_end, self.dt))
+        return n_steps if self.samples <= 1 else max(1, round(n_steps / (self.samples - 1)))
 
 
 def _as_complex(value) -> complex:
@@ -135,6 +135,13 @@ def _reject_unknown(section: str, doc: dict, allowed) -> None:
                          f"allowed: {', '.join(allowed)}")
 
 
+def _integer(key: str, value) -> int:
+    """value as an int: a bool or a fraction raises, where int() reads 1, 0 or cuts it."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a JSON-compatible document; unknown keys raise."""
     if "scenario" in doc:  # accept a previously written manifest
@@ -150,12 +157,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _reject_unknown("system", sysd, ("n_bath", "coupling_amplitude", "band", "omega0",
                                          "couplings", "force_resonant"))
         system = SystemConfig(
-            n_bath=int(sysd["n_bath"]),
+            n_bath=_integer("n_bath", sysd["n_bath"]),
             coupling_amplitude=float(sysd.get("coupling_amplitude", 0.1)),
             band=tuple(float(v) for v in sysd.get("band", (0.5, 1.5))),
             omega0=float(sysd.get("omega0", 1.0)),
             couplings=tuple(sysd["couplings"]) if "couplings" in sysd else None,
-            force_resonant=bool(sysd.get("force_resonant", False)),
+            force_resonant=sysd.get("force_resonant", False),
         )
     except KeyError as exc:
         raise ValueError(f"configuration is missing required key {exc}") from exc
@@ -176,9 +183,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     timed = doc.get("time", {})
     _reject_unknown("time", timed, ("t_end", "dt", "samples"))
-    t_end = float(timed.get("t_end", 100.0))
-    dt = float(timed.get("dt", 0.01))
-    samples = int(timed.get("samples", 2000))
 
     emit = doc.get("emit")
     if emit is None:  # the richest output the partition and superposition allow
@@ -191,13 +195,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         superposition=init,
         partition_scheme=scheme,
         partition_params=params,
-        t_end=t_end,
-        dt=dt,
-        samples=samples,
+        t_end=float(timed.get("t_end", 100.0)),
+        dt=float(timed.get("dt", 0.01)),
+        samples=_integer("samples", timed.get("samples", 2000)),
         method=str(doc.get("method", "exact")),
         emit=str(emit),
         out_dir=doc.get("out_dir"),
-        svg=bool(doc.get("svg", False)),
+        svg=doc.get("svg", False),
     )
 
 
@@ -328,8 +332,8 @@ def _setup(s: Scenario, out_dir, sizes_b=None):
     partition and emit 'concurrence' on a partition that is not a bipartition
     raise before the mkdir."""
     if s.method != "exact":  # evolve_rk4 keeps every sample of the (N+1)-mode state
-        n_steps = math.ceil(s.t_end / s.dt - 1e-9)
-        held = (n_steps // s.rk4_sample_every() + 2) * (s.system.n_bath + 1) * 16
+        rows = 1 - (-_step_count(s.t_end, s.dt) // s.rk4_sample_every())
+        held = rows * (s.system.n_bath + 1) * 16
         if held > _MAX_STATE_BYTES:
             raise ValueError(f"method {s.method!r} would hold {held / 2 ** 30:.2f} GiB of RK4 "
                              f"samples, over the {_MAX_STATE_BYTES / 2 ** 30:g} GiB budget; "
@@ -429,7 +433,7 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     if base.method != "exact":
         raise ValueError(f"a sweep propagates with method 'exact'; the base has {base.method!r}")
     name = str(doc.get("name", f"{base.name}_sweep"))
-    sizes = [int(v) for v in doc.get("sizes_b", [100, 500, 900])]
+    sizes = [_integer("sizes_b", v) for v in doc.get("sizes_b", [100, 500, 900])]
     overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]
     if not sizes or not overlaps:
         raise ValueError("a sweep needs at least one entry in sizes_b and in overlaps")

@@ -175,6 +175,36 @@ class TestScenarioParsing:
         assert manifest.status == "ok"
         assert scenario_from_dict(saved) == s
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("system", "n_bath", 40.7, "n_bath must be an integer"),
+        ("system", "n_bath", True, "n_bath must be an integer"),
+        ("time", "samples", 50.5, "samples must be an integer"),
+        ("partition", "size_b", 10.9, "size_b must be an integer"),
+        ("partition", None, {"scheme": "banded", "n_blocks": 4.5}, "n_blocks must be an integer"),
+        ("system", "force_resonant", "false", "force_resonant must be true or false"),
+        (None, "svg", "no", "svg must be true or false")])
+    def test_values_the_run_would_change_exit_bad_input(self, tmp_path, capsys, section, key,
+                                                        value, message):
+        doc = json.loads(json.dumps(SMALL_DOC))
+        if key is None:
+            doc[section] = value
+        else:
+            (doc if section is None else doc[section])[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_are_integers(self):
+        doc = json.loads(json.dumps(SMALL_DOC))
+        doc["system"]["n_bath"], doc["time"]["samples"] = 40.0, 50.0
+        doc["partition"]["size_b"] = 10.0
+        s = scenario_from_dict(doc)
+        assert (s.system.n_bath, s.samples) == (40, 50)
+        from oscbath import build_bath_grid
+        assert s.partition_spec(build_bath_grid(s.system)).blocks[0] == tuple(range(16, 26))
+
     def test_explicit_partition(self):
         doc = dict(SMALL_DOC)
         doc["partition"] = {"scheme": "explicit",
@@ -554,6 +584,16 @@ class TestCli:
         assert f"key(s) {key};" in captured.err
         assert "residual" not in captured.out
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_bath", 60.5), ("samples", 41.2), ("size_b", 6.5), ("draws", 10.5), ("seed", True)])
+    def test_verify_non_integer_config_exits_bad_input(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"n_bath": 60, "samples": 41, "draws": 10, key: value}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"{key} must be an integer" in captured.err
+        assert "residual" not in captured.out
+
     def test_verify_coarse_step_fails(self, tmp_path, capsys):
         cfg = tmp_path / "verify.json"
         cfg.write_text(json.dumps({"n_bath": 60, "samples": 41, "draws": 10,
@@ -617,7 +657,9 @@ class TestCli:
         ({"sizes_b": [10], "overlaps": []}, "at least one"),
         ({"sizes_b": [10, 20, 10], "overlaps": [0.5]}, "repeats"),
         ({"sizes_b": [0], "overlaps": [0.5]}, "size_b must be in"),
-        ({"sizes_b": [10, 41], "overlaps": [0.5]}, "size_b must be in")])
+        ({"sizes_b": [10, 41], "overlaps": [0.5]}, "size_b must be in"),
+        ({"sizes_b": [10.5], "overlaps": [0.5]}, "sizes_b must be an integer"),
+        ({"sizes_b": [True], "overlaps": [0.5]}, "sizes_b must be an integer")])
     def test_sweep_bad_grid_exits_bad_input_before_output(self, tmp_path, capsys,
                                                           grid, message):
         cfg = tmp_path / "sweep.json"
@@ -671,6 +713,19 @@ class TestCli:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_rk4_budget_counts_the_rows_evolve_rk4_holds(self, tmp_path):
+        from oscbath.scenarios import _MAX_STATE_BYTES, _setup
+        # 1023 steps, each one sampled, are 1024 rows of 2^16 modes: 2^30 bytes,
+        # the budget itself; one step more is over it
+        doc = {**SMALL_DOC, "system": {**SMALL_DOC["system"], "n_bath": 2 ** 16 - 1},
+               "time": {"t_end": 1023.0, "samples": 1024, "dt": 1.0}, "method": "rk4"}
+        assert 1024 * 2 ** 16 * 16 == _MAX_STATE_BYTES
+        _setup(scenario_from_dict(doc), tmp_path / "fits")
+        doc["time"] = {"t_end": 1024.0, "samples": 1025, "dt": 1.0}
+        with pytest.raises(ValueError, match="budget"):
+            _setup(scenario_from_dict(doc), tmp_path / "over")
+        assert not (tmp_path / "over").exists()
 
     def test_simulate_and_sweep_print_the_same_report(self, tmp_path, capsys):
         import hashlib

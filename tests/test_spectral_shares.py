@@ -9,12 +9,15 @@ indicator product for the sums), so the bound is 1e-14 rather than
 equality.
 """
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import dense_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscbath import (Arrowhead, BathGrid, PartitionSpec, SystemConfig, banded_blocks,
                      build_bath_grid, build_generator, centered_bipartition,
@@ -121,9 +124,9 @@ def test_single_sample(small_grid, chunking, times):
 
 
 def test_reference_scale_sweep_groups(reference_gen, reference_grid):
-    # 2000 rows are 7 full chunks of 261 rows (the default budget at N = 1000)
-    # and one of 173
-    assert propagation._CHUNK_BYTES // (8 * 1001) == 261
+    # 2000 rows are 15 full share chunks of 130 complex rows (the default budget
+    # at N = 1000) and one of 50
+    assert propagation._CHUNK_BYTES // (16 * 1001) == 130
     times = np.linspace(0.0, 100.0, 2000)
     partitions = [centered_bipartition(reference_grid, size) for size in (100, 500, 900)]
     _assert_profiles(reference_gen, times, partitions)
@@ -177,11 +180,18 @@ def _reach(solution, h):
     return h * max(solution.diag.max() - solution.lam[0], solution.lam[-1] - solution.diag.min())
 
 
-def _kernel_blocks(solution, times):
-    """The labels, spacings and blocks share_chunks takes for times."""
-    label, spacing, nodes, tol = propagation._labels(times, _reach(solution, 1.0))
-    limit = propagation._CHUNK_BYTES // (16 * solution.lam.size)
-    return label, spacing, propagation._blocks(times, label, spacing, tol, limit)
+@functools.cache
+def _small_solution():
+    """The modes of the N = 40 generator of the small_grid fixture."""
+    return spectral_solution(build_generator(build_bath_grid(SystemConfig(n_bath=40))), [0.0])
+
+
+def _kernel_blocks(solution, times, limit=None):
+    """The anchors, spacing, node count and blocks share_chunks takes for times,
+    its blocks cut every limit rows (by default, at its chunk ends)."""
+    anchor, h, m, tol = propagation._spacing(times, _reach(solution, 1.0))
+    limit = limit or propagation._CHUNK_BYTES // (16 * solution.lam.size)
+    return anchor, h, m, propagation._blocks(times, anchor, h, tol, limit)
 
 
 @pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
@@ -198,11 +208,10 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     c = np.exp(2j * np.pi * np.random.default_rng(5).random(lam.size))  # |c_j| = 1
     lam_t = np.abs(lam).max() * np.abs(times).max()
     assert lam_t >= 25.0
-    label, spacing, (firsts, sizes) = _kernel_blocks(solution, times)
-    assert sizes.sum() == np.count_nonzero(label >= 0)  # every integrated row, once
+    anchor, h, _, (firsts, sizes) = _kernel_blocks(solution, times)
+    assert sizes.sum() == np.count_nonzero(~anchor)  # every integrated row, once
     worst = 0.0
     for first, size in zip(firsts, sizes):
-        h = spacing[label[first]]
         lead = propagation._phases(times[first - 1:first], -lam) * propagation._phases(
             [h], -lam) * c
         got = propagation._phases(np.arange(size) * h, -lam) * lead
@@ -309,8 +318,23 @@ def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, anchor_ro
     solution = spectral_solution(reference_gen, times)
     excitation_profile(solution, centered_bipartition(reference_grid, 100))
     assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS) == 8
-    label, spacing, _ = _kernel_blocks(solution, times)
-    assert np.unique(spacing[label[label >= 0]]).size == 1
+    anchor, _, m, _ = _kernel_blocks(solution, times)
+    assert m == 4
+    assert np.array_equal(np.flatnonzero(anchor),
+                          np.arange(0, times.size, propagation._ANCHOR_ROWS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(0.0, 1e4), t_end=st.floats(1e-3, 1e3), size=st.integers(2, 3000),
+       limit=st.integers(1, 4000))
+def test_linspace_grids_take_one_spacing(t0, t_end, size, limit):
+    # a linspace grid fine enough to integrate takes one spacing: its anchors are
+    # row 0 and every _ANCHOR_ROWS-th row, and no row strays from t_b + r h
+    times = np.linspace(t0, t0 + t_end, size)
+    anchor, _, m, (firsts, _) = _kernel_blocks(_small_solution(), times, limit)
+    if m > 0:
+        assert np.count_nonzero(anchor) == math.ceil(size / propagation._ANCHOR_ROWS)
+        assert np.all(anchor[firsts - 1] | (firsts % limit == 0))
 
 
 _RESTART_GRIDS = {
@@ -329,31 +353,31 @@ def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
                    _dense_reference(gen, times, groups=part.blocks))
-    # only every _ANCHOR_ROWS-th row is an anchor: the others are integrated
-    assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS)
-    label, spacing, (firsts, _) = _kernel_blocks(solution, times)
-    assert np.unique(spacing[label[label >= 0]]).size == {"drifting": 1, "two spacings": 2}[grid]
+    anchor, h, _, (firsts, _) = _kernel_blocks(solution, times)
+    if grid == "drifting":
+        # only every _ANCHOR_ROWS-th row is an anchor: the others are integrated
+        assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS)
+    else:
+        # the 150 increments of 0.05 set the spacing; row 0 and the 100 rows of
+        # the minority spacing 0.2 are anchors
+        assert abs(h - 0.05) < 1e-14
+        assert sum(anchor_rows) == np.count_nonzero(anchor) == 1 + 100
+        assert np.all(anchor[:101]) and not np.any(anchor[101:])
     if grid == "drifting" and chunking == "default":
         # the grid is one chunk, so a block that starts right after an integrated
         # row was started by a row that strayed from t_b + r h
-        assert np.any(label[firsts - 1] >= 0)
+        assert np.any(~anchor[firsts - 1])
 
 
-def test_rule_cache_is_bounded(reference_gen, reference_grid):
+def test_many_spacings_hold_bounded_memory(reference_gen, reference_grid):
     # 200 distinct increments, each three times in a row, all multiples of
-    # 2^-12 so that the differences of the sampled times are exact
+    # 2^-12 so that the differences of the sampled times are exact; the rows
+    # off the one spacing are anchors, a batch of Cauchy rows at a time
     steps = np.repeat((64.0 + np.arange(200)) / 4096.0, 3)
     times = np.concatenate(([0.0], np.cumsum(steps)))
     assert np.unique(np.diff(times)).size == 200
     solution = spectral_solution(reference_gen, times)
-    reach = steps[::3] * max(solution.diag.max() - solution.lam[0],
-                             solution.lam[-1] - solution.diag.min())
-    nodes = propagation._node_counts(reach)
-    assert np.all(nodes > 0)
-    # each rule holds (m + 1)(N + 1) + m N + N complex numbers
-    all_rules = int(np.sum(((nodes + 1) * 1001 + (nodes + 1) * 1000) * 16))
     bound = 20 * 2 ** 20  # fixed before the first run
-    assert all_rules > bound
     part = centered_bipartition(reference_grid, 100)
     tracemalloc.start()
     try:
