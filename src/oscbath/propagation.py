@@ -1,7 +1,7 @@
 """Amplitude dynamics of the coupled system.
 
-The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u with a real
-symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two
+The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u from u(0) = e_0
+with a real symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two
 independent solvers are provided: a spectral propagator (normal modes from
 the secular equation, exact unitary evolution in chunks of time rows) and a
 fixed-step classical RK4 integrator to cross-check it.  For du/dt = Zu,
@@ -53,14 +53,10 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
-    """Sampled amplitude vectors u(t) = (f(t), g_1(t), ..., g_N(t)).
-
-    method is "exact" (spectral) or "rk4".
-    """
+    """Sampled amplitude vectors u(t) = (f(t), g_1(t), ..., g_N(t))."""
 
     times: np.ndarray
     states: np.ndarray
-    method: str
 
     def __post_init__(self):
         times = _readonly(np.asarray(self.times, dtype=float).view())  # views, no copy
@@ -130,19 +126,12 @@ def _phases(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
 
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of exp(-i lam t) c, stacked as (2, times, lam):
-    (cos c_r + sin c_i) + i (cos c_i - sin c_r), cos + i sin = exp(i lam t)."""
+    """Real and imaginary parts of exp(-i lam t) c for a real c, stacked as
+    (2, times, lam): cos c - i sin c, cos + i sin = exp(i lam t)."""
     phases = _phases(times, lam)
-    # c enters by separate real products, so scaling u0 by a power of two scales the
-    # result exactly
-    cos, sin = phases.real, phases.imag
-    c_r, c_i = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
     parts = np.empty((2, *phases.shape))
-    re, im = parts
-    np.multiply(cos, c_r, out=re)
-    re += np.multiply(sin, c_i, out=im)
-    np.multiply(cos, c_i, out=im)
-    im -= np.multiply(sin, c_r, out=sin)
+    np.multiply(phases.real, c, out=parts[0])
+    np.multiply(phases.imag, -c, out=parts[1])
     return parts
 
 
@@ -253,24 +242,12 @@ def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray):
         yield rows, np.reciprocal(block, out=block)
 
 
-def _coefficients(pole, tau, v0, gamma, diag, u0) -> np.ndarray:
-    """c = V^T u0: c_j = v0_j (u0_0 + sum_k gamma_k u0_k / (lam_j - d_k)),
-    from one real product per Cauchy block."""
-    x = gamma * u0[1:]
-    pair, acc = np.stack((x.real, x.imag), axis=1), np.empty((v0.size, 2))
-    for rows, block in _cauchy_blocks(pole, tau, diag):
-        np.matmul(block, pair, out=acc[rows])
-    coeff = np.empty(v0.size, dtype=complex)
-    coeff.real, coeff.imag = v0 * (u0[0].real + acc[:, 0]), v0 * (u0[0].imag + acc[:, 1])
-    return coeff
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralSolution:
-    """u(t) = V exp(-i Lambda t) c with c = V^T u(0) at `times`, for the
-    arrowhead A = V diag(lam) V^T with couplings gamma and bath diagonal diag.
+    """u(t) = V exp(-i Lambda t) V^T e_0 at `times`, from the paper's u(0) = e_0,
+    for the arrowhead A = V diag(lam) V^T with couplings gamma and bath diagonal diag.
     Each eigenvalue lam_j = pole_j + tau_j (ascending) is held as its nearer
-    pole plus tau; V is never formed, only its first row v0 is kept:
+    pole plus tau; V is never formed, only its first row v0 = V^T e_0 is kept:
     v_kj = gamma_k v0_j / (lam_j - d_k).  `chunks` evaluates blocks of time
     rows and `share_chunks` their |u|^2; only evolve_exact keeps the full
     T x (N+1) state."""
@@ -279,7 +256,6 @@ class SpectralSolution:
     pole: np.ndarray
     tau: np.ndarray
     v0: np.ndarray
-    coeff: np.ndarray
     gamma: np.ndarray
     diag: np.ndarray
 
@@ -293,9 +269,9 @@ class SpectralSolution:
 
     def _amplitudes(self, times: np.ndarray) -> np.ndarray:
         """Real and imaginary parts of u(times), stacked as (2, times, N+1): with
-        p = exp(-i lam t) v0 c, f = sum_j p_j and g_k = gamma_k sum_j p_j / (lam_j - d_k),
+        p = exp(-i lam t) v0^2, f = sum_j p_j and g_k = gamma_k sum_j p_j / (lam_j - d_k),
         from one pass over the Cauchy blocks; re and im take separate real products."""
-        parts = _scaled_phases(times, self.lam, self.v0 * self.coeff)
+        parts = _scaled_phases(times, self.lam, self.v0 * self.v0)
         out, part = np.zeros_like(parts), None
         np.sum(parts, axis=2, out=out[:, :, 0])
         for rows, block in _cauchy_blocks(self.pole, self.tau, self.diag):
@@ -316,7 +292,7 @@ class SpectralSolution:
         states = np.empty((self.times.size, self.v0.size), dtype=complex)
         for rows, re, im in self.chunks():
             states[rows].real, states[rows].imag = re, im
-        return AmplitudeTrajectory(self.times, states, "exact")
+        return AmplitudeTrajectory(self.times, states)
 
     def share_chunks(self):
         """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor
@@ -333,7 +309,7 @@ class SpectralSolution:
         size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))  # rows per chunk
         firsts, sizes = _blocks(times, anchor, h, tol, size)
         x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
-        values = _node_values(times, lam, self.v0 * self.coeff, firsts, sizes, h, x)
+        values = _node_values(times, lam, self.v0 * self.v0, firsts, sizes, h, x)
         # the weighted -i gamma_k exp(i d_k x) of the nodes, and exp(-i d h)
         quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
         turn = np.exp(-1j * h * diag)
@@ -442,20 +418,9 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
     return origin, tau, 1.0 / np.sqrt(1.0 + _secular_sums(d, g2, origin, tau)[1])
 
 
-def _initial_state(n: int, u0) -> np.ndarray:
-    if u0 is None:
-        u = np.zeros(n, dtype=complex)
-        u[0] = 1.0
-        return u
-    u = np.array(u0, dtype=complex)
-    if u.shape != (n,):
-        raise ValueError(f"u0 must have length {n}")
-    return u
-
-
-def spectral_solution(gen: Arrowhead, times, u0=None) -> SpectralSolution:
-    """The normal modes of the symmetric arrowhead gen, sampled at times;
-    raises ValueError for a degenerate or asymmetric gen."""
+def spectral_solution(gen: Arrowhead, times) -> SpectralSolution:
+    """The normal modes of the symmetric arrowhead gen, sampled at times, from
+    u(0) = e_0; raises ValueError for a degenerate or asymmetric gen."""
     gen = _arrow(gen)
     if not np.array_equal(gen.row, gen.col):
         raise ValueError("generator is not symmetric; refusing to eigendecompose")
@@ -466,18 +431,14 @@ def spectral_solution(gen: Arrowhead, times, u0=None) -> SpectralSolution:
         raise ValueError("times must start at t >= 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    pole, tau, v0 = _arrowhead_eigh(gen.a00, gen.row, gen.diag)
-    if u0 is None:  # u0 = e_0: c = V^T e_0 = v0
-        coeff = v0.astype(complex)
-    else:
-        coeff = _coefficients(pole, tau, v0, gen.row, gen.diag, _initial_state(v0.size, u0))
-    return SpectralSolution(times, pole, tau, v0, coeff, gen.row, gen.diag)
+    return SpectralSolution(times, *_arrowhead_eigh(gen.a00, gen.row, gen.diag),
+                            gen.row, gen.diag)
 
 
-def evolve_exact(gen: Arrowhead, times, u0=None) -> AmplitudeTrajectory:
-    """Unitary evolution u(t) = V exp(-i Lambda t) V^T u(0): the materialised
-    state of spectral_solution(gen, times, u0).  Norm is conserved to roundoff."""
-    return spectral_solution(gen, times, u0).trajectory()
+def evolve_exact(gen: Arrowhead, times) -> AmplitudeTrajectory:
+    """Unitary evolution u(t) = V exp(-i Lambda t) V^T e_0: the materialised
+    state of spectral_solution(gen, times).  Norm is conserved to roundoff."""
+    return spectral_solution(gen, times).trajectory()
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -486,14 +447,14 @@ def _step_count(t_end: float, dt: float) -> int:
 
 
 def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
-               sample_every: int = 1, u0=None) -> AmplitudeTrajectory:
-    """Classical fixed-step RK4 integration of du/dt = -iAu, O(N) per stage.
+               sample_every: int = 1) -> AmplitudeTrajectory:
+    """Classical fixed-step RK4 integration of du/dt = -iAu from e_0, O(N) per stage.
 
     The first row and column of the arrowhead gen apply as given.
     Steps dt until t >= t_end; samples every sample_every steps plus the
     final step.  Stability guideline: dt <= 0.05 / gershgorin_bound(gen).
-    Raises IntegrationFailure once the sampled norm drifts from its initial
-    value by more than RK4_NORM_LIMIT.
+    Raises IntegrationFailure once the sampled norm drifts from 1 by more
+    than RK4_NORM_LIMIT.
     """
     gen = _arrow(gen)
     if dt <= 0:
@@ -506,8 +467,7 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
     n_steps = _step_count(t_end, dt)
     times = np.zeros(1 - (-n_steps // sample_every))
     states = np.empty((times.size, gen.diag.size + 1), dtype=complex)
-    states[0] = _initial_state(states.shape[1], u0)
-    norm0 = float(np.sum(np.abs(states[0]) ** 2))
+    states[0, 0], states[0, 1:] = 1.0, 0.0
     stages = [tuple(-1j * dt / k * piece for piece in gen) for k in (4, 3, 2, 1)]
     f, g = states[0, 0], states[0, 1:].copy()
     w, col_term = np.empty_like(g), np.empty_like(g)
@@ -525,15 +485,19 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
         if step % sample_every == 0 or step == n_steps:
             i = -(-step // sample_every)
             times[i], states[i, 0], states[i, 1:] = step * dt, f, g
-            drift = abs(norm0 - float(np.sum(np.abs(states[i]) ** 2)))
+            drift = float(_norm_drift(states[i]))
             if drift > RK4_NORM_LIMIT:
                 raise IntegrationFailure(
                     f"norm drift {drift:.3e} at t={step * dt:g} exceeds {RK4_NORM_LIMIT:g}; "
                     f"reduce dt (guideline dt <= {0.05 / gershgorin_bound(gen):.3g})")
-    return AmplitudeTrajectory(times, states, "rk4")
+    return AmplitudeTrajectory(times, states)
+
+
+def _norm_drift(states: np.ndarray) -> np.ndarray:
+    """|1 - sum_i |u_i|^2| of each state along the last axis."""
+    return np.abs(1.0 - np.sum(np.abs(states) ** 2, axis=-1))
 
 
 def norm_residual(traj: AmplitudeTrajectory) -> float:
     """max_t |1 - sum_i |u_i(t)|^2| over the sampled trajectory."""
-    norms = np.sum(np.abs(traj.states) ** 2, axis=1)
-    return float(np.max(np.abs(1.0 - norms)))
+    return float(np.max(_norm_drift(traj.states)))

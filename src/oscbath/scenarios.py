@@ -93,14 +93,13 @@ class Scenario:
         if self.partition_scheme == "none":
             return None
         if self.partition_scheme == "centered":
-            spec = centered_bipartition(grid, _integer("size_b", params["size_b"]))
+            spec = centered_bipartition(grid, params["size_b"])
         elif self.partition_scheme == "banded":
-            spec = banded_blocks(grid, _integer("n_blocks", params["n_blocks"]))
+            spec = banded_blocks(grid, params["n_blocks"])
         elif self.partition_scheme == "interleaved":
             spec = interleaved_bipartition(grid)
         else:
-            spec = PartitionSpec(tuple(tuple(b) for b in params["blocks"]),
-                                 tuple(params["labels"]))
+            spec = PartitionSpec(params["blocks"], params["labels"])
             spec.validate_range(grid.n)
         return spec
 
@@ -180,6 +179,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     params = {k: v for k, v in part.items() if k != "scheme"}
     # an unknown scheme itself is reported by Scenario
     _reject_unknown(f"partition ({scheme})", params, _SCHEMES.get(scheme, params))
+    # integers and text, as the run reads them, so that the manifest echoes what ran
+    params.update({k: _integer(k, params[k]) for k in ("size_b", "n_blocks") if k in params})
+    if "blocks" in params:
+        params["blocks"] = [[_integer("block index", i) for i in b] for b in params["blocks"]]
+    if "labels" in params:
+        params["labels"] = [str(label) for label in params["labels"]]
 
     timed = doc.get("time", {})
     _reject_unknown("time", timed, ("t_end", "dt", "samples"))

@@ -87,35 +87,13 @@ class TestEvolveExact:
         assert abs(reference_traj.f[-1]) ** 2 < 0.01
 
     def test_time_reversal(self, small_grid):
+        # for a real A, exp(iAt) e_0 = conj(exp(-iAt) e_0): the negated generator
+        # runs the same state backwards in time
         gen = build_generator(small_grid)
-        forward = evolve_exact(gen, [0.0, 7.3])
-        # the propagator for -t is the propagator of the negated generator
-        negated = Arrowhead(-gen.a00, -gen.row, -gen.col, -gen.diag)
-        back = evolve_exact(negated, [0.0, 7.3], u0=forward.states[-1])
-        unit = np.zeros(small_grid.n + 1, dtype=complex)
-        unit[0] = 1.0
-        assert np.abs(back.states[-1] - unit).max() < 1e-9
-
-    def test_linearity_exact_for_power_of_two_scales(self, small_grid):
-        gen = build_generator(small_grid)
-        times = np.linspace(0.0, 5.0, 11)
-        base = evolve_exact(gen, times)
-        n = small_grid.n + 1
-        for scale in (2.0, 0.5, 2.0j, -2.0):
-            u0 = np.zeros(n, dtype=complex)
-            u0[0] = scale
-            scaled = evolve_exact(gen, times, u0=u0)
-            assert np.array_equal(scaled.states, scale * base.states)
-
-    def test_linearity_general_scale(self, small_grid):
-        gen = build_generator(small_grid)
-        times = np.linspace(0.0, 5.0, 11)
-        base = evolve_exact(gen, times)
-        n = small_grid.n + 1
-        u0 = np.zeros(n, dtype=complex)
-        u0[0] = 0.3 - 0.7j
-        scaled = evolve_exact(gen, times, u0=u0)
-        assert np.abs(scaled.states - u0[0] * base.states).max() < 1e-13
+        times = np.linspace(0.0, 40.0, 50)
+        forward = evolve_exact(gen, times)
+        back = evolve_exact(Arrowhead(-gen.a00, -gen.row, -gen.col, -gen.diag), times)
+        assert np.abs(back.states - forward.states.conj()).max() < 1e-14
 
     def test_rejects_asymmetric_generator(self, small_grid):
         gen = build_generator(small_grid)
@@ -255,7 +233,7 @@ class TestAmplitudeTrajectory:
     def test_states_are_a_read_only_view(self):
         states = np.zeros((2, 3), dtype=complex)
         states[:, 0] = 1.0
-        traj = AmplitudeTrajectory(np.array([0.0, 1.0]), states, "exact")
+        traj = AmplitudeTrajectory(np.array([0.0, 1.0]), states)
         assert np.shares_memory(traj.states, states)
         assert not traj.states.flags.writeable
         assert states.flags.writeable
@@ -265,7 +243,7 @@ class TestAmplitudeTrajectory:
 
 class TestNormResidual:
     def test_exactly_zero_for_unit_sample(self):
-        traj = AmplitudeTrajectory([0.0], [[1.0 + 0j, 0.0, 0.0]], "exact")
+        traj = AmplitudeTrajectory([0.0], [[1.0 + 0j, 0.0, 0.0]])
         assert norm_residual(traj) == 0.0
 
     def test_roundoff_at_t0_evolution(self, two_mode_grid):

@@ -30,11 +30,23 @@ def test_all_is_the_union_of_the_layers():
 
 @pytest.mark.parametrize("name", ["mean_excitations", "OverlapSeries",
                                   "branch_overlap_series", "coherent_overlap",
-                                  "TwoQubitDensityMatrix"])
+                                  "TwoQubitDensityMatrix", "spin_flip", "product_eigenvalues",
+                                  "factored_product_eigenvalues"])
 def test_deleted_names_are_gone(name):
     with pytest.raises(ImportError):
         exec(f"from oscbath import {name}")
     assert not any(hasattr(_layer(layer), name) for layer in LAYERS)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gen: oscbath.spectral_solution(gen, [0.0], u0=None),
+    lambda gen: oscbath.evolve_exact(gen, [0.0], u0=None),
+    lambda gen: oscbath.evolve_rk4(gen, 0.1, 0.01, u0=None)])
+def test_propagators_take_no_initial_state(call):
+    # every propagation starts from the paper's u(0) = e_0
+    gen = oscbath.build_generator(oscbath.build_bath_grid(oscbath.SystemConfig(n_bath=4)))
+    with pytest.raises(TypeError, match="u0"):
+        call(gen)
 
 
 def test_superposition_has_no_overlap_property():

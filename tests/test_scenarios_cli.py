@@ -181,6 +181,13 @@ class TestScenarioParsing:
         ("time", "samples", 50.5, "samples must be an integer"),
         ("partition", "size_b", 10.9, "size_b must be an integer"),
         ("partition", None, {"scheme": "banded", "n_blocks": 4.5}, "n_blocks must be an integer"),
+        # int() would cut 1.5 and True to 1, and the run would go ahead on blocks it was not given
+        ("partition", None, {"scheme": "explicit", "labels": ["B", "C"],
+                             "blocks": [[1.5, *range(2, 11)], list(range(11, 41))]},
+         "block index must be an integer"),
+        ("partition", None, {"scheme": "explicit", "labels": ["B", "C"],
+                             "blocks": [[True, *range(2, 11)], list(range(11, 41))]},
+         "block index must be an integer"),
         ("system", "force_resonant", "false", "force_resonant must be true or false"),
         (None, "svg", "no", "svg must be true or false")])
     def test_values_the_run_would_change_exit_bad_input(self, tmp_path, capsys, section, key,
@@ -204,6 +211,15 @@ class TestScenarioParsing:
         assert (s.system.n_bath, s.samples) == (40, 50)
         from oscbath import build_bath_grid
         assert s.partition_spec(build_bath_grid(s.system)).blocks[0] == tuple(range(16, 26))
+
+    def test_integral_floats_save_the_config_hash_of_integers(self, tmp_path):
+        doc = json.loads(json.dumps(SMALL_DOC))
+        hashes = set()
+        for size_b in (10, 10.0):
+            doc["partition"]["size_b"] = size_b
+            manifest = run_scenario(scenario_from_dict(doc), out_dir=tmp_path / repr(size_b))
+            hashes.add(manifest.config_hash)
+        assert len(hashes) == 1
 
     def test_explicit_partition(self):
         doc = dict(SMALL_DOC)

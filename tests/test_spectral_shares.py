@@ -30,12 +30,10 @@ from oscbath.observables import _excitation_profiles
 TOL = 1e-14
 
 
-def _dense_reference(gen, times, u0=None, groups=()):
-    """xi, theta and the group sums of the old dense-state path."""
+def _dense_reference(gen, times, groups=()):
+    """xi, theta, the group sums and the states of the old dense-state path, from e_0."""
     lam, vec = np.linalg.eigh(dense_matrix(gen))
-    if u0 is None:
-        u0 = np.eye(len(lam))[0]
-    states = (np.exp(-1j * np.outer(times, lam)) * (vec.T @ u0)) @ vec.T
+    states = (np.exp(-1j * np.outer(times, lam)) * vec[0]) @ vec.T
     u2 = np.abs(states) ** 2
     # 1-based mode k is column k of the state
     sums = [u2[:, np.array(g, dtype=int)].sum(axis=1) for g in groups]
@@ -66,8 +64,11 @@ def test_partition_shares_match_dense_path(small_grid, chunking, scheme):
             "banded": banded_blocks(small_grid, 4),
             "interleaved": interleaved_bipartition(small_grid)}[scheme]
     chunked = excitation_profile(spectral_solution(gen, times), part)
-    _assert_shares(chunked, _dense_reference(gen, times, groups=part.blocks))
-    materialised = excitation_profile(evolve_exact(gen, times), part)
+    reference = _dense_reference(gen, times, groups=part.blocks)
+    _assert_shares(chunked, reference)
+    traj = evolve_exact(gen, times)
+    assert np.abs(traj.states - reference[3]).max() <= TOL
+    materialised = excitation_profile(traj, part)
     for name in ("xi", "theta", "theta_blocks"):
         assert np.abs(getattr(chunked, name) - getattr(materialised, name)).max() <= TOL
 
@@ -99,19 +100,6 @@ def test_overlapping_groups_in_one_call(small_grid, chunking):
     partitions = [centered_bipartition(small_grid, 10), centered_bipartition(small_grid, 30),
                   PartitionSpec(((20,),), ("X",))]
     _assert_profiles(build_generator(small_grid), times, partitions)
-
-
-def test_complex_initial_state(small_grid, chunking):
-    gen = build_generator(small_grid)
-    rng = np.random.default_rng(7)
-    u0 = rng.normal(size=small_grid.n + 1) + 1j * rng.normal(size=small_grid.n + 1)
-    u0 /= np.linalg.norm(u0)
-    times = np.linspace(0.0, 40.0, 50)
-    part = centered_bipartition(small_grid, 10)
-    solution = spectral_solution(gen, times, u0=u0)
-    reference = _dense_reference(gen, times, u0, part.blocks)
-    _assert_shares(excitation_profile(solution, part), reference)
-    assert np.abs(evolve_exact(gen, times, u0=u0).states - reference[3]).max() <= TOL
 
 
 @pytest.mark.parametrize("times", [[0.0], [3.7]])

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from spin_flip_oracles import factored_product_eigenvalues, product_eigenvalues, spin_flip
 
 from oscbath import (QubitEmbedding, build_density_matrix, build_generator,
                      centered_bipartition, concurrence_series, crosscheck,
-                     evolve_exact, excitation_profile, factored_product_eigenvalues,
-                     normalize_superposition, oracle_residuals,
-                     product_eigenvalues, qubit_embedding, spin_flip,
-                     wootters_concurrence)
+                     evolve_exact, excitation_profile, normalize_superposition,
+                     oracle_residuals, qubit_embedding, wootters_concurrence)
 
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 
