@@ -5,9 +5,8 @@ with a real symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two
 independent solvers are provided: a spectral propagator (normal modes from
 the secular equation, exact unitary evolution in chunks of time rows) and a
 fixed-step classical RK4 integrator to cross-check it.  For du/dt = Zu,
-Z = -i dt A, its step is exactly the Horner form u + Z(u + Z/2 (u + Z/3 (u +
-Z/4 u))): four O(N) products with the arrow, scaled by -i dt / k once, each a
-dot product for f and in-place products into reused buffers for the bath.
+Z = -i dt A, its step u + sum_{k<=4} Z^k u / k! is built once from the arrow as u
+plus a diagonal and a rank-5 map, q u + (M L u) R with L and R 5 x (N+1).
 Neither solver forms an (N+1)^2 array: the eigenvectors enter through their
 closed form v_kj = gamma_k v_0j / (lam_j - d_k), one block of rows at a time.
 
@@ -448,9 +447,15 @@ def _step_count(t_end: float, dt: float) -> int:
 
 def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
                sample_every: int = 1) -> AmplitudeTrajectory:
-    """Classical fixed-step RK4 integration of du/dt = -iAu from e_0, O(N) per stage.
+    """Classical fixed-step RK4 integration of du/dt = -iAu from e_0, O(N) per step.
 
-    The first row and column of the arrowhead gen apply as given.
+    The first row and column of the arrowhead gen apply as given.  With a, r, c, d the
+    arrow of Z = -i dt A, a step adds sum_{k=1..4} Z^k u / k! = q u + (M L u) R to u:
+    Z (0, g) = (r.g) e_0 + (0, d g), and to degree 4 Z maps the rows e_0 and (0, d^m c),
+    m < 4, of R among themselves by a 5 x 5 H.  So q = (0, sum_k d^k / k!), L u = (u_0, r.g,
+    r.(d g), r.(d^2 g), r.(d^3 g)) enters e_0 at degrees 0..4, M_nj = sum_i (H^i)_n0 / (i + j)!
+    (0 < i + j <= 4).  The products run in reals: OpenBLAS threads a complex matrix-vector
+    product from 4096 entries, and a threaded call can stall for ms.
     Steps dt until t >= t_end; samples every sample_every steps plus the
     final step.  Stability guideline: dt <= 0.05 / gershgorin_bound(gen).
     Raises IntegrationFailure once the sampled norm drifts from 1 by more
@@ -467,24 +472,34 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
     n_steps = _step_count(t_end, dt)
     times = np.zeros(1 - (-n_steps // sample_every))
     states = np.empty((times.size, gen.diag.size + 1), dtype=complex)
-    states[0, 0], states[0, 1:] = 1.0, 0.0
-    stages = [tuple(-1j * dt / k * piece for piece in gen) for k in (4, 3, 2, 1)]
-    f, g = states[0, 0], states[0, 1:].copy()
-    w, col_term = np.empty_like(g), np.empty_like(g)
+    a, r, c, d = (-1j * dt * np.asarray(piece) for piece in gen)
+    powers = d ** np.arange(4)[:, None]  # d^m, m < 4
+    left, right = np.zeros((2, 5, d.size + 1), dtype=complex)
+    left[0, 0] = right[0, 0] = 1.0
+    left[1:, 1:], right[1:, 1:] = r * powers, powers * c
+    h = np.eye(5, k=-1, dtype=complex)
+    h[0, :4] = a, *np.sum(right[1:4, 1:] * r, axis=1)  # a, r.(d^m c)
+    weights = np.array([0, 1, 1 / 2, 1 / 6, 1 / 24, 0, 0, 0, 0])[np.add.outer(range(5), range(5))]
+    krylov = np.array([np.linalg.matrix_power(h, i)[:, 0] for i in range(5)]).T
+    q = np.append(0.0, d * (1 + d / 2 * (1 + d / 3 * (1 + d / 4))))
+    # in reals: (Lr; Li) u = (Lr u, Li u), which mix takes to (M L u, i M L u), whose
+    # (re, im) pairs (Rr, Ri)^T takes to those of w = (M L u) R
+    mix = np.kron([[1, 1j], [1j, -1]], krylov @ weights)
+    left, right = np.vstack((left.real, left.imag)), np.hstack((right.real.T, right.imag.T))
+    u, v, w = np.zeros((3, d.size + 1), dtype=complex)
+    p, m = np.empty((2, 10), dtype=complex)
+    pairs_u, pairs_p, pairs_m, pairs_w = (x.view(float).reshape(-1, 2) for x in (u, p, m, w))
+    u[0] = 1.0
+    states[0] = u
     for step in range(1, n_steps + 1):
-        # stage k = 4, 3, 2, 1 sets w <- u + (Z/k) w, starting from w = u
-        wf, wg = f, g
-        for a00, row, col, diag in stages:
-            np.multiply(col, wf, out=col_term)
-            wf = f + a00 * wf + row @ wg
-            np.multiply(diag, wg, out=w)
-            w += g
-            w += col_term
-            wg = w
-        f, g, w = wf, w, g
+        np.dot(left, pairs_u, out=pairs_p)
+        np.dot(mix, p, out=m)
+        np.dot(right, pairs_m, out=pairs_w)
+        w += np.multiply(q, u, out=v)
+        u += w  # the increment, not (1 + q) u: 1 + q would round q away
         if step % sample_every == 0 or step == n_steps:
             i = -(-step // sample_every)
-            times[i], states[i, 0], states[i, 1:] = step * dt, f, g
+            times[i], states[i] = step * dt, u
             drift = float(_norm_drift(states[i]))
             if drift > RK4_NORM_LIMIT:
                 raise IntegrationFailure(

@@ -23,7 +23,8 @@ from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
                     banded_blocks, build_bath_grid, centered_bipartition,
                     interleaved_bipartition, normalize_superposition)
 from .observables import ExcitationProfile, _excitation_profiles, excitation_profile
-from .propagation import _step_count, build_generator, evolve_rk4, spectral_solution
+from .propagation import (_step_count, build_generator, evolve_rk4, gershgorin_bound,
+                          spectral_solution)
 from .wootters import oracle_residuals
 
 __all__ = [
@@ -135,10 +136,22 @@ def _reject_unknown(section: str, doc: dict, allowed) -> None:
 
 
 def _integer(key: str, value) -> int:
-    """value as an int: a bool or a fraction raises, where int() reads 1, 0 or cuts it."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """value as an int: a bool, a fraction, null or a list raises ValueError, where int()
+    reads 1, 0 or cuts it and float() raises TypeError."""
+    try:
+        whole = not isinstance(value, bool) and float(value).is_integer()
+    except TypeError:
+        whole = False
+    if not whole:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _listed(key: str, value) -> list:
+    """value, a list or tuple, as a list; anything else raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return list(value)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -182,9 +195,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # integers and text, as the run reads them, so that the manifest echoes what ran
     params.update({k: _integer(k, params[k]) for k in ("size_b", "n_blocks") if k in params})
     if "blocks" in params:
-        params["blocks"] = [[_integer("block index", i) for i in b] for b in params["blocks"]]
+        params["blocks"] = [[_integer("block index", i) for i in _listed("each block", b)]
+                            for b in _listed("blocks", params["blocks"])]
     if "labels" in params:
-        params["labels"] = [str(label) for label in params["labels"]]
+        params["labels"] = [str(label) for label in _listed("labels", params["labels"])]
 
     timed = doc.get("time", {})
     _reject_unknown("time", timed, ("t_end", "dt", "samples"))
@@ -397,6 +411,7 @@ def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
         if method == "rk4":  # rk4_sample_every rounds, so this can differ from samples
             rk4 = evolve_rk4(gen, s.t_end, s.dt, s.rk4_sample_every())
             checks["rk4_samples"] = rk4.times.size
+            checks["rk4_dt_guideline"] = 0.05 / gershgorin_bound(gen)
         profile = excitation_profile(exact if method == "exact" else rk4, partition)
         checks[f"norm_residual_{method}"] = profile.norm_residual()
         header, columns, max_resid = _emit_table(s, profile)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,17 +164,34 @@ def _dense_rk4(gen, t_end, dt):
 
 class TestEvolveRK4:
     # row_scale 1.5 makes the first row differ from the first column; the
-    # norm then grows, past RK4_NORM_LIMIT near t = 0.9 on this grid
-    @pytest.mark.parametrize("row_scale, t_end", [(1.0, 5.0), (1.5, 0.5)])
-    def test_arrowhead_matches_dense_reference(self, small_grid, row_scale, t_end):
+    # norm then grows, past RK4_NORM_LIMIT near t = 0.9 on this grid.  a00 = 0.37
+    # puts the term a f of the first row into every step
+    @pytest.mark.parametrize("a00, row_scale, t_end", [
+        (0.0, 1.0, 5.0), (0.0, 1.5, 0.5), (0.37, 1.0, 5.0), (0.37, 1.5, 0.5)])
+    def test_arrowhead_matches_dense_reference(self, small_grid, a00, row_scale, t_end):
         gen = build_generator(small_grid)
         row = np.array(gen.row)
         row[0] *= row_scale
-        gen = gen._replace(row=row)
+        gen = gen._replace(a00=a00, row=row)
         traj = evolve_rk4(gen, t_end, 0.01)
         reference = _dense_rk4(gen, t_end, 0.01)
         assert traj.states.shape == reference.shape
         assert np.abs(traj.states - reference).max() <= 1e-15
+
+    def test_state_bytes_do_not_depend_on_blas_threads(self):
+        # the step's matrix products run in one thread whatever OPENBLAS_NUM_THREADS says
+        script = ("import hashlib; from oscbath import *; "
+                  "gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000))); "
+                  "print(hashlib.sha256(evolve_rk4(gen, 10.0, 0.01).states.tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_rejects_entry_off_the_arrow(self, small_grid):
         # only an Arrowhead is integrated: a dense matrix could carry this entry

@@ -189,7 +189,16 @@ class TestScenarioParsing:
                              "blocks": [[True, *range(2, 11)], list(range(11, 41))]},
          "block index must be an integer"),
         ("system", "force_resonant", "false", "force_resonant must be true or false"),
-        (None, "svg", "no", "svg must be true or false")])
+        (None, "svg", "no", "svg must be true or false"),
+        # float() raises TypeError for these, and iterating a number does too
+        ("system", "n_bath", None, "n_bath must be an integer"),
+        ("partition", "size_b", None, "size_b must be an integer"),
+        ("partition", "size_b", [10], "size_b must be an integer"),
+        ("partition", None, {"scheme": "explicit", "labels": ["B", "C"], "blocks": 5},
+         "blocks must be a list"),
+        ("partition", None, {"scheme": "explicit", "labels": 5,
+                             "blocks": [list(range(1, 11)), list(range(11, 41))]},
+         "labels must be a list")])
     def test_values_the_run_would_change_exit_bad_input(self, tmp_path, capsys, section, key,
                                                         value, message):
         doc = json.loads(json.dumps(SMALL_DOC))
@@ -294,6 +303,20 @@ class TestRunScenario:
         assert saved["checks"]["rk4_samples"] == 8
         exact = run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
         assert "rk4_samples" not in exact.checks
+
+    @pytest.mark.parametrize("method", ["rk4", "both"])
+    def test_rk4_dt_guideline_in_manifest(self, tmp_path, method):
+        from oscbath import build_bath_grid, build_generator, gershgorin_bound
+        doc = {**SMALL_DOC, "name": method, "method": method,
+               "time": {"t_end": 2.0, "samples": 5, "dt": 0.01}}
+        s = scenario_from_dict(doc)
+        manifest = run_scenario(s, out_dir=tmp_path)
+        gen = build_generator(build_bath_grid(s.system))
+        assert manifest.checks["rk4_dt_guideline"] == 0.05 / gershgorin_bound(gen)
+        saved = json.loads((tmp_path / f"{method}_manifest.json").read_text())
+        assert saved["checks"]["rk4_dt_guideline"] == manifest.checks["rk4_dt_guideline"]
+        exact = run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
+        assert "rk4_dt_guideline" not in exact.checks
 
     def test_byte_identical_reruns(self, tmp_path):
         s = scenario_from_dict(SMALL_DOC)
