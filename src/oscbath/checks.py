@@ -19,7 +19,7 @@ from .model import (SystemConfig, build_bath_grid, centered_bipartition,
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import (build_generator, evolve_exact, evolve_rk4, norm_residual,
                           spectral_solution)
-from .scenarios import _integer, _reject_unknown
+from .scenarios import _integer, _real, _reals, _reject_unknown
 from .wootters import oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
@@ -85,12 +85,14 @@ def run_verification(config: dict | None = None,
         cfg.update(config)
     for key in ("n_bath", "samples", "draws", "seed"):
         cfg[key] = _integer(key, cfg[key])
+    for key in ("coupling_amplitude", "t_end", "dt", "rk4_t_end"):
+        cfg[key] = _real(key, cfg[key])
+    cfg["band"] = _reals("band", cfg["band"])
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
 
     system = SystemConfig(n_bath=cfg["n_bath"],
-                          coupling_amplitude=float(cfg["coupling_amplitude"]),
-                          band=tuple(cfg["band"]))
+                          coupling_amplitude=cfg["coupling_amplitude"], band=cfg["band"])
     grid = build_bath_grid(system)
     gen = build_generator(grid)
     if inject_fault == "generator-asymmetry":
@@ -102,7 +104,7 @@ def run_verification(config: dict | None = None,
     init = normalize_superposition(sup["a"], sup["b"], sup["alpha0"], sup["beta0"])
     size_b = cfg["size_b"] if cfg["size_b"] is not None else max(1, grid.n // 10)
     partition = centered_bipartition(grid, _integer("size_b", size_b))
-    times = np.linspace(0.0, float(cfg["t_end"]), cfg["samples"])
+    times = np.linspace(0.0, cfg["t_end"], cfg["samples"])
 
     results: list[CheckResult] = []
     state: dict = {}
@@ -133,7 +135,7 @@ def run_verification(config: dict | None = None,
 
     _guarded(results, "shares_vs_state", 1e-13, shares_vs_state)
     _guarded(results, "rk4_norm_drift", 1e-6, lambda: norm_residual(
-        evolve_rk4(gen, float(cfg["rk4_t_end"]), float(cfg["dt"]), sample_every=20)))
+        evolve_rk4(gen, cfg["rk4_t_end"], cfg["dt"], sample_every=20)))
     _guarded(results, "overlap_factorization", 1e-10,
              lambda: verify_overlap_factorization(trajectory(), init, partition))
 
@@ -167,6 +169,6 @@ def run_verification(config: dict | None = None,
     _guarded(results, "two_mode_analytic_exact", 1e-8, lambda: analytic_error(
         evolve_exact(gen2, np.linspace(0.0, 10 * math.pi, 401))))
     _guarded(results, "two_mode_analytic_rk4", 1e-6, lambda: analytic_error(
-        evolve_rk4(gen2, 10 * math.pi, float(cfg["dt"]), sample_every=10)))
+        evolve_rk4(gen2, 10 * math.pi, cfg["dt"], sample_every=10)))
 
     return results

@@ -44,6 +44,15 @@ _ANCHOR_ROWS = 256
 # a row takes the spacing h, and stays in a block started at t_b, while its
 # increment and time stay within this many ulp of max|t| of h and t_b + r h
 _SLACK = 4
+# on a comb the secular sums take the _NEAR poles on each side of a root's pole exactly and
+# the rest from _MOMENTS + 1 Taylor moments (truncated at (_NEAR + 1)^-(_MOMENTS + 1) of the
+# first); d is a comb while it stays within _COMB_ULP ulp of max|d| of d_0 + k step
+_NEAR = 64
+_MOMENTS = 10
+_COMB_ULP = 8
+# each real block of a near field takes about this many bytes, which stays in cache: in
+# blocks of _CHUNK_BYTES the solver took 1.5 times as long at N = 1000
+_NEAR_BYTES = 2 ** 18
 
 
 class IntegrationFailure(RuntimeError):
@@ -109,9 +118,9 @@ def _arrow(gen) -> Arrowhead:
     return gen
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Row slices whose real (rows, n_cols) blocks fit in _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (8 * n_cols))
+def _row_blocks(n_rows: int, n_cols: int, size: int | None = None):
+    """Row slices whose real (rows, n_cols) blocks fit in size bytes, or _CHUNK_BYTES."""
+    step = max(1, (size or _CHUNK_BYTES) // (8 * n_cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
@@ -354,12 +363,86 @@ def gershgorin_bound(gen: Arrowhead) -> float:
     return float(max(first, (np.abs(gen.col) + np.abs(gen.diag)).max()))
 
 
-def _secular_sums(poles, gamma2, origin, tau):
-    """sum_k gamma_k^2 / (d_k - lam)^p, p = 1, 2, at lam = origin + tau."""
+class _Poles(NamedTuple):
+    """The ascending bath diagonal d and gamma^2 in its order.  On a comb, d_k = d_0 + k step
+    + off_k with off within _COMB_ULP ulp of max|d| and more than 2 _NEAR + 1 poles, also the
+    near and the far field of each pole p: `near` views d and g2 at p - _NEAR .. p + _NEAR
+    (padded by -inf, inf and 0), and far[i, m, p], m <= _MOMENTS, are the Taylor moments of
+    sum_{|n| > _NEAR} g2_{p+n} / (d_{p+n} - lam)^(i+1) in x = (lam - d_0 - p step) / step;
+    else step is 0."""
+
+    d: np.ndarray
+    g2: np.ndarray
+    step: float = 0.0
+    off: np.ndarray | None = None
+    near: tuple = ()
+    far: np.ndarray | None = None
+
+
+def _poles(d: np.ndarray, g2: np.ndarray) -> _Poles:
+    """_Poles of the ascending d, with the far field on a comb from one batched FFT
+    convolution: with d_k - lam = (n - x) step + off_k, n = k - p, 1 / (d_k - lam) =
+    sum_m x^m n^-(m+1) / step up to off_k / (n step)^2, so the moments are
+    sum_{|n| > _NEAR} g2_{p+n} n^-(m+1) / step.  x takes the pole's own offset exactly."""
+    n = d.size
+    if n <= 2 * _NEAR + 1:
+        return _Poles(d, g2)
+    step = (d[-1] - d[0]) / (n - 1)
+    # long double keeps the offsets exact to about 1e-19 where it is wider than double
+    wide = np.longdouble
+    off = ((d.astype(wide) - d[0]) - np.arange(n) * wide(step)).astype(float)
+    if np.abs(off).max() > _COMB_ULP * np.spacing(np.abs(d).max()):
+        return _Poles(d, g2)
+    size = 1 << (2 * n - 2).bit_length()  # 2 n - 1 or more: the convolution does not wrap
+    shift = np.arange(size)
+    shift[size // 2:] -= size  # at j: sum_k g2_k h(k - p) = (g2 * h(-.))_p
+    inv = np.zeros(size)
+    kept = (np.abs(shift) > _NEAR) & (np.abs(shift) < n)
+    inv[kept] = -1.0 / shift[kept]
+    kernels = np.cumprod(np.broadcast_to(inv, (_MOMENTS + 1, size)), axis=0)  # inv^(m+1)
+    moments = np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(g2, size), size)[:, :n]
+    far = np.zeros((2, _MOMENTS + 1, n))
+    far[0] = moments / step
+    far[1, :-1] = far[0, 1:] * (np.arange(1, _MOMENTS + 1)[:, None] / step)  # d/dlam
+    pad, zeros = np.full(_NEAR, np.inf), np.zeros(_NEAR)
+    window = np.lib.stride_tricks.sliding_window_view
+    near = (window(np.concatenate((-pad, d, pad)), 2 * _NEAR + 1),
+            window(np.concatenate((zeros, g2, zeros)), 2 * _NEAR + 1))
+    return _Poles(d, g2, step, off, near, far)
+
+
+def _comb_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """_secular_sums on a comb for |tau| <= step, O(_NEAR + _MOMENTS) a root: the far
+    field from its moments, the near field exactly."""
+    moments, x = poles.far[:, :, index], (tau + poles.off[index]) / poles.step
+    sums = moments[:, -1]
+    for m in range(_MOMENTS - 1, -1, -1):  # Horner in x
+        sums = sums * x + moments[:, m]
+    for rows in _row_blocks(index.size, 2 * _NEAR + 1, _NEAR_BYTES):
+        p = index[rows]
+        q = poles.near[0][p]
+        np.subtract(poles.d[p, None], q, out=q)
+        q += tau[rows, None]
+        w = poles.near[1][p]
+        w *= np.reciprocal(q, out=q)  # q = 1 / (lam - d_k)
+        sums[0, rows] -= w.sum(axis=1)
+        sums[1, rows] += np.einsum("ij,ij->i", w, q)
+    return sums
+
+
+def _secular_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k gamma_k^2 / (d_k - lam)^p, p = 1, 2, at lam = d[index] + tau, with d_k - lam
+    taken as (d[index] - d_k) - tau: by _comb_sums on a comb for |tau| <= step, else
+    from the Cauchy blocks, O(N) a root."""
     sums = np.empty((2, tau.size))
-    for rows, q in _cauchy_blocks(origin, tau, poles):  # q = 1 / (lam - d_k)
-        sums[0, rows] = -(q @ gamma2)
-        sums[1, rows] = np.square(q, out=q) @ gamma2
+    fast = np.zeros(tau.size, dtype=bool) if poles.far is None else np.abs(tau) <= poles.step
+    dense = np.flatnonzero(~fast)
+    for rows, q in _cauchy_blocks(poles.d[index[dense]], tau[dense], poles.d):
+        # q = 1 / (lam - d_k)
+        sums[0, dense[rows]] = -(q @ poles.g2)
+        sums[1, dense[rows]] = np.square(q, out=q) @ poles.g2
+    if fast.any():
+        sums[:, fast] = _comb_sums(poles, index[fast], tau[fast])
     return sums
 
 
@@ -369,8 +452,9 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
     the eigenvectors v_0j (1, gamma_k / (lam_j - d_k)).  lam_j, a root of
     F = lam - a00 + sum_k gamma_k^2 / (d_k - lam), is held as its nearer pole plus tau and
     found by safeguarded Newton steps on F tau (tau - delta), free of both bracketing
-    poles (delta: the other one, infinite at the ends); v0_j = (1 + sum_k gamma_k^2 /
-    (lam_j - d_k)^2)^(-1/2) takes one more secular-sum pass."""
+    poles (delta: the other one, infinite at the ends), from the root of the comb's F
+    (Gu & Eisenstat); v0_j = (1 + sum_k gamma_k^2 / (lam_j - d_k)^2)^(-1/2) takes one
+    more secular-sum pass."""
     order = np.argsort(diag, kind="stable")
     d, g = diag[order], gamma[order]
     if np.any(np.diff(d) == 0):
@@ -378,25 +462,40 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
     if np.any(g == 0):
         raise ValueError("a zero coupling decouples a bath mode; the arrowhead is degenerate")
     n, g2 = d.size, g * g
+    poles = _poles(d, g2)
     reach = 2.0 * math.sqrt(float(g2.sum()))
     # root j lies between left[j] and right[j]: its poles, or an open outer bound
     left = np.concatenate(([min(d[0], a00) - reach], d))
     right = np.concatenate((d, [max(d[-1], a00) + reach]))
     # an inner root is held from its left pole iff F(midpoint) >= 0, an outer one from its pole
     half = 0.5 * (right - left)
-    from_left = (left - a00) + half + _secular_sums(d, g2, left, half)[0] >= 0
-    from_left[[0, n]], half[[0, n]] = (False, True), 2.0 * half[[0, n]]
-    origin = np.where(from_left, left, right)
+    inner = slice(1, n)
+    from_left = np.zeros(n + 1, dtype=bool)
+    from_left[inner] = (d[:-1] - a00) + half[inner] + _secular_sums(
+        poles, np.arange(n - 1), half[inner])[0] >= 0
+    from_left[n], half[[0, n]] = True, 2.0 * half[[0, n]]
+    index = np.arange(n + 1) - from_left  # the pole each root is held from
     lo, hi = np.where(from_left, 0.0, -half), np.where(from_left, half, 0.0)
     other = np.where(from_left, right - left, left - right)
     other[[0, n]] = -math.inf, math.inf
 
     tau, active = 0.5 * (lo + hi), np.arange(n + 1)
-    for _ in range(100):  # about 7 passes leave under 1% of the roots active
+    if n > 1:
+        # inner roots start at the root s = lam - left of the comb's F (Gu & Eisenstat):
+        # cot(pi s / w) = (lam - a00 + L) D / (pi c), L = (c / D) ln((d_N + D/2 - lam) /
+        # (lam - d_1 + D/2)) for the mean c of g2, the mean spacing D and the interval's
+        # width w, with lam at its midpoint; clipped into the bracket, never on the pole
+        c, spacing = g2.mean(), (d[-1] - d[0]) / (n - 1)
+        w, mid = 2.0 * half[inner], left[inner] + half[inner]
+        log = c / spacing * np.log((d[-1] + 0.5 * spacing - mid) / (mid - d[0] + 0.5 * spacing))
+        s = w * (0.5 - np.arctan((mid - a00 + log) * spacing / (math.pi * c)) / math.pi)
+        start = np.clip(np.where(from_left[inner], s, s - w), lo[inner], hi[inner])
+        tau[inner] = np.where(start != 0.0, start, tau[inner])
+    for _ in range(100):  # about 4 passes leave under 2% of the roots active
         if active.size == 0:
             break
-        t, base = tau[active], origin[active]
-        s1, s2 = _secular_sums(d, g2, base, t)
+        t, base = tau[active], d[index[active]]
+        s1, s2 = _secular_sums(poles, index[active], t)
         f = (base - a00) + t + s1
         below = f < 0  # F increases with tau
         lo[active[below]], hi[active[~below]] = t[below], t[~below]
@@ -414,7 +513,7 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
     else:
         raise RuntimeError(f"secular equation: {active.size} roots did not converge")
 
-    return origin, tau, 1.0 / np.sqrt(1.0 + _secular_sums(d, g2, origin, tau)[1])
+    return d[index], tau, 1.0 / np.sqrt(1.0 + _secular_sums(poles, index, tau)[1])
 
 
 def spectral_solution(gen: Arrowhead, times) -> SpectralSolution:

@@ -147,6 +147,22 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _real(key: str, value) -> float:
+    """value as a float: a bool, null, a list or other text than a number raises
+    ValueError, where float() reads 1.0 or raises TypeError."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _reals(key: str, value) -> tuple[float, ...]:
+    """value, a list of numbers, as a tuple of floats; anything else raises ValueError."""
+    return tuple(_real(key, v) for v in _listed(key, value))
+
+
 def _listed(key: str, value) -> list:
     """value, a list or tuple, as a list; anything else raises ValueError."""
     if not isinstance(value, (list, tuple)):
@@ -170,10 +186,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                                          "couplings", "force_resonant"))
         system = SystemConfig(
             n_bath=_integer("n_bath", sysd["n_bath"]),
-            coupling_amplitude=float(sysd.get("coupling_amplitude", 0.1)),
-            band=tuple(float(v) for v in sysd.get("band", (0.5, 1.5))),
-            omega0=float(sysd.get("omega0", 1.0)),
-            couplings=tuple(sysd["couplings"]) if "couplings" in sysd else None,
+            coupling_amplitude=_real("coupling_amplitude", sysd.get("coupling_amplitude", 0.1)),
+            band=_reals("band", sysd.get("band", (0.5, 1.5))),
+            omega0=_real("omega0", sysd.get("omega0", 1.0)),
+            couplings=_reals("couplings", sysd["couplings"]) if "couplings" in sysd else None,
             force_resonant=sysd.get("force_resonant", False),
         )
     except KeyError as exc:
@@ -214,8 +230,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         superposition=init,
         partition_scheme=scheme,
         partition_params=params,
-        t_end=float(timed.get("t_end", 100.0)),
-        dt=float(timed.get("dt", 0.01)),
+        t_end=_real("t_end", timed.get("t_end", 100.0)),
+        dt=_real("dt", timed.get("dt", 0.01)),
         samples=_integer("samples", timed.get("samples", 2000)),
         method=str(doc.get("method", "exact")),
         emit=str(emit),
@@ -453,8 +469,9 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     if base.method != "exact":
         raise ValueError(f"a sweep propagates with method 'exact'; the base has {base.method!r}")
     name = str(doc.get("name", f"{base.name}_sweep"))
-    sizes = [_integer("sizes_b", v) for v in doc.get("sizes_b", [100, 500, 900])]
-    overlaps = [float(v) for v in doc.get("overlaps", [math.exp(-18.0)])]
+    sizes = [_integer("sizes_b", v)
+             for v in _listed("sizes_b", doc.get("sizes_b", [100, 500, 900]))]
+    overlaps = list(_reals("overlaps", doc.get("overlaps", [math.exp(-18.0)])))
     if not sizes or not overlaps:
         raise ValueError("a sweep needs at least one entry in sizes_b and in overlaps")
     if len(set(sizes)) < len(sizes):

@@ -198,7 +198,15 @@ class TestScenarioParsing:
          "blocks must be a list"),
         ("partition", None, {"scheme": "explicit", "labels": 5,
                              "blocks": [list(range(1, 11)), list(range(11, 41))]},
-         "labels must be a list")])
+         "labels must be a list"),
+        # float() raises TypeError for null and lists, and reads true as 1.0
+        ("system", "coupling_amplitude", None, "coupling_amplitude must be a number"),
+        ("system", "coupling_amplitude", True, "coupling_amplitude must be a number"),
+        ("system", "omega0", [1.0], "omega0 must be a number"),
+        ("system", "band", 5, "band must be a list"),
+        ("system", "band", [0.5, None], "band must be a number"),
+        ("time", "t_end", None, "t_end must be a number"),
+        ("time", "dt", [0.01], "dt must be a number")])
     def test_values_the_run_would_change_exit_bad_input(self, tmp_path, capsys, section, key,
                                                         value, message):
         doc = json.loads(json.dumps(SMALL_DOC))
@@ -631,6 +639,19 @@ class TestCli:
         assert main(["verify", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert f"{key} must be an integer" in captured.err
+        assert "residual" not in captured.out
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_end", None, "t_end must be a number"), ("dt", [0.01], "dt must be a number"),
+        ("coupling_amplitude", True, "coupling_amplitude must be a number"),
+        ("band", 5, "band must be a list"), ("band", [0.5, "x"], "band must be a number")])
+    def test_verify_non_number_config_exits_bad_input(self, tmp_path, capsys, key, value,
+                                                     message):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"n_bath": 60, "samples": 41, "draws": 10, key: value}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert "residual" not in captured.out
 
     def test_verify_coarse_step_fails(self, tmp_path, capsys):

@@ -11,7 +11,11 @@ equality.
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -491,16 +495,19 @@ def test_solver_pass_count_on_the_reference_generator(reference_gen, monkeypatch
     # the centre root of the symmetric band sits on the midpoint end of its
     # bracket, where F >= 0; a Newton step past that end lands on it rather
     # than being bisected, which would halve the bracket once per pass
+    # bound on the evaluations fixed before the first run: the comb's starting guess
+    # takes fewer than 7 a root (the midpoint start took 8.44)
     calls = []
     sums = propagation._secular_sums
 
-    def counted(poles, gamma2, origin, tau):
+    def counted(poles, index, tau):
         calls.append(tau.size)
-        return sums(poles, gamma2, origin, tau)
+        return sums(poles, index, tau)
 
     monkeypatch.setattr(propagation, "_secular_sums", counted)
     spectral_solution(reference_gen, [0.0])
     assert len(calls) <= 12, calls
+    assert sum(calls) <= 7 * 1001, calls
 
 
 def test_solver_holds_no_square_array():
@@ -516,3 +523,139 @@ def test_solver_holds_no_square_array():
         tracemalloc.stop()
     assert not hasattr(solution, "vec")
     assert peak <= 2001 * 2001 * 8 / 4, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _sorted_poles(gen):
+    order = np.argsort(gen.diag, kind="stable")
+    return gen.diag[order], gen.row[order] ** 2
+
+
+_COMB_CASES = {
+    "reference N=1000": lambda request: request.getfixturevalue("reference_gen"),
+    "reference N=4000": lambda request: build_generator(build_bath_grid(SystemConfig(
+        n_bath=4000, coupling_amplitude=0.1, band=(0.5, 1.5)))),
+    "explicit couplings": lambda request: build_generator(build_bath_grid(SystemConfig(
+        n_bath=1000, couplings=tuple(np.random.default_rng(3).uniform(1e-3, 2e-2, 1000))))),
+    "force_resonant": lambda request: build_generator(build_bath_grid(
+        SystemConfig(n_bath=1000, force_resonant=True))),
+    "negated": lambda request: _negated(request.getfixturevalue("reference_gen")),
+    "a00 in the band": lambda request: _with_corner(request.getfixturevalue("reference_gen"),
+                                                    0.25),
+    "N = 2 _NEAR + 2": lambda request: build_generator(build_bath_grid(
+        SystemConfig(n_bath=2 * propagation._NEAR + 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMB_CASES))
+def test_far_field_against_the_dense_pass(request, monkeypatch, case):
+    # bounds fixed before the first run: at every root the two passes agree within
+    # 5e-15 in s1 and 5e-15 relative in s2; the solvers' eigenvalues within
+    # 1e-15 max(1, |lam|) and v0 within 2e-14 relative
+    gen = _COMB_CASES[case](request)
+    d, g2 = _sorted_poles(gen)
+    poles = propagation._poles(d, g2)
+    assert poles.far is not None
+    pole, tau, v0 = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag)
+    index = np.searchsorted(d, pole)
+    assert np.array_equal(d[index], pole)
+    far = propagation._secular_sums(poles, index, tau)
+    dense = propagation._secular_sums(propagation._Poles(d, g2), index, tau)
+    assert np.abs(far[0] - dense[0]).max() <= 5e-15
+    assert (np.abs(far[1] - dense[1]) / dense[1]).max() <= 5e-15
+
+    monkeypatch.setattr(propagation, "_NEAR", 10 ** 9)  # no comb: the dense pass alone
+    pole_d, tau_d, v0_d = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag)
+    lam, lam_d = pole + tau, pole_d + tau_d
+    assert np.abs(lam - lam_d).max() <= 1e-15 * max(1.0, np.abs(lam_d).max())
+    assert (np.abs(v0 - v0_d) / v0_d).max() <= 2e-14
+
+
+def _long_double_sums(d, g2, index, tau):
+    """The secular sums in long double, lam - d_k as (d[index] - d_k) + tau."""
+    wide = np.longdouble
+    q = 1 / ((d.astype(wide)[index, None] - d.astype(wide)) + tau.astype(wide)[:, None])
+    return np.array([-(q * g2.astype(wide)).sum(axis=1), (q * q * g2.astype(wide)).sum(axis=1)])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("case", [c for c in _COMB_CASES if c != "N = 2 _NEAR + 2"])
+def test_far_field_is_as_accurate_as_the_dense_pass(request, case):
+    # at 40 inner roots, against long double sums: the far field's largest error in
+    # s1 and relative error in s2 are no larger than the dense pass's
+    gen = _COMB_CASES[case](request)
+    d, g2 = _sorted_poles(gen)
+    pole, tau, _ = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag)
+    roots = np.linspace(1, d.size - 1, 40).astype(int)
+    index, tau = np.searchsorted(d, pole[roots]), tau[roots]
+    exact = _long_double_sums(d, g2, index, tau)
+    errors = []
+    for poles in (propagation._poles(d, g2), propagation._Poles(d, g2)):
+        s1, s2 = propagation._secular_sums(poles, index, tau)
+        errors.append((float(np.abs(s1 - exact[0]).max()),
+                       float((np.abs(s2 - exact[1]) / exact[1]).max())))
+    (far_s1, far_s2), (dense_s1, dense_s2) = errors
+    assert far_s1 <= dense_s1 and far_s2 <= dense_s2, errors
+
+
+def _dense_rows(monkeypatch):
+    """Row counts of the Cauchy blocks each _secular_sums call takes, beside its size."""
+    passes = []
+    blocks, sums = propagation._cauchy_blocks, propagation._secular_sums
+
+    def counted_blocks(pole, tau, diag):
+        passes[-1][1] += pole.size
+        return blocks(pole, tau, diag)
+
+    def counted_sums(poles, index, tau):
+        passes.append([tau.size, 0])
+        return sums(poles, index, tau)
+
+    monkeypatch.setattr(propagation, "_cauchy_blocks", counted_blocks)
+    monkeypatch.setattr(propagation, "_secular_sums", counted_sums)
+    return passes
+
+
+def _moved_pole_grid(reference_grid):
+    """The reference comb with one mode 100 ulp off its place."""
+    freqs = reference_grid.frequencies.copy()
+    freqs[500] += 100 * np.spacing(freqs[500])
+    return BathGrid(1.0, freqs, reference_grid.couplings, (1.0 - freqs) / 2.0)
+
+
+@pytest.mark.parametrize("grid", ["clustered", "small", "moved pole"])
+def test_grids_off_the_comb_take_the_dense_pass(request, monkeypatch, grid):
+    gen = build_generator({
+        "clustered": _clustered_grid,
+        "small": lambda: request.getfixturevalue("small_grid"),
+        "moved pole": lambda: _moved_pole_grid(request.getfixturevalue("reference_grid")),
+    }[grid]())
+    assert propagation._poles(*_sorted_poles(gen)).far is None
+    passes = _dense_rows(monkeypatch)
+    propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag)
+    assert passes and all(rows == size for size, rows in passes), passes
+
+
+def test_comb_takes_the_dense_pass_at_the_outer_roots(reference_gen, monkeypatch):
+    # an outer root takes the far field too once its tau is within one step of its pole
+    passes = _dense_rows(monkeypatch)
+    propagation._arrowhead_eigh(reference_gen.a00, reference_gen.row, reference_gen.diag)
+    assert passes[0] == [999, 0]  # the inner midpoints
+    assert passes[1] == [1001, 2]  # the outer roots start a bracket's midpoint away
+    assert all(rows <= 2 for _, rows in passes[2:]), passes
+
+
+def test_solution_bytes_do_not_depend_on_blas_threads():
+    script = ("import hashlib; from oscbath import *; from oscbath import propagation; "
+              "gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000))); "
+              "parts = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag); "
+              "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
