@@ -19,12 +19,22 @@ from .model import (SystemConfig, build_bath_grid, centered_bipartition,
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import (build_generator, evolve_exact, evolve_rk4, norm_residual,
                           spectral_solution)
-from .scenarios import _integer, _real, _reals, _reject_unknown
+from .scenarios import _REFERENCE_SYSTEM, _SYSTEM, _integer, _real, _section, _superposition
 from .wootters import oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
 
 FAULT_MODES = ("generator-asymmetry",)
+
+# a config's keys and the reader of each: the reference system's keys and the superposition
+# are read as in a scenario, then come the parameters of the checks
+_READERS = {**{key: _SYSTEM[key] for key in _REFERENCE_SYSTEM}, "superposition": _superposition,
+            "t_end": _real, "samples": _integer, "dt": _real, "rk4_t_end": _real,
+            "size_b": _integer, "draws": _integer, "seed": _integer}
+# the default of each key but size_b, a tenth of the bath
+_DEFAULTS = {**_REFERENCE_SYSTEM, "superposition": _superposition("superposition", {}),
+             "t_end": 100.0, "samples": 201, "dt": 0.01, "rk4_t_end": 10.0, "draws": 200,
+             "seed": 20260810}
 
 
 @dataclass
@@ -40,22 +50,6 @@ class CheckResult:
         state = "PASS" if self.passed else "FAIL"
         msg = f"  ({self.note})" if self.note else ""
         return f"{self.name:28s} residual {self.residual:.3e}  <= {self.threshold:.1e}  {state}{msg}"
-
-
-def _default_config() -> dict:
-    return {
-        "n_bath": 1000,
-        "coupling_amplitude": 0.1,
-        "band": (0.5, 1.5),
-        "t_end": 100.0,
-        "samples": 201,
-        "dt": 0.01,
-        "rk4_t_end": 10.0,
-        "size_b": None,  # resolved to n_bath // 10
-        "superposition": {"a": 1.0, "b": -1.0, "alpha0": 3.0, "beta0": -3.0},
-        "draws": 200,
-        "seed": 20260810,
-    }
 
 
 def _guarded(results: list[CheckResult], name: str, threshold: float, fn) -> None:
@@ -74,36 +68,23 @@ def run_verification(config: dict | None = None,
                      inject_fault: str | None = None) -> list[CheckResult]:
     """Run the full residual suite; returns one CheckResult per check.
 
-    config overrides keys of the default configuration; unknown keys raise
-    ValueError.
+    config overrides keys of the default configuration; a config that is not
+    an object, an unknown key and a value its reader refuses raise ValueError.
     inject_fault="generator-asymmetry" corrupts the bath generator before
     the propagation checks, which must then fail.
     """
-    cfg = _default_config()
-    if config:
-        _reject_unknown("verify config", config, tuple(cfg))
-        cfg.update(config)
-    for key in ("n_bath", "samples", "draws", "seed"):
-        cfg[key] = _integer(key, cfg[key])
-    for key in ("coupling_amplitude", "t_end", "dt", "rk4_t_end"):
-        cfg[key] = _real(key, cfg[key])
-    cfg["band"] = _reals("band", cfg["band"])
+    cfg = {**_DEFAULTS, **_section("verify config", {} if config is None else config, _READERS)}
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
 
-    system = SystemConfig(n_bath=cfg["n_bath"],
-                          coupling_amplitude=cfg["coupling_amplitude"], band=cfg["band"])
-    grid = build_bath_grid(system)
+    grid = build_bath_grid(SystemConfig(**{key: cfg[key] for key in _REFERENCE_SYSTEM}))
     gen = build_generator(grid)
     if inject_fault == "generator-asymmetry":
         row = np.array(gen.row)
         row[0] *= 1.5  # breaks the symmetry that unitarity rests on
         gen = gen._replace(row=row)
-    sup = cfg["superposition"]
-    _reject_unknown("verify superposition", sup, ("a", "b", "alpha0", "beta0"))
-    init = normalize_superposition(sup["a"], sup["b"], sup["alpha0"], sup["beta0"])
-    size_b = cfg["size_b"] if cfg["size_b"] is not None else max(1, grid.n // 10)
-    partition = centered_bipartition(grid, _integer("size_b", size_b))
+    init = cfg["superposition"]
+    partition = centered_bipartition(grid, cfg.get("size_b", max(1, grid.n // 10)))
     times = np.linspace(0.0, cfg["t_end"], cfg["samples"])
 
     results: list[CheckResult] = []

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,28 +85,24 @@ class BathGrid:
     omega0: float
     frequencies: np.ndarray
     couplings: np.ndarray
-    detunings: np.ndarray
+    detunings: np.ndarray = field(init=False)
 
     def __post_init__(self):
         freqs = _readonly(np.array(self.frequencies, dtype=float))
         gams = _readonly(np.array(self.couplings, dtype=float))
-        dets = _readonly(np.array(self.detunings, dtype=float))
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "couplings", gams)
-        object.__setattr__(self, "detunings", dets)
+        object.__setattr__(self, "detunings", _readonly((self.omega0 - freqs) / 2.0))
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValueError("frequencies must be a non-empty 1-d sequence")
-        if gams.shape != freqs.shape or dets.shape != freqs.shape:
-            raise ValueError("frequencies, couplings and detunings must have equal length")
+        if gams.shape != freqs.shape:
+            raise ValueError("frequencies and couplings must have equal length")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if freqs.size > 1 and np.any(np.diff(freqs) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if np.any(gams <= 0):
             raise ValueError("couplings must be positive")
-        expected = (self.omega0 - freqs) / 2.0
-        if not np.allclose(dets, expected, rtol=0.0, atol=1e-12):
-            raise ValueError("detunings do not match (omega0 - omega_k)/2")
 
     @property
     def n(self) -> int:
@@ -132,7 +128,7 @@ def build_bath_grid(config: SystemConfig) -> BathGrid:
         gams = np.array(config.couplings, dtype=float)
     else:
         gams = np.full(config.n_bath, config.coupling_amplitude / math.sqrt(config.n_bath))
-    return BathGrid(w0, freqs, gams, (w0 - freqs) / 2.0)
+    return BathGrid(w0, freqs, gams)
 
 
 @dataclass(frozen=True)
@@ -224,27 +220,30 @@ def interleaved_bipartition(grid: BathGrid) -> PartitionSpec:
 class SuperpositionInit:
     """Two-branch coherent superposition of the central oscillator at t = 0.
 
-    State ~ norm_const * (a|alpha0> + b|beta0>), bath in vacuum.
-    log_overlap is w with <alpha0|beta0> = exp(w).
+    State = norm_const * (a|alpha0> + b|beta0>), bath in vacuum.
+    log_overlap is w with <alpha0|beta0> = exp(w).  Raises when both weights
+    vanish or the two branches cancel exactly (zero-norm state).
     """
 
     a: complex
     b: complex
     alpha0: complex
     beta0: complex
-    norm_const: float
-    log_overlap: complex
+    norm_const: float = field(init=False)
+    log_overlap: complex = field(init=False)
 
     def __post_init__(self):
+        for name in ("a", "b", "alpha0", "beta0"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        a, b = self.a, self.b
+        if a == 0 and b == 0:
+            raise ValueError("at least one branch weight must be nonzero")
         w = coherent_log_overlap(self.alpha0, self.beta0)
-        if abs(w - self.log_overlap) > 1e-12 * max(1.0, abs(w)):
-            raise ValueError("stored log_overlap does not match the amplitudes")
-        n2inv = _norm_inverse_square(self.a, self.b, w)
+        n2inv = abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a.conjugate() * b * cmath.exp(w)).real
         if n2inv <= 0:
-            raise ValueError("branches cancel: normalization is undefined")
-        expected = 1.0 / math.sqrt(n2inv)
-        if abs(self.norm_const - expected) > 1e-12 * expected:
-            raise ValueError("stored norm_const does not match its recomputation")
+            raise ValueError(f"nonpositive squared inverse norm ({n2inv}); branches cancel")
+        object.__setattr__(self, "log_overlap", w)
+        object.__setattr__(self, "norm_const", 1.0 / math.sqrt(n2inv))
 
     @property
     def o0(self) -> float:
@@ -252,25 +251,7 @@ class SuperpositionInit:
         return math.exp(self.log_overlap.real)
 
 
-def _norm_inverse_square(a: complex, b: complex, w: complex) -> float:
-    overlap = cmath.exp(w)
-    return abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a.conjugate() * b * overlap).real
-
-
 def normalize_superposition(a: complex, b: complex,
                             alpha0: complex, beta0: complex) -> SuperpositionInit:
-    """Normalization constant for a|alpha0> + b|beta0> plus cached overlap data.
-
-    Raises when both weights vanish or the two branches cancel exactly
-    (zero-norm state).
-    """
-    a = complex(a)
-    b = complex(b)
-    if a == 0 and b == 0:
-        raise ValueError("at least one branch weight must be nonzero")
-    w = coherent_log_overlap(alpha0, beta0)
-    n2inv = _norm_inverse_square(a, b, w)
-    if n2inv <= 0:
-        raise ValueError(f"nonpositive squared inverse norm ({n2inv}); branches cancel")
-    return SuperpositionInit(a, b, complex(alpha0), complex(beta0),
-                             1.0 / math.sqrt(n2inv), w)
+    """The normalised state a|alpha0> + b|beta0>: SuperpositionInit(a, b, alpha0, beta0)."""
+    return SuperpositionInit(a, b, alpha0, beta0)

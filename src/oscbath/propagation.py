@@ -544,6 +544,11 @@ def _step_count(t_end: float, dt: float) -> int:
     return int(math.ceil(t_end / dt - 1e-9))
 
 
+def _row_count(n_steps: int, sample_every: int) -> int:
+    """The states evolve_rk4 holds: t = 0, every sample_every-th step and the last step."""
+    return 1 - (-n_steps // sample_every)
+
+
 def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
                sample_every: int = 1) -> AmplitudeTrajectory:
     """Classical fixed-step RK4 integration of du/dt = -iAu from e_0, O(N) per step.
@@ -569,7 +574,7 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
         raise ValueError("sample_every must be >= 1")
 
     n_steps = _step_count(t_end, dt)
-    times = np.zeros(1 - (-n_steps // sample_every))
+    times = np.zeros(_row_count(n_steps, sample_every))
     states = np.empty((times.size, gen.diag.size + 1), dtype=complex)
     a, r, c, d = (-1j * dt * np.asarray(piece) for piece in gen)
     powers = d ** np.arange(4)[:, None]  # d^m, m < 4

@@ -23,7 +23,7 @@ from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
                     banded_blocks, build_bath_grid, centered_bipartition,
                     interleaved_bipartition, normalize_superposition)
 from .observables import ExcitationProfile, _excitation_profiles, excitation_profile
-from .propagation import (_step_count, build_generator, evolve_rk4, gershgorin_bound,
+from .propagation import (_row_count, _step_count, build_generator, evolve_rk4, gershgorin_bound,
                           spectral_solution)
 from .wootters import oracle_residuals
 
@@ -44,8 +44,6 @@ _SCHEMES = {"none": (), "centered": ("size_b",), "banded": ("n_blocks",),
             "interleaved": (), "explicit": ("blocks", "labels")}
 _EMITS = ("excitation", "blocks", "bipartition", "concurrence")
 _METHODS = ("exact", "rk4", "both")
-# the keys of a sweep's grid, which no scenario document takes
-_GRID_KEYS = ("sizes_b", "overlaps")
 # an rk4 or both run that would hold more bytes of sampled RK4 states than this is refused
 _MAX_STATE_BYTES = 2 ** 30
 
@@ -59,11 +57,11 @@ class Scenario:
     superposition: SuperpositionInit | None
     partition_scheme: str
     partition_params: dict
-    t_end: float
-    dt: float
-    samples: int
-    method: str
     emit: str
+    method: str = "exact"
+    t_end: float = 100.0
+    dt: float = 0.01
+    samples: int = 2000
     out_dir: str | None = None
     svg: bool = False
 
@@ -76,10 +74,10 @@ class Scenario:
             raise ValueError(f"method must be one of {_METHODS}")
         if self.emit not in _EMITS:
             raise ValueError(f"emit must be one of {_EMITS}")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.emit != "excitation" and self.partition_scheme == "none":
@@ -114,25 +112,16 @@ class Scenario:
         return n_steps if self.samples <= 1 else max(1, round(n_steps / (self.samples - 1)))
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    raise ValueError(f"cannot interpret {value!r} as a complex number")
+def _text(key: str, value) -> str:
+    """value, which must be text; anything else raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be text, got {value!r}")
+    return value
 
 
-def _complex_out(z: complex):
-    return z.real if z.imag == 0 else [z.real, z.imag]
-
-
-def _reject_unknown(section: str, doc: dict, allowed) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                         f"allowed: {', '.join(allowed)}")
+def _as_given(key: str, value):
+    """value as it is, for a key whose dataclass checks it."""
+    return value
 
 
 def _integer(key: str, value) -> int:
@@ -148,14 +137,14 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """value as a float: a bool, null, a list or other text than a number raises
-    ValueError, where float() reads 1.0 or raises TypeError."""
+    """value as a finite float: a bool, null, a list, NaN, an infinity or other text than
+    a number raises ValueError, where float() reads 1.0, raises TypeError or passes it."""
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, bool) and math.isfinite(float(value)):
             return float(value)
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    raise ValueError(f"{key} must be a number (finite), got {value!r}")
 
 
 def _reals(key: str, value) -> tuple[float, ...]:
@@ -170,74 +159,103 @@ def _listed(key: str, value) -> list:
     return list(value)
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from a JSON-compatible document; unknown keys raise."""
-    if "scenario" in doc:  # accept a previously written manifest
+def _as_complex(key: str, value) -> complex:
+    """value, a number, a [re, im] pair of numbers or text like "1+0.5j", as a complex
+    whose parts _real reads; anything else raises ValueError."""
+    if isinstance(value, str):  # complex() raises ValueError for malformed text
+        z = complex(value.replace(" ", ""))
+        value = [z.real, z.imag]
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(key, value[0]), _real(key, value[1]))
+    return complex(_real(key, value))
+
+
+def _complex_out(z: complex):
+    return z.real if z.imag == 0 else [z.real, z.imag]
+
+
+def _section(name: str, doc, readers: dict) -> dict:
+    """doc, an object, with each value read as readers[key](key, value): a doc that is not
+    an object, a key without a reader and a value its reader refuses raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(readers))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s) {', '.join(unknown)}; "
+                         f"allowed: {', '.join(readers)}")
+    return {key: readers[key](key, value) for key, value in doc.items()}
+
+
+def _unwrapped(doc) -> dict:
+    """doc, or the scenario a run's manifest embeds; anything but an object raises ValueError."""
+    if isinstance(doc, dict) and "scenario" in doc:
         doc = doc["scenario"]
-    sweep_keys = [k for k in ("base", "preset", *_GRID_KEYS) if k in doc]
+    if not isinstance(doc, dict):
+        raise ValueError(f"a document must be an object, got {doc!r}")
+    return doc
+
+
+def _system(key: str, value) -> SystemConfig:
+    """The system section; a key left out takes SystemConfig's default."""
+    system = _section(key, value, _SYSTEM)
+    if "n_bath" not in system:
+        raise ValueError("configuration is missing required key 'n_bath'")
+    return SystemConfig(**system)
+
+
+def _superposition(key: str, value) -> SuperpositionInit:
+    """The superposition section; a key left out takes its value in _CAT_INIT."""
+    return SuperpositionInit(**{**_CAT_INIT, **_section(key, value, _SUPERPOSITION)})
+
+
+_REFERENCE_SYSTEM = {"n_bath": 1000, "coupling_amplitude": 0.1, "band": (0.5, 1.5)}
+_CAT_INIT = {"a": 1, "b": -1, "alpha0": 3, "beta0": -3}
+
+# each section's keys and the reader of each
+_SYSTEM = {"n_bath": _integer, "coupling_amplitude": _real, "band": _reals, "omega0": _real,
+           "couplings": _reals, "force_resonant": _as_given}
+_SUPERPOSITION = dict.fromkeys(_CAT_INIT, _as_complex)
+_TIME = {"t_end": _real, "dt": _real, "samples": _integer}
+# the keys of every scheme; _SCHEMES says which scheme takes which.  Integers and text,
+# as the run reads them, so that the manifest echoes what ran
+_PARTITION = {"scheme": _text, "size_b": _integer, "n_blocks": _integer,
+              "blocks": lambda key, value: [[_integer("block index", i)
+                                             for i in _listed("each block", block)]
+                                            for block in _listed(key, value)],
+              "labels": lambda key, value: [str(label) for label in _listed(key, value)]}
+_SCENARIO = {"name": _text, "system": _system, "superposition": _superposition,
+             "partition": lambda key, value: _section(key, value, _PARTITION),
+             "time": lambda key, value: _section(key, value, _TIME),
+             "method": _text, "emit": _text, "out_dir": _text, "svg": _as_given}
+# the grid of a sweep, which no scenario takes
+_GRID = {"sizes_b": lambda key, value: [_integer(key, v) for v in _listed(key, value)],
+         "overlaps": lambda key, value: list(_reals(key, value))}
+_SWEEP = {"name": _text, "preset": lambda key, value: preset(_text(key, value)),
+          "base": lambda key, value: scenario_from_dict(value), **_GRID}
+
+
+def scenario_from_dict(doc: dict) -> Scenario:
+    """Build a Scenario from a JSON-compatible document or the manifest of a run; a
+    section that is not an object, an unknown key or a value its reader refuses raises
+    ValueError."""
+    doc = _unwrapped(doc)
+    sweep_keys = [k for k in ("base", "preset", *_GRID) if k in doc]
     if sweep_keys:
         raise ValueError(f"sweep key(s) {', '.join(sweep_keys)} in a scenario; "
                          "run a sweep document or its manifest with `oscbath sweep`")
-    _reject_unknown("top-level", doc, ("name", "system", "superposition", "partition",
-                                       "time", "method", "emit", "out_dir", "svg"))
-    try:
-        sysd = doc["system"]
-        _reject_unknown("system", sysd, ("n_bath", "coupling_amplitude", "band", "omega0",
-                                         "couplings", "force_resonant"))
-        system = SystemConfig(
-            n_bath=_integer("n_bath", sysd["n_bath"]),
-            coupling_amplitude=_real("coupling_amplitude", sysd.get("coupling_amplitude", 0.1)),
-            band=_reals("band", sysd.get("band", (0.5, 1.5))),
-            omega0=_real("omega0", sysd.get("omega0", 1.0)),
-            couplings=_reals("couplings", sysd["couplings"]) if "couplings" in sysd else None,
-            force_resonant=sysd.get("force_resonant", False),
-        )
-    except KeyError as exc:
-        raise ValueError(f"configuration is missing required key {exc}") from exc
-
-    init = None
-    if doc.get("superposition") is not None:
-        sup = doc["superposition"]
-        _reject_unknown("superposition", sup, ("a", "b", "alpha0", "beta0"))
-        init = normalize_superposition(
-            _as_complex(sup.get("a", 1.0)), _as_complex(sup.get("b", -1.0)),
-            _as_complex(sup.get("alpha0", 3.0)), _as_complex(sup.get("beta0", -3.0)))
-
-    part = doc.get("partition") or {"scheme": "none"}
-    scheme = part.get("scheme", "none")
-    params = {k: v for k, v in part.items() if k != "scheme"}
-    # an unknown scheme itself is reported by Scenario
-    _reject_unknown(f"partition ({scheme})", params, _SCHEMES.get(scheme, params))
-    # integers and text, as the run reads them, so that the manifest echoes what ran
-    params.update({k: _integer(k, params[k]) for k in ("size_b", "n_blocks") if k in params})
-    if "blocks" in params:
-        params["blocks"] = [[_integer("block index", i) for i in _listed("each block", b)]
-                            for b in _listed("blocks", params["blocks"])]
-    if "labels" in params:
-        params["labels"] = [str(label) for label in _listed("labels", params["labels"])]
-
-    timed = doc.get("time", {})
-    _reject_unknown("time", timed, ("t_end", "dt", "samples"))
-
-    emit = doc.get("emit")
-    if emit is None:  # the richest output the partition and superposition allow
-        emit = {"none": "excitation", "banded": "blocks"}.get(
-            scheme, "concurrence" if init is not None else "bipartition")
-
-    return Scenario(
-        name=str(doc.get("name", "run")),
-        system=system,
-        superposition=init,
-        partition_scheme=scheme,
-        partition_params=params,
-        t_end=_real("t_end", timed.get("t_end", 100.0)),
-        dt=_real("dt", timed.get("dt", 0.01)),
-        samples=_integer("samples", timed.get("samples", 2000)),
-        method=str(doc.get("method", "exact")),
-        emit=str(emit),
-        out_dir=doc.get("out_dir"),
-        svg=doc.get("svg", False),
-    )
+    doc = _section("top-level", {"system": {}, **doc}, _SCENARIO)
+    params = doc.get("partition", {})
+    scheme = params.pop("scheme", "none")
+    # the keys the scheme takes; an unknown scheme itself is reported by Scenario
+    allowed = dict.fromkeys(_SCHEMES.get(scheme, params), _as_given)
+    _section(f"partition ({scheme})", params, allowed)
+    # by default the richest output the partition and superposition allow
+    emit = doc["emit"] if "emit" in doc else {"none": "excitation", "banded": "blocks"}.get(
+        scheme, "concurrence" if "superposition" in doc else "bipartition")
+    return Scenario(  # a key left out takes Scenario's default
+        name=doc.get("name", "run"), system=doc["system"], superposition=doc.get("superposition"),
+        partition_scheme=scheme, partition_params=params, emit=emit, **doc.get("time", {}),
+        **{key: doc[key] for key in ("method", "out_dir", "svg") if key in doc})
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -267,10 +285,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.out_dir is not None:
         doc["out_dir"] = s.out_dir
     return doc
-
-
-_REFERENCE_SYSTEM = {"n_bath": 1000, "coupling_amplitude": 0.1, "band": [0.5, 1.5]}
-_CAT_INIT = {"a": 1, "b": -1, "alpha0": 3, "beta0": -3}
 
 
 def _centered_preset(name: str, size_b: int, emit: str) -> dict:
@@ -367,7 +381,7 @@ def _setup(s: Scenario, out_dir, sizes_b=None):
     partition and emit 'concurrence' on a partition that is not a bipartition
     raise before the mkdir."""
     if s.method != "exact":  # evolve_rk4 keeps every sample of the (N+1)-mode state
-        rows = 1 - (-_step_count(s.t_end, s.dt) // s.rk4_sample_every())
+        rows = _row_count(_step_count(s.t_end, s.dt), s.rk4_sample_every())
         held = rows * (s.system.n_bath + 1) * 16
         if held > _MAX_STATE_BYTES:
             raise ValueError(f"method {s.method!r} would hold {held / 2 ** 30:.2f} GiB of RK4 "
@@ -450,28 +464,23 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     realized by symmetric real amplitudes +-d/2 with d = sqrt(-2 ln o0).
     doc is {"name", "base" or "preset", "sizes_b", "overlaps"}, a flat
     scenario document plus the grid keys, or a sweep manifest (its
-    "scenario"); unknown keys, a base method other than "exact", an empty
-    grid axis and a repeated size_b raise ValueError before any output.
+    "scenario"); what a section reader refuses, a base method other than "exact",
+    an empty grid axis and a repeated size_b raise ValueError before any output.
     """
     start = time.perf_counter()
-    if "scenario" in doc:  # rerun a previously written manifest
-        doc = doc["scenario"]
-    if "preset" in doc and "base" in doc:
+    doc = _unwrapped(doc)
+    if "base" not in doc and "preset" not in doc:  # flat: the base scenario plus the grid
+        doc = {**{k: doc[k] for k in ("name", *_GRID) if k in doc},
+               "base": {k: v for k, v in doc.items() if k not in _GRID}}
+    sweep = _section("sweep", doc, _SWEEP)
+    if "preset" in sweep and "base" in sweep:
         raise ValueError("a sweep takes 'base' or 'preset', not both")
-    if "preset" in doc:
-        _reject_unknown("sweep", doc, ("name", "preset", *_GRID_KEYS))
-        base = preset(doc["preset"])
-    elif "base" in doc:
-        _reject_unknown("sweep", doc, ("name", "base", *_GRID_KEYS))
-        base = scenario_from_dict(doc["base"])
-    else:  # a flat document is the base scenario plus the grid keys
-        base = scenario_from_dict({k: v for k, v in doc.items() if k not in _GRID_KEYS})
+    base = sweep["base"] if "base" in sweep else sweep["preset"]
     if base.method != "exact":
         raise ValueError(f"a sweep propagates with method 'exact'; the base has {base.method!r}")
-    name = str(doc.get("name", f"{base.name}_sweep"))
-    sizes = [_integer("sizes_b", v)
-             for v in _listed("sizes_b", doc.get("sizes_b", [100, 500, 900]))]
-    overlaps = list(_reals("overlaps", doc.get("overlaps", [math.exp(-18.0)])))
+    name = sweep.get("name", f"{base.name}_sweep")
+    sizes = sweep.get("sizes_b", [100, 500, 900])
+    overlaps = sweep.get("overlaps", [math.exp(-18.0)])
     if not sizes or not overlaps:
         raise ValueError("a sweep needs at least one entry in sizes_b and in overlaps")
     if len(set(sizes)) < len(sizes):
@@ -479,8 +488,7 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     for o0 in overlaps:
         if not 0.0 < o0 < 1.0:
             raise ValueError(f"overlaps must lie strictly inside (0, 1), got {o0}")
-    sup = base.superposition
-    weight_a, weight_b = (sup.a, sup.b) if sup is not None else (1.0, -1.0)
+    sup = base.superposition or _superposition("superposition", {})
 
     out, gen, partitions = _setup(base, out_dir, sizes)
     # one propagation and one reduction feed every grid point
@@ -489,7 +497,7 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
     for size_b, profile in zip(sizes, profiles):
         for j, o0 in enumerate(overlaps):
             half = math.sqrt(-2.0 * math.log(o0)) / 2.0
-            init = normalize_superposition(weight_a, weight_b, half, -half)
+            init = normalize_superposition(sup.a, sup.b, half, -half)
             header, columns, residual = _concurrence_table(init, profile)
             stem = f"{name}_b{size_b}_o{j}"
             tables.append((stem, header, columns))

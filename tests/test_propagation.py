@@ -22,7 +22,7 @@ class TestGenerator:
         assert np.array_equal(dense_matrix(gen), [[0.0, 0.1], [0.1, 0.0]])
 
     def test_three_by_three_entries(self):
-        grid = BathGrid(1.0, [0.5, 1.5], [0.1, 0.1], [0.25, -0.25])
+        grid = BathGrid(1.0, [0.5, 1.5], [0.1, 0.1])
         gen = build_generator(grid)
         expected = [[0.0, 0.1, 0.1],
                     [0.1, -0.5, 0.0],

@@ -206,19 +206,37 @@ class TestScenarioParsing:
         ("system", "band", 5, "band must be a list"),
         ("system", "band", [0.5, None], "band must be a number"),
         ("time", "t_end", None, "t_end must be a number"),
-        ("time", "dt", [0.01], "dt must be a number")])
+        ("time", "dt", [0.01], "dt must be a number"),
+        # float() passes NaN and infinities, which the run would carry into every row
+        ("time", "t_end", math.nan, "t_end must be a number"),
+        ("system", "coupling_amplitude", math.inf, "coupling_amplitude must be a number"),
+        # complex() reads true as 1 and raises TypeError for null
+        ("superposition", "a", True, "a must be a number"),
+        ("superposition", "a", [True, 0], "a must be a number"),
+        ("superposition", "a", [None, 1], "a must be a number"),
+        # a section or a whole document that is not an object
+        ("superposition", None, 5, "superposition must be an object"),
+        ("time", None, [1], "time must be an object"),
+        ("system", None, None, "system must be an object"),
+        (None, None, [1], "must be an object"),
+        (None, None, 5, "must be an object"),
+        (None, None, None, "must be an object")])
     def test_values_the_run_would_change_exit_bad_input(self, tmp_path, capsys, section, key,
                                                         value, message):
         doc = json.loads(json.dumps(SMALL_DOC))
-        if key is None:
+        if section is None and key is None:
+            doc = value
+        elif key is None:
             doc[section] = value
         else:
             (doc if section is None else doc[section])[key] = value
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # a flat sweep document is a scenario document plus the grid
+        for command in ("simulate", "sweep"):
+            assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_integral_floats_are_integers(self):
         doc = json.loads(json.dumps(SMALL_DOC))
@@ -644,7 +662,10 @@ class TestCli:
     @pytest.mark.parametrize("key, value, message", [
         ("t_end", None, "t_end must be a number"), ("dt", [0.01], "dt must be a number"),
         ("coupling_amplitude", True, "coupling_amplitude must be a number"),
-        ("band", 5, "band must be a list"), ("band", [0.5, "x"], "band must be a number")])
+        ("band", 5, "band must be a list"), ("band", [0.5, "x"], "band must be a number"),
+        ("t_end", math.nan, "t_end must be a number"),
+        ("superposition", {"a": None}, "a must be a number"),
+        ("superposition", 5, "superposition must be an object")])
     def test_verify_non_number_config_exits_bad_input(self, tmp_path, capsys, key, value,
                                                      message):
         cfg = tmp_path / "verify.json"
@@ -653,6 +674,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "residual" not in captured.out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "nan"), ("--t-end", "inf"), ("--dt", "nan"), ("--dt", "inf")])
+    def test_non_finite_time_flag_exits_bad_input(self, tmp_path, capsys, flag, value):
+        assert main(["simulate", "--preset", "fig3", flag, value,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_and_simulate_read_one_superposition(self, tmp_path, monkeypatch):
+        from oscbath import SuperpositionInit, checks
+        sup = {"a": [1, 0.5], "b": "-1+0.5j", "alpha0": 2, "beta0": [-2, 0]}
+        expected = SuperpositionInit(1 + 0.5j, -1 + 0.5j, 2, -2)
+        read = []
+        factorization = checks.verify_overlap_factorization
+        monkeypatch.setattr(checks, "verify_overlap_factorization", lambda traj, init, part:
+                            read.append(init) or factorization(traj, init, part))
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"n_bath": 60, "samples": 41, "draws": 10,
+                                   "superposition": sup}))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert read == [expected]
+        cfg.write_text(json.dumps({**SMALL_DOC, "superposition": sup}))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        saved = json.loads((tmp_path / "out" / "small_manifest.json").read_text())
+        assert scenario_from_dict(saved).superposition == expected
 
     def test_verify_coarse_step_fails(self, tmp_path, capsys):
         cfg = tmp_path / "verify.json"
@@ -805,3 +852,52 @@ class TestCli:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 assert line == f"wrote {name}  sha256 {digest[:16]}"
             assert re.fullmatch(r"status: ok  \(\d+\.\d\ds\)", lines[-1])
+
+
+def _bad_values_of_every_key():
+    """(command, section, key, value): null, true, a list and NaN for every key of every
+    section reader, but true for a flag."""
+    from oscbath.checks import _READERS
+    from oscbath.scenarios import (_PARTITION, _SCENARIO, _SUPERPOSITION, _SWEEP, _SYSTEM,
+                                   _TIME)
+    tables = [("simulate", None, _SCENARIO), ("simulate", "system", _SYSTEM),
+              ("simulate", "superposition", _SUPERPOSITION), ("simulate", "time", _TIME),
+              ("simulate", "partition", _PARTITION), ("sweep", None, _SWEEP),
+              ("verify", None, _READERS), ("verify", "superposition", _SUPERPOSITION)]
+    return [pytest.param(command, section, key, value, id=f"{command}-{section}-{key}-{value}")
+            for command, section, readers in tables for key in readers
+            for value in (None, True, [None], math.nan)
+            if not (value is True and key in ("svg", "force_resonant"))]
+
+
+# the partition each partition key is fed into: one of a scheme that takes it
+_PARTITION_OF = {"n_blocks": {"scheme": "banded", "n_blocks": 4},
+                 **dict.fromkeys(("blocks", "labels"), {
+                     "scheme": "explicit", "labels": ["B", "C"],
+                     "blocks": [list(range(1, 11)), list(range(11, 41))]})}
+
+
+@pytest.mark.parametrize("command, section, key, value", _bad_values_of_every_key())
+def test_every_reader_refuses_null_true_lists_and_nan(tmp_path, capsys, command, section, key,
+                                                      value):
+    # a key whose reader lets one of these through fails here
+    if command == "verify":
+        doc = {"n_bath": 60, "samples": 41, "draws": 10}
+    elif command == "sweep":
+        doc = {"name": "scan", "base": SMALL_DOC, "sizes_b": [10], "overlaps": [0.5]}
+        if key == "preset":
+            del doc["base"]
+    else:
+        doc = json.loads(json.dumps(SMALL_DOC))
+        doc["partition"] = _PARTITION_OF.get(key, doc["partition"])
+    if section is not None:
+        doc[section] = {**doc.get(section, {})}
+    (doc if section is None else doc[section])[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = (["verify", "--config", str(cfg)] if command == "verify"
+            else [command, str(cfg), "--out", str(tmp_path / "out")])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "residual" not in captured.out
+    assert not (tmp_path / "out").exists()

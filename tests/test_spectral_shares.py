@@ -435,7 +435,7 @@ def _clustered_grid():
     geometrically down to 1e-8 around resonance."""
     freqs = np.concatenate((np.linspace(0.5, 0.99, 40), 1.0 + 1e-8 * 2.0 ** np.arange(25)))
     couplings = np.full(freqs.size, 0.1 / math.sqrt(freqs.size))
-    return BathGrid(1.0, freqs, couplings, (1.0 - freqs) / 2.0)
+    return BathGrid(1.0, freqs, couplings)
 
 
 def _with_corner(gen, a00):
@@ -620,7 +620,7 @@ def _moved_pole_grid(reference_grid):
     """The reference comb with one mode 100 ulp off its place."""
     freqs = reference_grid.frequencies.copy()
     freqs[500] += 100 * np.spacing(freqs[500])
-    return BathGrid(1.0, freqs, reference_grid.couplings, (1.0 - freqs) / 2.0)
+    return BathGrid(1.0, freqs, reference_grid.couplings)
 
 
 @pytest.mark.parametrize("grid", ["clustered", "small", "moved pole"])
