@@ -51,6 +51,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_bath < 1:
             raise ValueError(f"n_bath must be >= 1, got {self.n_bath}")
+        for name in ("omega0", "coupling_amplitude", "band"):  # inf or NaN fails late or never
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.coupling_amplitude <= 0:
@@ -66,8 +69,8 @@ class SystemConfig:
             object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
             if len(self.couplings) != self.n_bath:
                 raise ValueError("couplings override must have one entry per bath mode")
-            if any(g <= 0 for g in self.couplings):
-                raise ValueError("couplings must be positive")
+            if not all(0 < g < math.inf for g in self.couplings):
+                raise ValueError(f"couplings must be positive and finite, got {self.couplings}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

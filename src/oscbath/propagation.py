@@ -1,14 +1,14 @@
 """Amplitude dynamics of the coupled system.
 
-The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u from u(0) = e_0
-with a real symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two
-independent solvers are provided: a spectral propagator (normal modes from
-the secular equation, exact unitary evolution in chunks of time rows) and a
-fixed-step classical RK4 integrator to cross-check it.  For du/dt = Zu,
-Z = -i dt A, its step u + sum_{k<=4} Z^k u / k! is built once from the arrow as u
-plus a diagonal and a rank-5 map, q u + (M L u) R with L and R 5 x (N+1).
-Neither solver forms an (N+1)^2 array: the eigenvectors enter through their
-closed form v_kj = gamma_k v_0j / (lam_j - d_k), one block of rows at a time.
+The state vector u = (f, g_1, ..., g_N) obeys i du/dt = A u from u(0) = e_0 with a real
+symmetric arrowhead generator A, held as its arrow (Arrowhead).  Two independent solvers
+are provided: a spectral propagator (normal modes from the secular equation, exact unitary
+evolution in chunks of time rows) and a fixed-step classical RK4 integrator to cross-check
+it.  For du/dt = Zu, Z = -i dt A, its step u + sum_{k<=4} Z^k u / k! is built once from the
+arrow as u plus a diagonal and a rank-5 map, q u + (M L u) R with L and R 5 x (N+1), and a
+block of k steps as u plus a diagonal and a rank-5k map.  Neither solver forms an (N+1)^2
+array: the eigenvectors enter through their closed form v_kj = gamma_k v_0j / (lam_j - d_k),
+one block of rows at a time.
 
 Only the slowly varying amplitudes are stored; the pure phase prefactors
 exp(-i*omega0*t) / exp(-i*omega_k*t) of the lab-frame coherent amplitudes
@@ -50,8 +50,8 @@ _SLACK = 4
 _NEAR = 64
 _MOMENTS = 10
 _COMB_ULP = 8
-# each real block of a near field takes about this many bytes, which stays in cache: in
-# blocks of _CHUNK_BYTES the solver took 1.5 times as long at N = 1000
+# each real block of a near field, or stack of an RK4 block, takes about this many bytes,
+# which stays in cache: in blocks of _CHUNK_BYTES the solver took 1.5 times as long at N = 1000
 _NEAR_BYTES = 2 ** 18
 
 
@@ -553,17 +553,19 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
                sample_every: int = 1) -> AmplitudeTrajectory:
     """Classical fixed-step RK4 integration of du/dt = -iAu from e_0, O(N) per step.
 
-    The first row and column of the arrowhead gen apply as given.  With a, r, c, d the
-    arrow of Z = -i dt A, a step adds sum_{k=1..4} Z^k u / k! = q u + (M L u) R to u:
+    The first row and column of the arrowhead gen apply as given.  With a, r, c, d the arrow of
+    Z = -i dt A, a step S adds sum_{k=1..4} Z^k u / k! = q u + (M L u) R to u:
     Z (0, g) = (r.g) e_0 + (0, d g), and to degree 4 Z maps the rows e_0 and (0, d^m c),
     m < 4, of R among themselves by a 5 x 5 H.  So q = (0, sum_k d^k / k!), L u = (u_0, r.g,
     r.(d g), r.(d^2 g), r.(d^3 g)) enters e_0 at degrees 0..4, M_nj = sum_i (H^i)_n0 / (i + j)!
-    (0 < i + j <= 4).  The products run in reals: OpenBLAS threads a complex matrix-vector
-    product from 4096 entries, and a threaded call can stall for ms.
-    Steps dt until t >= t_end; samples every sample_every steps plus the
-    final step.  Stability guideline: dt <= 0.05 / gershgorin_bound(gen).
-    Raises IntegrationFailure once the sampled norm drifts from 1 by more
-    than RK4_NORM_LIMIT.
+    (0 < i + j <= 4).  With D = 1 + q, S^k = D^k + sum_{j<k} S^(k-1-j) R^T M L D^j, so a block
+    of k steps adds (D^k - 1) u + sum_j S^(k-1-j) R^T M L D^j u, a diagonal and a rank-5k map;
+    k stops at sample_every and before a real (10 k, N+1) stack of the L D^j or the S^j R^T
+    outgrows _NEAR_BYTES (at 1.6 MB, no faster than single steps).  The products run in reals:
+    OpenBLAS threads a complex matrix-vector product from 4096 entries, which can stall for ms.
+    Steps dt until t >= t_end; samples every sample_every steps plus the final step.  Stability
+    guideline: dt <= 0.05 / gershgorin_bound(gen).  Raises IntegrationFailure once the sampled
+    norm drifts from 1 by more than RK4_NORM_LIMIT, or is NaN.
     """
     gen = _arrow(gen)
     if dt <= 0:
@@ -575,7 +577,7 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
 
     n_steps = _step_count(t_end, dt)
     times = np.zeros(_row_count(n_steps, sample_every))
-    states = np.empty((times.size, gen.diag.size + 1), dtype=complex)
+    states = np.zeros((times.size, gen.diag.size + 1), dtype=complex)
     a, r, c, d = (-1j * dt * np.asarray(piece) for piece in gen)
     powers = d ** np.arange(4)[:, None]  # d^m, m < 4
     left, right = np.zeros((2, 5, d.size + 1), dtype=complex)
@@ -584,28 +586,41 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
     h = np.eye(5, k=-1, dtype=complex)
     h[0, :4] = a, *np.sum(right[1:4, 1:] * r, axis=1)  # a, r.(d^m c)
     weights = np.array([0, 1, 1 / 2, 1 / 6, 1 / 24, 0, 0, 0, 0])[np.add.outer(range(5), range(5))]
-    krylov = np.array([np.linalg.matrix_power(h, i)[:, 0] for i in range(5)]).T
     q = np.append(0.0, d * (1 + d / 2 * (1 + d / 3 * (1 + d / 4))))
-    # in reals: (Lr; Li) u = (Lr u, Li u), which mix takes to (M L u, i M L u), whose
-    # (re, im) pairs (Rr, Ri)^T takes to those of w = (M L u) R
-    mix = np.kron([[1, 1j], [1j, -1]], krylov @ weights)
-    left, right = np.vstack((left.real, left.imag)), np.hstack((right.real.T, right.imag.T))
+    mat = np.array([np.linalg.matrix_power(h, i)[:, 0] for i in range(5)]).T @ weights  # M
+    # groups j < k: D^j - 1 in increments (1 + q would round q away), L D^j and S^j R^T
+    k = max(1, min(sample_every, n_steps, _NEAR_BYTES // (80 * q.size)))
+    grow, pre, post = [np.zeros_like(q), q], [left], [right.T]
+    for _ in range(k - 1):
+        grow.append(grow[-1] + q * (1 + grow[-1]))
+        pre.append(pre[-1] + pre[-1] * q)
+        post.append(post[-1] + (q[:, None] * post[-1] + right.T @ (mat @ (left @ post[-1]))))
+    # in reals: (Vr; Vi) u = (Vr u, Vi u) per group, which mix takes to (M V u, i M V u),
+    # whose (re, im) pairs (Ur | Ui) takes to those of the increment; b < k steps read
+    # the first b groups of V = (L D^j) and the last b of U = (S^(k-1-j) R^T)
+    mix = np.kron([[1, 1j], [1j, -1]], mat).T
+    left = np.array([np.vstack((x.real, x.imag)) for x in pre]).reshape(10 * k, -1)
+    right = np.hstack([np.hstack((x.real, x.imag)) for x in post[::-1]])
     u, v, w = np.zeros((3, d.size + 1), dtype=complex)
-    p, m = np.empty((2, 10), dtype=complex)
+    p, m = np.empty((2, k, 10), dtype=complex)
     pairs_u, pairs_p, pairs_m, pairs_w = (x.view(float).reshape(-1, 2) for x in (u, p, m, w))
-    u[0] = 1.0
-    states[0] = u
-    for step in range(1, n_steps + 1):
-        np.dot(left, pairs_u, out=pairs_p)
-        np.dot(mix, p, out=m)
-        np.dot(right, pairs_m, out=pairs_w)
-        w += np.multiply(q, u, out=v)
-        u += w  # the increment, not (1 + q) u: 1 + q would round q away
+    u[0] = states[0, 0] = 1.0  # e_0
+    step, products = 0, {}
+    while step < n_steps:
+        b = min(k, sample_every - step % sample_every, n_steps - step)
+        if b not in products:  # the operands and outputs of a block of b steps, sliced once
+            products[b] = ((left[:10 * b], pairs_u, pairs_p[:10 * b]), (p[:b], mix, m[:b]),
+                           (right[:, 10 * (k - b):], pairs_m[:10 * b], pairs_w))
+        for x, y, out in products[b]:
+            np.dot(x, y, out=out)
+        w += np.multiply(grow[b], u, out=v)
+        u += w
+        step += b
         if step % sample_every == 0 or step == n_steps:
             i = -(-step // sample_every)
             times[i], states[i] = step * dt, u
             drift = float(_norm_drift(states[i]))
-            if drift > RK4_NORM_LIMIT:
+            if not drift <= RK4_NORM_LIMIT:  # NaN too, once the state overflows
                 raise IntegrationFailure(
                     f"norm drift {drift:.3e} at t={step * dt:g} exceeds {RK4_NORM_LIMIT:g}; "
                     f"reduce dt (guideline dt <= {0.05 / gershgorin_bound(gen):.3g})")

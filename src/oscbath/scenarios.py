@@ -162,8 +162,11 @@ def _listed(key: str, value) -> list:
 def _as_complex(key: str, value) -> complex:
     """value, a number, a [re, im] pair of numbers or text like "1+0.5j", as a complex
     whose parts _real reads; anything else raises ValueError."""
-    if isinstance(value, str):  # complex() raises ValueError for malformed text
-        z = complex(value.replace(" ", ""))
+    if isinstance(value, str):
+        try:
+            z = complex(value.replace(" ", ""))
+        except ValueError:  # malformed text, which complex()'s message does not name
+            raise ValueError(f"{key} must be a complex number, got {value!r}") from None
         value = [z.real, z.imag]
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_real(key, value[0]), _real(key, value[1]))
@@ -222,7 +225,8 @@ _PARTITION = {"scheme": _text, "size_b": _integer, "n_blocks": _integer,
               "blocks": lambda key, value: [[_integer("block index", i)
                                              for i in _listed("each block", block)]
                                             for block in _listed(key, value)],
-              "labels": lambda key, value: [str(label) for label in _listed(key, value)]}
+              "labels": lambda key, value: [_text("each label", label)
+                                            for label in _listed(key, value)]}
 _SCENARIO = {"name": _text, "system": _system, "superposition": _superposition,
              "partition": lambda key, value: _section(key, value, _PARTITION),
              "time": lambda key, value: _section(key, value, _TIME),

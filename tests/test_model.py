@@ -48,6 +48,21 @@ class TestBathGrid:
         with pytest.raises(ValueError):
             SystemConfig(n_bath=3, band=(1.5, 0.5))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"omega0": math.inf}, "omega0 must be finite"),
+        ({"omega0": math.nan}, "omega0 must be finite"),
+        ({"coupling_amplitude": math.inf}, "coupling_amplitude must be finite"),
+        ({"coupling_amplitude": math.nan}, "coupling_amplitude must be finite"),
+        ({"band": (0.5, math.inf)}, "band must be finite"),
+        ({"band": (math.nan, 1.5)}, "band must be finite"),
+        ({"couplings": (0.1, math.inf)}, "couplings must be positive and finite"),
+        ({"couplings": (math.nan, 0.1)}, "couplings must be positive and finite")])
+    def test_rejects_non_finite_values(self, kwargs, message):
+        # the document readers refuse these too; through the API an infinite coupling got
+        # as far as the secular solver, which failed with roots that did not converge
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(n_bath=2, **kwargs)
+
     def test_coupling_override(self):
         grid = build_bath_grid(SystemConfig(n_bath=2, couplings=(0.1, 0.1)))
         assert grid.couplings.tolist() == [0.1, 0.1]

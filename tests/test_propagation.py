@@ -165,24 +165,43 @@ def _dense_rk4(gen, t_end, dt):
 class TestEvolveRK4:
     # row_scale 1.5 makes the first row differ from the first column; the
     # norm then grows, past RK4_NORM_LIMIT near t = 0.9 on this grid.  a00 = 0.37
-    # puts the term a f of the first row into every step
+    # puts the term a f of the first row into every step.  At N = 40 a block holds up
+    # to 79 steps: sample_every 7 and 20 take one block an interval, and a shorter last
+    # one where they do not divide the 500 or 50 steps; 100 takes 79 + 21 an interval,
+    # and one block of 50 at t_end = 0.5
+    @pytest.mark.parametrize("sample_every, bound", [(1, 1e-15), (7, 4e-15), (20, 4e-15),
+                                                     (100, 4e-15)])
     @pytest.mark.parametrize("a00, row_scale, t_end", [
         (0.0, 1.0, 5.0), (0.0, 1.5, 0.5), (0.37, 1.0, 5.0), (0.37, 1.5, 0.5)])
-    def test_arrowhead_matches_dense_reference(self, small_grid, a00, row_scale, t_end):
+    def test_arrowhead_matches_dense_reference(self, small_grid, a00, row_scale, t_end,
+                                               sample_every, bound):
         gen = build_generator(small_grid)
         row = np.array(gen.row)
         row[0] *= row_scale
         gen = gen._replace(a00=a00, row=row)
-        traj = evolve_rk4(gen, t_end, 0.01)
+        traj = evolve_rk4(gen, t_end, 0.01, sample_every)
         reference = _dense_rk4(gen, t_end, 0.01)
-        assert traj.states.shape == reference.shape
-        assert np.abs(traj.states - reference).max() <= 1e-15
+        rows = np.unique(np.append(np.arange(0, len(reference), sample_every), len(reference) - 1))
+        assert traj.states.shape == reference[rows].shape
+        assert np.abs(traj.states - reference[rows]).max() <= bound
 
-    def test_state_bytes_do_not_depend_on_blas_threads(self):
+    def test_blocks_match_single_steps_at_scale(self):
+        # at N = 1000 a block holds 3 steps: 16 blocks and a block of 2 per sample interval,
+        # then 4 blocks and a block of 1 for the last 13 steps of 1013
+        gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000)))
+        steps = evolve_rk4(gen, 10.13, 0.01)
+        blocks = evolve_rk4(gen, 10.13, 0.01, sample_every=50)
+        rows = np.append(np.arange(0, 1001, 50), 1013)
+        assert np.array_equal(blocks.times, steps.times[rows])
+        assert np.abs(blocks.states - steps.states[rows]).max() <= 4e-15
+
+    @pytest.mark.parametrize("sample_every", [1, 20])
+    def test_state_bytes_do_not_depend_on_blas_threads(self, sample_every):
         # the step's matrix products run in one thread whatever OPENBLAS_NUM_THREADS says
         script = ("import hashlib; from oscbath import *; "
                   "gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000))); "
-                  "print(hashlib.sha256(evolve_rk4(gen, 10.0, 0.01).states.tobytes()).hexdigest())")
+                  f"traj = evolve_rk4(gen, 10.0, 0.01, sample_every={sample_every}); "
+                  "print(hashlib.sha256(traj.states.tobytes()).hexdigest())")
         src = str(Path(__file__).resolve().parents[1] / "src")
         digests = set()
         for threads in ("1", "2"):
@@ -232,6 +251,12 @@ class TestEvolveRK4:
         gen = build_generator(small_grid)
         with pytest.raises(IntegrationFailure):
             evolve_rk4(gen, 50.0, 1.0)
+
+    def test_overflowing_step_raises(self, small_grid):
+        # the state overflows to inf and NaN between two samples; a NaN drift fails too
+        gen = build_generator(small_grid)
+        with np.errstate(all="ignore"), pytest.raises(IntegrationFailure, match="drift nan"):
+            evolve_rk4(gen, 5000.0, 10.0, sample_every=500)
 
     def test_norm_drift_small_for_recommended_step(self, small_grid):
         gen = build_generator(small_grid)

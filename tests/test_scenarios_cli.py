@@ -214,6 +214,13 @@ class TestScenarioParsing:
         ("superposition", "a", True, "a must be a number"),
         ("superposition", "a", [True, 0], "a must be a number"),
         ("superposition", "a", [None, 1], "a must be a number"),
+        # complex() names no key in its message for malformed text
+        ("superposition", "a", "1+xj", "a must be a complex number, got '1+xj'"),
+        ("superposition", "b", "j1", "b must be a complex number, got 'j1'"),
+        # str() would read null as the label None
+        ("partition", None, {"scheme": "explicit", "labels": [None, None],
+                             "blocks": [list(range(1, 11)), list(range(11, 41))]},
+         "each label must be text, got None"),
         # a section or a whole document that is not an object
         ("superposition", None, 5, "superposition must be an object"),
         ("time", None, [1], "time must be an object"),
