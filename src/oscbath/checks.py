@@ -106,8 +106,8 @@ def run_verification(config: dict | None = None,
              lambda: excitation_profile(trajectory()).norm_residual())
 
     def shares_vs_state():
-        # the share kernel integrates the bath amplitudes between anchor rows; the
-        # materialised state takes every row from the eigenvectors.  The last user
+        # the share kernel integrates the bath amplitudes from e_0 (or its Cauchy rows);
+        # the materialised state takes every row from the eigenvectors.  The last user
         # of the decomposition drops it.
         direct = excitation_profile(trajectory(), partition)
         kernel = excitation_profile(state.pop("solution"), partition)

@@ -35,21 +35,24 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
 
     source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
     different partitions may overlap and a partition need not cover the
-    bath, whose every mode enters theta.  Each chunk's |u|^2 is reduced to
-    xi, theta and every block sum by one product with a 0/1 indicator.
+    bath, whose every mode enters theta.  Each chunk's squared real and
+    imaginary parts of the g_k are reduced to theta and every block sum by one
+    product with a 0/1 indicator that holds each mode's row twice; xi is |f|^2.
     """
     blocks = []
     for partition in partitions:
         if partition is not None:
             partition.validate_range(source.n_bath)
             blocks.extend(partition.blocks)
-    indicator = np.zeros((source.n_bath + 1, 2 + len(blocks)))
-    indicator[0, 0] = indicator[1:, 1] = 1.0
+    indicator = np.zeros((source.n_bath + 1, 1 + len(blocks)))  # theta, then each block
+    indicator[:, 0] = 1.0
     for j, block in enumerate(blocks):
-        indicator[list(block), 2 + j] = 1.0
-    shares = np.empty((source.times.size, indicator.shape[1]))
-    for rows, u2 in source.share_chunks():
-        shares[rows] = u2 @ indicator
+        indicator[list(block), 1 + j] = 1.0
+    indicator = np.repeat(indicator[1:], 2, axis=0)  # mode k: rows 2k - 2 and 2k - 1
+    shares = np.empty((source.times.size, 1 + indicator.shape[1]))
+    for rows, xi, pairs in source.share_chunks():
+        shares[rows, 0] = xi
+        shares[rows, 1:] = pairs @ indicator
     xi, theta, sums = shares[:, 0], shares[:, 1], shares[:, 2:].T
     profiles, at = [], 0
     for partition in partitions:

@@ -33,16 +33,14 @@ __all__ = [
 
 # norm drift beyond this flags the fixed-step integration as failed
 RK4_NORM_LIMIT = 1e-4
-# each real (rows, N+1) array of a spectral chunk, and each complex one of a share
-# chunk, takes about this many bytes
+# each real (rows, N+1) array of a spectral chunk takes about this many bytes, and a share
+# chunk's complex (rows, N+1) amplitudes and phase table together
 _CHUNK_BYTES = 2 ** 21
 # a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
 # its end row is an anchor instead
 _MAX_NODES = 16
-# share_chunks takes every this-many-th row from the Cauchy product, whatever the chunk
-_ANCHOR_ROWS = 256
-# a row takes the spacing h, and stays in a block started at t_b, while its
-# increment and time stay within this many ulp of max|t| of h and t_b + r h
+# a row takes the spacing h, and stays in the stretch started at row o, while its
+# increment and time stay within this many ulp of max|t| of h and t_o + (n - o) h
 _SLACK = 4
 # on a comb the secular sums take the _NEAR poles on each side of a root's pole exactly and
 # the rest from _MOMENTS + 1 Taylor moments (truncated at (_NEAR + 1)^-(_MOMENTS + 1) of the
@@ -85,15 +83,10 @@ class AmplitudeTrajectory:
         """Central-oscillator amplitude series."""
         return self.states[:, 0]
 
-    @property
-    def g(self) -> np.ndarray:
-        """Bath amplitude series, column k-1 for mode k."""
-        return self.states[:, 1:]
-
     def share_chunks(self):
-        """|u|^2 of the whole state as one chunk (rows, u2), as SpectralSolution.share_chunks."""
-        re, im = self.states.real, self.states.imag
-        yield slice(None), re * re + im * im
+        """The whole state as one chunk (rows, xi, pairs), as SpectralSolution.share_chunks."""
+        parts = self.states.view(float)
+        yield slice(None), parts[:, 0] ** 2 + parts[:, 1] ** 2, np.square(parts[:, 2:])
 
 
 class Arrowhead(NamedTuple):
@@ -131,6 +124,14 @@ def _phases(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     return phases
+
+
+def _phase_table(h: float, rows: int, freq: np.ndarray) -> np.ndarray:
+    """exp(i freq r h), r < rows, as exp(i freq (r - b) h) exp(i freq b h), b = r mod s,
+    s = ceil(sqrt(rows)): 2 s rows of cos and sin instead of rows."""
+    s = math.isqrt(max(rows - 1, 0)) + 1
+    coarse, fine = _phases(np.arange(0, rows, s) * h, freq), _phases(np.arange(s) * h, freq)
+    return (coarse[:, None] * fine).reshape(-1, freq.size)[:rows]
 
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -177,12 +178,12 @@ def _interval_nodes(h: float, m: int):
     return 0.5 * h * (x + 1.0), h / ((1.0 - x) * (1.0 + x) * slope * slope)
 
 
-def _spacing(times: np.ndarray, reach: float):
+def _spacing(times: np.ndarray, lam: np.ndarray, diag: np.ndarray):
     """(anchor, h, m, tol): h is the mean of the increments t_n - t_{n-1} that lie
     within tol of their median (the upper one of an even count), m its node count for
-    |omega| <= reach, 0 unless two increments take h.  anchor[n] marks row 0, every
-    _ANCHOR_ROWS-th row and, while m > 0, a row whose increment is off h by more than
-    tol; with m = 0, every row."""
+    |omega| <= max|d_k - lam_j|, 0 unless two increments take h.  anchor[n] marks the rows whose
+    state is not integrated from the row before: row 0 and, while m > 0, a row whose
+    increment is off h by more than tol; with m = 0, every row."""
     tol = _SLACK * np.spacing(times[-1])
     steps = np.diff(times)
     # not np.median, which imports numpy.ma: about 1.8 MB more resident size
@@ -193,48 +194,29 @@ def _spacing(times: np.ndarray, reach: float):
         return anchor, 0.0, 0, tol
     base = near.min()
     h = base + (near - base).mean()  # the mean as an offset, which the sum cannot round away
-    m = int(_node_counts(np.array([h * reach]))[0])
+    reach = h * max(diag.max() - lam[0], lam[-1] - diag.min())
+    m = int(_node_counts(np.array([reach]))[0])
     anchor[1:] = (np.abs(steps - h) > tol) | (m == 0)
-    anchor[::_ANCHOR_ROWS] = True
     return anchor, h, m, tol
 
 
 def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float, limit: int):
-    """(first, size): runs of rows n that are no anchors, each within one stretch
-    [j limit, (j + 1) limit), along which t_n stays within tol of t_b + (n - first + 1) h,
-    with t_b = t_{first-1}; a row that strays starts the next run at its exact time."""
-    firsts, sizes = [], []
-    cut = np.diff(anchor, prepend=True, append=True)
-    cut[::limit] = cut[-1] = True
-    cut = np.flatnonzero(cut)
-    for lo, hi in zip(cut[:-1], cut[1:]):
-        while lo < hi and not anchor[lo]:
-            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1) * h)) > tol
-            k = (int(stray.argmax()) or 1) if stray.any() else hi - lo
-            firsts.append(lo)
-            sizes.append(k)
-            lo += k
-    return np.array(firsts, dtype=int), np.array(sizes, dtype=int)
-
-
-def _node_values(times, lam, w, firsts, sizes, h, x) -> np.ndarray:
-    """f(t) = sum_j w_j exp(-i lam_j t) at t_{n-1} + (h, x_1, ..., x_m) on each row n
-    of the blocks (firsts, sizes) of _blocks, as row n of a T x (1 + m) array; f(t_n)
-    comes first.  exp(-i lam (t_b + r h + x)) = exp(-i lam t_b) exp(-i lam r h)
-    exp(-i lam x): one row per block start, one table of r h and one product per
-    batch of blocks."""
-    values = np.zeros((times.size, 1 + x.size), dtype=complex)
-    table = _phases(np.arange(sizes.max(initial=0)) * h, -lam)  # (R, N+1)
-    weighted = _phases(np.append(h, x), -lam).T * w[:, None]
-    r = np.arange(table.shape[0])[:, None]
-    per = max(1, _CHUNK_BYTES // (16 * lam.size * (x.size + 1)))  # blocks per product
-    for lo in range(0, firsts.size, per):
-        starts = _phases(times[firsts[lo:lo + per] - 1], -lam)
-        batch = (starts.T[:, :, None] * weighted[:, None, :]).reshape(lam.size, -1)
-        vals = (table @ batch).reshape(r.size, -1, x.size + 1)
-        held = r < sizes[lo:lo + per]
-        values[(firsts[lo:lo + per] + r)[held]] = vals[held]
-    return values
+    """(first, size, origin) rows: runs of rows n that are no anchors (row 0 is one), each
+    within one chunk [j limit, (j + 1) limit), along which t_n stays within tol of
+    t_o + (n - o) h.  A stretch of runs starts at an anchor o, and at the row o before
+    one that strays, so that the next stretch starts at that row's exact time."""
+    runs = []
+    for lo, hi in np.flatnonzero(np.diff(anchor, prepend=True, append=True)).reshape(-1, 2):
+        o = lo - 1
+        while lo < hi:
+            stop = min(hi, (lo // limit + 1) * limit)
+            stray = np.abs(times[lo:stop] - (times[o] + np.arange(lo - o, stop - o) * h)) > tol
+            k = int(stray.argmax()) if stray.any() else stop - lo
+            o = lo - 1 if k == 0 else o  # row lo strays: restart before it
+            runs.append((lo, max(k, 1), o))
+            lo += max(k, 1)
+            o = lo - 1 if lo < stop else o
+    return np.array(runs, dtype=int).reshape(-1, 3).T
 
 
 def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray):
@@ -302,51 +284,62 @@ class SpectralSolution:
             states[rows].real, states[rows].imag = re, im
         return AmplitudeTrajectory(self.times, states)
 
-    def share_chunks(self):
-        """Yield (rows, u2): |u(times[rows])|^2, O(N m) per row between anchor
-        rows.  u2 is one buffer, overwritten by the next chunk.
+    @property
+    def cauchy_rows(self) -> int:
+        """The rows share_chunks takes from the Cauchy product."""
+        return int(np.count_nonzero(_spacing(self.times, self.lam, self.diag)[0])
+                   - (self.times[0] == 0))
 
-        Anchor rows (_spacing) come from the Cauchy product.  Any other row follows
-        from the row before, in its chunk or the last one, by the Duhamel integral
-        of f(s) = sum_j w_j exp(-i lam_j s) at Gauss-Legendre nodes (_node_values):
-        with h the one spacing, g_k(t_n) = exp(-i d_k h) [g_k(t_{n-1})
-        - i gamma_k int_0^h exp(i d_k s) f(t_{n-1} + s) ds]."""
+    def share_chunks(self):
+        """Yield (rows, xi, pairs): |f|^2 and (re_1^2, im_1^2, re_2^2, ...) of the g_k at
+        times[rows], O(N m) a row off the anchors of _spacing, in reused buffers.  Row 0 at
+        t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the row o before
+        one that strays (_blocks), starts a stretch, along which row n holds G_k =
+        exp(i d_k (n - o) h) g_k (|G| = |g|): the row before plus exp(i d_k (n - 1 - o) h)
+        (-i gamma_k) int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s)
+        at Gauss-Legendre nodes x.  A block's rotation, the phase row exp(i d (first - 1 - o) h)
+        folded into the rule's weights times a table exp(i d r h), never touches the carry,
+        which takes a rounded phase only where a stray row restarts the stretch."""
         lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
         n = lam.size
-        anchor, h, m, tol = _spacing(times, max(diag.max() - lam[0], lam[-1] - diag.min()))
-        size = min(times.size, max(1, _CHUNK_BYTES // (16 * n)))  # rows per chunk
-        firsts, sizes = _blocks(times, anchor, h, tol, size)
+        anchor, h, m, tol = _spacing(times, lam, diag)
+        # the amplitudes and the phase table of a chunk each take half of _CHUNK_BYTES
+        size = min(times.size, max(1, _CHUNK_BYTES // (32 * n)))  # rows per chunk
+        firsts, sizes, origins = _blocks(times, anchor, h, tol, size)
         x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
-        values = _node_values(times, lam, self.v0 * self.v0, firsts, sizes, h, x)
-        # the weighted -i gamma_k exp(i d_k x) of the nodes, and exp(-i d h)
+        # v0^2 exp(-i lam (h, x)), the rule -i gamma q exp(i d x), exp(-i lam r h), exp(i d r h)
+        weighted = _phases(np.append(h, x), -lam).T * (self.v0 * self.v0)[:, None]
         quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
-        turn = np.exp(-1j * h * diag)
-        marked = np.flatnonzero(anchor)  # u at each in turn, one Cauchy pass per batch
-        anchors = (u for batch in _row_blocks(marked.size, 2 * n)
-                   for u in zip(*self._amplitudes(times[marked[batch]])))
+        steps, table = (_phase_table(h, sizes.max(initial=0), c) for c in (-lam, diag))
+        marked = np.flatnonzero(anchor)[int(times[0] == 0):]  # one Cauchy pass per batch
+        anchors = ((re[0] + 1j * im[0], re[1:] + 1j * im[1:])
+                   for batch in _row_blocks(marked.size, 2 * n)
+                   for re, im in zip(*self._amplitudes(times[marked[batch]])))
 
-        # g[1 + i] holds row lo + i of the chunk and g[0] the row before, carried over
-        u2, g = np.empty((size, n)), np.empty((size + 1, n - 1), dtype=complex)
-        for rows in _row_blocks(times.size, 2 * n):  # complex (rows, N+1) blocks
+        # f[i] and g[1 + i] hold row lo + i of the chunk, g[0] the row before, carried over;
+        # g is contiguous, which halves the time of each operation on a block of it
+        f, g = np.empty(size, dtype=complex), np.empty((size + 1, n - 1), dtype=complex)
+        g_rows = list(g)
+        for rows in _row_blocks(times.size, 4 * n):
             lo, k = rows.start, min(rows.stop, times.size) - rows.start
-            f = values[rows, 0]
-            u2[:k, 0] = f.real ** 2 + f.imag ** 2
-            for i in np.flatnonzero(anchor[rows]):
-                re, im = next(anchors)
-                u2[i, 0] = re[0] * re[0] + im[0] * im[0]
-                g[1 + i].real, g[1 + i].imag = re[1:], im[1:]
+            for i in np.flatnonzero(anchor[rows]):  # e_0 at row 0 and t = 0
+                f[i], g[1 + i] = next(anchors) if lo + i or times[0] else (1.0, 0.0)
             for b in range(*np.searchsorted(firsts, (lo, lo + k))):  # the chunk's blocks
-                a, z = firsts[b] - lo, firsts[b] + sizes[b] - lo
-                # -i gamma_k times the integrals
-                np.matmul(values[lo + a:lo + z, 1:], quad, out=g[1 + a:1 + z])
+                a, z, o = firsts[b] - lo, firsts[b] + sizes[b] - lo, origins[b]
+                if b and o > origins[b - 1] and not anchor[o]:  # a stray row restarts at o
+                    g[o - lo + 1] *= _phases([(o - origins[b - 1]) * h], -diag)[0]
+                shift = lo + a - 1 - o
+                # f at t_b + r h + (h, x), t_b = t_o + shift h, by exp(-i lam t_b) exp(-i lam r h)
+                nodes = steps[:z - a] @ (_phases([times[o] + shift * h], -lam).T * weighted)
+                f[a:z] = nodes[:, 0]  # f(t_n)
+                weights = quad * _phases([shift * h], diag)[0] if shift else quad
+                np.matmul(nodes[:, 1:], weights, out=g[1 + a:1 + z])
+                g[1 + a:1 + z] *= table[:z - a]
                 for i in range(a, z):
-                    g[1 + i] += g[i]
-                    g[1 + i] *= turn
+                    np.add(g_rows[i], g_rows[i + 1], out=g_rows[i + 1])
             g[0] = g[k]
             pairs = g[1:k + 1].view(float)
-            np.square(pairs, out=pairs)
-            np.add(pairs[:, ::2], pairs[:, 1::2], out=u2[:k, 1:])
-            yield rows, u2[:k]
+            yield rows, f[:k].real ** 2 + f[:k].imag ** 2, np.square(pairs, out=pairs)
 
 
 def build_generator(grid: BathGrid) -> Arrowhead:
@@ -628,8 +621,10 @@ def evolve_rk4(gen: Arrowhead, t_end: float, dt: float,
 
 
 def _norm_drift(states: np.ndarray) -> np.ndarray:
-    """|1 - sum_i |u_i|^2| of each state along the last axis."""
-    return np.abs(1.0 - np.sum(np.abs(states) ** 2, axis=-1))
+    """|1 - sum_i |u_i|^2| of each state along the last axis (NaN for a NaN state) as one
+    product of the real view with itself (np.einsum, which sums in order, was 4e-15 off)."""
+    pairs = states.view(float)
+    return np.abs(1.0 - (pairs[..., None, :] @ pairs[..., :, None])[..., 0, 0])
 
 
 def norm_residual(traj: AmplitudeTrajectory) -> float:

@@ -439,7 +439,7 @@ def run_scenario(s: Scenario, out_dir=None) -> RunManifest:
     methods = ("exact", "rk4") if s.method == "both" else (s.method,)
     # one decomposition serves the exact run and the method comparison
     exact = spectral_solution(gen, s.exact_times()) if s.method != "rk4" else None
-    checks: dict = {}
+    checks: dict = {} if exact is None else {"exact_cauchy_rows": exact.cauchy_rows}
     tables = []
     for method in methods:
         if method == "rk4":  # rk4_sample_every rounds, so this can differ from samples
@@ -496,7 +496,8 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
 
     out, gen, partitions = _setup(base, out_dir, sizes)
     # one propagation and one reduction feed every grid point
-    profiles = _excitation_profiles(spectral_solution(gen, base.exact_times()), partitions)
+    solution = spectral_solution(gen, base.exact_times())
+    profiles = _excitation_profiles(solution, partitions)
     tables, index = [], []
     for size_b, profile in zip(sizes, profiles):
         for j, o0 in enumerate(overlaps):
@@ -514,5 +515,6 @@ def run_sweep(doc: dict, out_dir=None) -> RunManifest:
 
     sweep_doc = {"name": name, "base": scenario_to_dict(base),
                  "sizes_b": sizes, "overlaps": overlaps}
-    checks = {"max_oracle_residual": max(row[-1] for row in index)}
+    checks = {"max_oracle_residual": max(row[-1] for row in index),
+              "exact_cauchy_rows": solution.cauchy_rows}
     return _emit(out, name, sweep_doc, tables, checks, start, base.svg)

@@ -64,7 +64,7 @@ class TestOverlapFactorization:
         part = PartitionSpec(((1,),), ("B",))
         assert verify_overlap_factorization(traj, cat_init, part) < 1e-12
         # at full transfer the block overlap equals the initial one
-        g2 = abs(traj.g[-1, 0]) ** 2
+        g2 = abs(traj.states[-1, 1]) ** 2
         assert g2 == pytest.approx(1.0, abs=1e-12)
 
     def test_holds_for_complex_amplitudes(self, small_grid):

@@ -80,9 +80,9 @@ class TestEvolveExact:
         t = np.linspace(0.0, 5 * math.pi, 101)
         traj = evolve_exact(gen, t)
         assert np.abs(traj.f - np.cos(0.1 * t)).max() < 1e-12
-        assert np.abs(traj.g[:, 0] + 1j * np.sin(0.1 * t)).max() < 1e-12
+        assert np.abs(traj.states[:, 1] + 1j * np.sin(0.1 * t)).max() < 1e-12
         assert abs(traj.f[-1]) < 1e-12
-        assert abs(abs(traj.g[-1, 0]) - 1.0) < 1e-12
+        assert abs(abs(traj.states[-1, 1]) - 1.0) < 1e-12
 
     def test_norm_conserved_at_scale(self, reference_traj):
         assert norm_residual(reference_traj) < 1e-9
@@ -295,3 +295,13 @@ class TestNormResidual:
     def test_roundoff_at_t0_evolution(self, two_mode_grid):
         traj = evolve_exact(build_generator(two_mode_grid), [0.0])
         assert norm_residual(traj) < 1e-14
+
+    def test_one_reduction_matches_the_abs_square_sum(self, reference_traj):
+        # bound fixed before the first run: the two sums round differently by about
+        # eps per term
+        old = float(np.max(np.abs(1.0 - np.sum(np.abs(reference_traj.states) ** 2, axis=-1))))
+        assert abs(norm_residual(reference_traj) - old) <= 1e-15
+
+    def test_nan_state_gives_nan(self):
+        traj = AmplitudeTrajectory([0.0], [[complex(math.nan, 0.0), 0.0]])
+        assert math.isnan(norm_residual(traj))

@@ -337,6 +337,22 @@ class TestRunScenario:
         exact = run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
         assert "rk4_samples" not in exact.checks
 
+    def test_exact_cauchy_rows_in_manifest(self, tmp_path, monkeypatch):
+        # every preset integrates each row after e_0, so none comes from the Cauchy product
+        for name in preset_names():
+            assert run_scenario(preset(name), out_dir=tmp_path).checks["exact_cauchy_rows"] == 0
+        saved = json.loads((tmp_path / "fig10c_manifest.json").read_text())
+        assert saved["checks"]["exact_cauchy_rows"] == 0
+        # a grid from t_0 > 0 takes its first row from it; the count stays out of the CSV
+        monkeypatch.setattr(Scenario, "exact_times",
+                            lambda s: 5.0 + np.linspace(0.0, s.t_end, s.samples))
+        manifest = run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
+        assert manifest.checks["exact_cauchy_rows"] == 1
+        assert "cauchy" not in (tmp_path / "small.csv").read_text()
+        sweep = run_sweep({"name": "scan", "base": SMALL_DOC, "sizes_b": [10],
+                           "overlaps": [0.5]}, out_dir=tmp_path)
+        assert sweep.checks["exact_cauchy_rows"] == 1
+
     @pytest.mark.parametrize("method", ["rk4", "both"])
     def test_rk4_dt_guideline_in_manifest(self, tmp_path, method):
         from oscbath import build_bath_grid, build_generator, gershgorin_bound

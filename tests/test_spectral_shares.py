@@ -9,6 +9,7 @@ indicator product for the sums), so the bound is 1e-14 rather than
 equality.
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -54,9 +55,9 @@ def _assert_shares(profile, reference):
 
 @pytest.fixture(params=["default", "7 rows"])
 def chunking(request, monkeypatch, small_grid):
-    """The default byte budget (one chunk at N = 40) or 7-row chunks."""
+    """The default byte budget (one chunk at N = 40) or 7-row share chunks."""
     if request.param == "7 rows":
-        monkeypatch.setattr(propagation, "_CHUNK_BYTES", 8 * (small_grid.n + 1) * 7)
+        monkeypatch.setattr(propagation, "_CHUNK_BYTES", 32 * (small_grid.n + 1) * 7)
     return request.param
 
 
@@ -116,9 +117,9 @@ def test_single_sample(small_grid, chunking, times):
 
 
 def test_reference_scale_sweep_groups(reference_gen, reference_grid):
-    # 2000 rows are 15 full share chunks of 130 complex rows (the default budget
-    # at N = 1000) and one of 50
-    assert propagation._CHUNK_BYTES // (16 * 1001) == 130
+    # 2000 rows are 30 full share chunks of 65 rows (the default budget at
+    # N = 1000: a complex buffer and a phase table of 65 rows) and one of 50
+    assert propagation._CHUNK_BYTES // (32 * 1001) == 65
     times = np.linspace(0.0, 100.0, 2000)
     partitions = [centered_bipartition(reference_grid, size) for size in (100, 500, 900)]
     _assert_profiles(reference_gen, times, partitions)
@@ -181,8 +182,8 @@ def _small_solution():
 def _kernel_blocks(solution, times, limit=None):
     """The anchors, spacing, node count and blocks share_chunks takes for times,
     its blocks cut every limit rows (by default, at its chunk ends)."""
-    anchor, h, m, tol = propagation._spacing(times, _reach(solution, 1.0))
-    limit = limit or propagation._CHUNK_BYTES // (16 * solution.lam.size)
+    anchor, h, m, tol = propagation._spacing(times, solution.lam, solution.diag)
+    limit = limit or max(1, propagation._CHUNK_BYTES // (32 * solution.lam.size))
     return anchor, h, m, propagation._blocks(times, anchor, h, tol, limit)
 
 
@@ -190,23 +191,25 @@ def _kernel_blocks(solution, times, limit=None):
 def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     # bound fixed before the first run: the direct phases round t lam to
     # eps |lam t| / 2.  Row n of a block takes exp(-i lam t_n) as
-    # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], as share_chunks does; each
-    # factor rounds its phase as the direct formula does, and t_b + (r + 1) h lies
-    # within _SLACK = 4 ulp of max|t| of t_n; 8 eps max|lam t| covers both while
-    # max|lam t| >= 25, as on every grid here.  Anchor rows take the direct phases.
+    # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], t_b = t_o + (first - 1 - o) h,
+    # as share_chunks does, with exp(-i lam r h) = exp(-i lam (r - b) h) exp(-i lam b h)
+    # (_phase_table); each factor rounds its phase as the direct formula does, and
+    # t_b + (r + 1) h lies within _SLACK = 4 ulp of max|t| of t_n; 8 eps max|lam t|
+    # covers both while max|lam t| >= 25, as on every grid here.  Anchor rows take
+    # the direct phases.
     times = _PHASE_GRIDS[grid](reference_gen)
     solution = spectral_solution(reference_gen, [0.0])
     lam = solution.lam
     c = np.exp(2j * np.pi * np.random.default_rng(5).random(lam.size))  # |c_j| = 1
     lam_t = np.abs(lam).max() * np.abs(times).max()
     assert lam_t >= 25.0
-    anchor, h, _, (firsts, sizes) = _kernel_blocks(solution, times)
+    anchor, h, _, (firsts, sizes, origins) = _kernel_blocks(solution, times)
     assert sizes.sum() == np.count_nonzero(~anchor)  # every integrated row, once
     worst = 0.0
-    for first, size in zip(firsts, sizes):
-        lead = propagation._phases(times[first - 1:first], -lam) * propagation._phases(
+    for first, size, o in zip(firsts, sizes, origins):
+        lead = propagation._phases([times[o] + (first - 1 - o) * h], -lam) * propagation._phases(
             [h], -lam) * c
-        got = propagation._phases(np.arange(size) * h, -lam) * lead
+        got = propagation._phase_table(h, size, -lam) * lead
         re, im = _direct_scaled_phases(times[first:first + size], lam, c)
         worst = max(worst, np.abs(got - (re + 1j * im)).max())
     assert worst <= 8 * np.finfo(float).eps * lam_t
@@ -214,7 +217,8 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
 
 @pytest.fixture()
 def anchor_rows(monkeypatch):
-    """Row counts of the phases scaled for a Cauchy product (share_chunks: its anchor rows)."""
+    """Row counts of the phases scaled for a Cauchy product (share_chunks: its anchors
+    but row 0 at t = 0)."""
     rows = []
     scaled = propagation._scaled_phases
     monkeypatch.setattr(propagation, "_scaled_phases",
@@ -254,7 +258,8 @@ def test_window_far_from_zero(small_grid, anchor_rows):
                        _dense_reference(gen, times, groups=part.blocks))
         costs.append(sum(anchor_rows))
         anchor_rows.clear()
-    assert costs[1] <= costs[0] < 5  # anchor rows: the far window costs no more
+    # Cauchy rows: none from t = 0 (row 0 is e_0), the first row of the far window
+    assert costs == [0, 1]
 
 
 def test_node_rule_integrates_exponentials():
@@ -292,41 +297,43 @@ def test_finite_bath_revival_at_4000_modes():
 
 def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunking,
                                            anchor_rows):
-    # every increment is exactly 2^-4, so all rows but each _ANCHOR_ROWS-th
-    # follow from the row before by the Duhamel integral, across chunk ends
-    spacing = propagation._ANCHOR_ROWS
-    times = np.arange(4 * spacing + 1) / 16.0
+    # every increment is exactly 2^-4, so every row after e_0 follows from the row
+    # before by the Duhamel integral, across chunk ends and past four times the
+    # 256-row spacing at which Cauchy rows were once taken
+    times = np.arange(4 * 256 + 1) / 16.0
     part = centered_bipartition(reference_grid, 100)
     _assert_shares(excitation_profile(spectral_solution(reference_gen, times), part),
                    _dense_reference(reference_gen, times, groups=part.blocks))
-    assert sum(anchor_rows) == 5
+    assert sum(anchor_rows) == 0
 
 
 def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, anchor_rows):
     # the 13 bitwise-distinct increments of the presets' grid lie within a few ulp
-    # of one spacing, so only every _ANCHOR_ROWS-th row is an anchor
+    # of one spacing, so row 0 (e_0) is the only anchor and no row is a Cauchy row
     times = np.linspace(0.0, 100.0, 2000)
     assert np.unique(np.diff(times)).size == 13
     solution = spectral_solution(reference_gen, times)
     excitation_profile(solution, centered_bipartition(reference_grid, 100))
-    assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS) == 8
-    anchor, _, m, _ = _kernel_blocks(solution, times)
+    assert sum(anchor_rows) == solution.cauchy_rows == 0
+    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times)
     assert m == 4
-    assert np.array_equal(np.flatnonzero(anchor),
-                          np.arange(0, times.size, propagation._ANCHOR_ROWS))
+    assert np.array_equal(np.flatnonzero(anchor), [0])
+    assert np.all(origins == 0)  # one stretch
 
 
 @settings(max_examples=200, deadline=None)
 @given(t0=st.floats(0.0, 1e4), t_end=st.floats(1e-3, 1e3), size=st.integers(2, 3000),
        limit=st.integers(1, 4000))
 def test_linspace_grids_take_one_spacing(t0, t_end, size, limit):
-    # a linspace grid fine enough to integrate takes one spacing: its anchors are
-    # row 0 and every _ANCHOR_ROWS-th row, and no row strays from t_b + r h
+    # a linspace grid fine enough to integrate takes one spacing: its one anchor is
+    # row 0, a Cauchy row only at t_0 > 0, and no row strays from t_0 + n h
     times = np.linspace(t0, t0 + t_end, size)
-    anchor, _, m, (firsts, _) = _kernel_blocks(_small_solution(), times, limit)
+    solution = dataclasses.replace(_small_solution(), times=times)
+    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times, limit)
     if m > 0:
-        assert np.count_nonzero(anchor) == math.ceil(size / propagation._ANCHOR_ROWS)
-        assert np.all(anchor[firsts - 1] | (firsts % limit == 0))
+        assert np.count_nonzero(anchor) == 1
+        assert solution.cauchy_rows == (1 if times[0] > 0 else 0)
+        assert np.all(origins == 0)
 
 
 _RESTART_GRIDS = {
@@ -345,20 +352,34 @@ def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
                    _dense_reference(gen, times, groups=part.blocks))
-    anchor, h, _, (firsts, _) = _kernel_blocks(solution, times)
+    anchor, h, _, (_, _, origins) = _kernel_blocks(solution, times)
     if grid == "drifting":
-        # only every _ANCHOR_ROWS-th row is an anchor: the others are integrated
-        assert sum(anchor_rows) == math.ceil(times.size / propagation._ANCHOR_ROWS)
+        # only row 0, at t = 0.1, is an anchor and a Cauchy row: the others are
+        # integrated, and a stretch whose origin is no anchor was started by a row
+        # that strayed from t_o + (n - o) h
+        assert sum(anchor_rows) == np.count_nonzero(anchor) == 1
+        assert np.any(~anchor[origins])
     else:
         # the 150 increments of 0.05 set the spacing; row 0 and the 100 rows of
-        # the minority spacing 0.2 are anchors
+        # the minority spacing 0.2 are anchors, and all but row 0 (e_0) Cauchy rows
         assert abs(h - 0.05) < 1e-14
-        assert sum(anchor_rows) == np.count_nonzero(anchor) == 1 + 100
+        assert np.count_nonzero(anchor) == 1 + 100
+        assert sum(anchor_rows) == 100
         assert np.all(anchor[:101]) and not np.any(anchor[101:])
-    if grid == "drifting" and chunking == "default":
-        # the grid is one chunk, so a block that starts right after an integrated
-        # row was started by a row that strayed from t_b + r h
-        assert np.any(~anchor[firsts - 1])
+
+
+def test_no_drift_over_10000_one_row_chunks(small_grid, monkeypatch):
+    # bound fixed before the first run: 5e-14.  Each row is its own chunk, so every
+    # increment takes a phase row of its own and the carry is never rotated
+    monkeypatch.setattr(propagation, "_CHUNK_BYTES", 32 * (small_grid.n + 1))
+    gen = build_generator(small_grid)
+    times = np.linspace(0.0, 500.0, 10001)
+    part = centered_bipartition(small_grid, 10)
+    profile = excitation_profile(spectral_solution(gen, times), part)
+    xi, theta, sums, _ = _dense_reference(gen, times, groups=part.blocks)
+    assert np.abs(profile.xi - xi).max() <= 5e-14
+    assert np.abs(profile.theta - theta).max() <= 5e-14
+    assert np.abs(profile.theta_blocks - np.array(sums)).max() <= 5e-14
 
 
 def test_many_spacings_hold_bounded_memory(reference_gen, reference_grid):
