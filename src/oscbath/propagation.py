@@ -18,7 +18,7 @@ cancel in every observable built here and are left to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -311,10 +311,9 @@ class SpectralSolution:
         weighted = _phases(np.append(h, x), -lam).T * (self.v0 * self.v0)[:, None]
         quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
         steps, table = (_phase_table(h, sizes.max(initial=0), c) for c in (-lam, diag))
-        marked = np.flatnonzero(anchor)[int(times[0] == 0):]  # one Cauchy pass per batch
+        cauchy = replace(self, times=times[anchor][int(times[0] == 0):])  # the Cauchy rows
         anchors = ((re[0] + 1j * im[0], re[1:] + 1j * im[1:])
-                   for batch in _row_blocks(marked.size, 2 * n)
-                   for re, im in zip(*self._amplitudes(times[marked[batch]])))
+                   for _, *parts in cauchy.chunks() for re, im in zip(*parts))
 
         # f[i] and g[1 + i] hold row lo + i of the chunk, g[0] the row before, carried over;
         # g is contiguous, which halves the time of each operation on a block of it

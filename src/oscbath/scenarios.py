@@ -39,9 +39,6 @@ TOOL_VERSION = "0.1.0"
 # this bound, otherwise the run is marked failed
 ORACLE_RESIDUAL_LIMIT = 1e-10
 
-# partition scheme -> the parameter keys it takes
-_SCHEMES = {"none": (), "centered": ("size_b",), "banded": ("n_blocks",),
-            "interleaved": (), "explicit": ("blocks", "labels")}
 _EMITS = ("excitation", "blocks", "bipartition", "concurrence")
 _METHODS = ("exact", "rk4", "both")
 # an rk4 or both run that would hold more bytes of sampled RK4 states than this is refused
@@ -66,10 +63,15 @@ class Scenario:
     svg: bool = False
 
     def __post_init__(self):
-        if not self.name:
+        if not _text("name", self.name):
             raise ValueError("scenario needs a name")
+        if self.out_dir is not None:
+            _text("out_dir", self.out_dir)
         if self.partition_scheme not in _SCHEMES:
             raise ValueError(f"unknown partition scheme {self.partition_scheme!r}")
+        readers = _SCHEMES[self.partition_scheme][0]
+        object.__setattr__(self, "partition_params", _section(
+            f"partition ({self.partition_scheme})", self.partition_params, readers, needs=readers))
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
         if self.emit not in _EMITS:
@@ -88,19 +90,7 @@ class Scenario:
             raise ValueError(f"svg must be true or false, got {self.svg!r}")
 
     def partition_spec(self, grid: BathGrid) -> PartitionSpec | None:
-        params = self.partition_params
-        if self.partition_scheme == "none":
-            return None
-        if self.partition_scheme == "centered":
-            spec = centered_bipartition(grid, params["size_b"])
-        elif self.partition_scheme == "banded":
-            spec = banded_blocks(grid, params["n_blocks"])
-        elif self.partition_scheme == "interleaved":
-            spec = interleaved_bipartition(grid)
-        else:
-            spec = PartitionSpec(params["blocks"], params["labels"])
-            spec.validate_range(grid.n)
-        return spec
+        return _SCHEMES[self.partition_scheme][1](grid, **self.partition_params)
 
     def exact_times(self) -> np.ndarray:
         if self.t_end == 0 or self.samples == 1:
@@ -173,19 +163,18 @@ def _as_complex(key: str, value) -> complex:
     return complex(_real(key, value))
 
 
-def _complex_out(z: complex):
-    return z.real if z.imag == 0 else [z.real, z.imag]
-
-
-def _section(name: str, doc, readers: dict) -> dict:
+def _section(name: str, doc, readers: dict, needs=()) -> dict:
     """doc, an object, with each value read as readers[key](key, value): a doc that is not
-    an object, a key without a reader and a value its reader refuses raise ValueError."""
+    an object, an unknown key, a key of needs left out and a refused value raise ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be an object, got {doc!r}")
     unknown = sorted(set(doc) - set(readers))
     if unknown:
         raise ValueError(f"unknown {name} key(s) {', '.join(unknown)}; "
                          f"allowed: {', '.join(readers)}")
+    missing = [key for key in needs if key not in doc]
+    if missing:
+        raise ValueError(f"{name} needs {', '.join(missing)}")
     return {key: readers[key](key, value) for key, value in doc.items()}
 
 
@@ -199,11 +188,8 @@ def _unwrapped(doc) -> dict:
 
 
 def _system(key: str, value) -> SystemConfig:
-    """The system section; a key left out takes SystemConfig's default."""
-    system = _section(key, value, _SYSTEM)
-    if "n_bath" not in system:
-        raise ValueError("configuration is missing required key 'n_bath'")
-    return SystemConfig(**system)
+    """The system section; a key left out but n_bath takes SystemConfig's default."""
+    return SystemConfig(**_section(key, value, _SYSTEM, needs=("n_bath",)))
 
 
 def _superposition(key: str, value) -> SuperpositionInit:
@@ -219,14 +205,29 @@ _SYSTEM = {"n_bath": _integer, "coupling_amplitude": _real, "band": _reals, "ome
            "couplings": _reals, "force_resonant": _as_given}
 _SUPERPOSITION = dict.fromkeys(_CAT_INIT, _as_complex)
 _TIME = {"t_end": _real, "dt": _real, "samples": _integer}
-# the keys of every scheme; _SCHEMES says which scheme takes which.  Integers and text,
-# as the run reads them, so that the manifest echoes what ran
-_PARTITION = {"scheme": _text, "size_b": _integer, "n_blocks": _integer,
-              "blocks": lambda key, value: [[_integer("block index", i)
-                                             for i in _listed("each block", block)]
-                                            for block in _listed(key, value)],
-              "labels": lambda key, value: [_text("each label", label)
-                                            for label in _listed(key, value)]}
+
+
+def _explicit(grid: BathGrid, blocks: list, labels: list) -> PartitionSpec:
+    spec = PartitionSpec(blocks, labels)
+    spec.validate_range(grid.n)
+    return spec
+
+
+# partition scheme -> the reader of each key it takes, every one required, and the builder of
+# its PartitionSpec from the grid and those keys.  Integers and text, as the run reads them,
+# so that the manifest echoes what ran
+_SCHEMES = {"none": ({}, lambda grid: None),
+            "centered": ({"size_b": _integer}, centered_bipartition),
+            "banded": ({"n_blocks": _integer}, banded_blocks),
+            "interleaved": ({}, interleaved_bipartition),
+            "explicit": ({"blocks": lambda key, value: [[_integer("block index", i)
+                                                         for i in _listed("each block", block)]
+                                                        for block in _listed(key, value)],
+                          "labels": lambda key, value: [_text("each label", label)
+                                                        for label in _listed(key, value)]},
+                         _explicit)}
+_PARTITION = {"scheme": _text, **{key: read for readers, _ in _SCHEMES.values()
+                                  for key, read in readers.items()}}
 _SCENARIO = {"name": _text, "system": _system, "superposition": _superposition,
              "partition": lambda key, value: _section(key, value, _PARTITION),
              "time": lambda key, value: _section(key, value, _TIME),
@@ -240,8 +241,8 @@ _SWEEP = {"name": _text, "preset": lambda key, value: preset(_text(key, value)),
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a Scenario from a JSON-compatible document or the manifest of a run; a
-    section that is not an object, an unknown key or a value its reader refuses raises
-    ValueError."""
+    section that is not an object, an unknown key, a key the partition scheme needs left
+    out or a value its reader refuses raises ValueError."""
     doc = _unwrapped(doc)
     sweep_keys = [k for k in ("base", "preset", *_GRID) if k in doc]
     if sweep_keys:
@@ -250,9 +251,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     doc = _section("top-level", {"system": {}, **doc}, _SCENARIO)
     params = doc.get("partition", {})
     scheme = params.pop("scheme", "none")
-    # the keys the scheme takes; an unknown scheme itself is reported by Scenario
-    allowed = dict.fromkeys(_SCHEMES.get(scheme, params), _as_given)
-    _section(f"partition ({scheme})", params, allowed)
     # by default the richest output the partition and superposition allow
     emit = doc["emit"] if "emit" in doc else {"none": "excitation", "banded": "blocks"}.get(
         scheme, "concurrence" if "superposition" in doc else "bipartition")
@@ -262,32 +260,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
         **{key: doc[key] for key in ("method", "out_dir", "svg") if key in doc})
 
 
+def _echo(obj, keys) -> dict:
+    """obj's value of each key that is not None, as a document holds it: a sequence as a
+    list, a complex number as a number or a [re, im] pair."""
+    values = {key: getattr(obj, key) for key in keys}
+    return {key: ([v.real, v.imag] if v.imag else v.real) if isinstance(v, complex)
+            else list(v) if np.ndim(v) else v for key, v in values.items() if v is not None}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
-    doc = {
-        "name": s.name,
-        "system": {
-            "n_bath": s.system.n_bath,
-            "coupling_amplitude": s.system.coupling_amplitude,
-            "band": list(s.system.band),
-            "omega0": s.system.omega0,
-            "force_resonant": s.system.force_resonant,
-        },
-        "partition": {"scheme": s.partition_scheme, **s.partition_params},
-        "time": {"t_end": s.t_end, "dt": s.dt, "samples": s.samples},
-        "method": s.method,
-        "emit": s.emit,
-        "svg": s.svg,
-    }
-    if s.system.couplings is not None:
-        doc["system"]["couplings"] = list(s.system.couplings)
+    """The document scenario_from_dict reads back as s."""
+    doc = {**_echo(s, ("name", "method", "emit", "svg", "out_dir")),
+           "system": _echo(s.system, _SYSTEM), "time": _echo(s, _TIME),
+           "partition": {"scheme": s.partition_scheme, **s.partition_params}}
     if s.superposition is not None:
-        sup = s.superposition
-        doc["superposition"] = {
-            "a": _complex_out(sup.a), "b": _complex_out(sup.b),
-            "alpha0": _complex_out(sup.alpha0), "beta0": _complex_out(sup.beta0),
-        }
-    if s.out_dir is not None:
-        doc["out_dir"] = s.out_dir
+        doc["superposition"] = _echo(s.superposition, _SUPERPOSITION)
     return doc
 
 

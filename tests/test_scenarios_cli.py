@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -91,6 +92,31 @@ class TestPresets:
             assert scenario_to_dict(scenario_from_dict(rebuilt)) == rebuilt
 
 
+# config_hash of each preset's manifest and of the README sweep's: a change to how a
+# manifest echoes its scenario that moves one byte of it moves the hash
+README_SWEEP = {"name": "scan", "preset": "fig10a", "sizes_b": [100, 500, 900],
+                "overlaps": [1.523e-8, 0.5]}
+CONFIG_HASHES = {
+    "fig3": "a531b2e07f0a50f175b4c53ab02e62ed87af0c89e7809e0fcf0148e06ae057d8",
+    "fig5": "14794c889b5844946b95b2d5b09705144fb50fbc0513713c4bd2682a120d7d8f",
+    "fig7": "232b137e97da10182afdc0cfc3279ec0e9ec17b9fee397d14619021a1cb859b0",
+    "fig8": "7247664d7c714be1a172a55112627811747282074a96eae4fad41e4c9d125544",
+    "fig9": "295c9f2a5f7891f50dcc876a9cc7a31efa39bf339e02324bfb64d11d0c9b7b03",
+    "fig10a": "f3489f6c360e2f88adec4d4d4375a554825e40edde9a156c751da3e8dac0a33a",
+    "fig10b": "b1d95689a606fc21217d21ee4b0c25c8aa42e9388963bbab5d75b23c3277378c",
+    "fig10c": "45ace4390bd2053dc7c5b4459c17427861acc1e18d66cbdeb9bc2e54e7ca1606",
+    "readme sweep": "903af83925dfff19fab40c720481d5d9890a7d071b79f5d56416d01ce74e966e"}
+
+
+@pytest.mark.parametrize("name", CONFIG_HASHES)
+def test_manifest_config_hash_stays(tmp_path, name):
+    manifest = (run_sweep(README_SWEEP, tmp_path) if name == "readme sweep"
+                else run_scenario(preset(name), tmp_path))
+    assert manifest.config_hash == CONFIG_HASHES[name]
+    saved = json.loads((tmp_path / f"{manifest.scenario['name']}_manifest.json").read_text())
+    assert saved["config_hash"] == CONFIG_HASHES[name]
+
+
 _PARTITIONS = st.one_of(
     st.just(("none", {})),
     st.integers(1, 999).map(lambda k: ("centered", {"size_b": k})),
@@ -162,18 +188,36 @@ class TestScenarioParsing:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "small.csv").exists()
 
-    def test_manifest_round_trip_with_every_key(self, tmp_path):
+    # changes made through the Python API, and the error each raises or None: the API
+    # reads partition values as a document does, so every manifest it writes reruns
+    @pytest.mark.parametrize("changes, error", [
+        ({}, None),
+        ({"partition_scheme": "centered", "partition_params": {"size_b": 5.0}}, None),
+        ({"partition_scheme": "centered", "partition_params": {"size_b": 5, "n_blocks": 3}},
+         "unknown partition (centered) key(s) n_blocks"),
+        ({"partition_scheme": "centered", "partition_params": {}},
+         "partition (centered) needs size_b"),
+        ({"name": 5}, "name must be text, got 5"),
+        ({"out_dir": 5}, "out_dir must be text, got 5")])
+    def test_manifest_round_trip_with_every_key(self, tmp_path, changes, error):
         doc = {**SMALL_DOC, "name": "full", "emit": "concurrence", "svg": True,
                "out_dir": str(tmp_path), "time": {"t_end": 2.0, "samples": 5, "dt": 0.01},
                "system": {**SMALL_DOC["system"], "omega0": 1.0, "force_resonant": True,
                           "couplings": [0.01] * 40},
                "partition": {"scheme": "explicit", "labels": ["B", "C"],
                              "blocks": [list(range(1, 11)), list(range(11, 41))]}}
-        s = scenario_from_dict(doc)
+        if error is not None:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                replace(scenario_from_dict(doc), **changes)
+            return
+        s = replace(scenario_from_dict(doc), **changes)
         manifest = run_scenario(s)
         saved = json.loads((tmp_path / "full_manifest.json").read_text())
         assert manifest.status == "ok"
         assert scenario_from_dict(saved) == s
+        # the rerun echoes the same scenario: a size_b of 5.0 is saved as 5
+        assert run_scenario(scenario_from_dict(saved), tmp_path / "again").config_hash \
+            == manifest.config_hash
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("system", "n_bath", 40.7, "n_bath must be an integer"),
@@ -194,6 +238,8 @@ class TestScenarioParsing:
         ("system", "n_bath", None, "n_bath must be an integer"),
         ("partition", "size_b", None, "size_b must be an integer"),
         ("partition", "size_b", [10], "size_b must be an integer"),
+        # a key the scheme takes, left out
+        ("partition", None, {"scheme": "centered"}, "partition (centered) needs size_b"),
         ("partition", None, {"scheme": "explicit", "labels": ["B", "C"], "blocks": 5},
          "blocks must be a list"),
         ("partition", None, {"scheme": "explicit", "labels": 5,
@@ -859,7 +905,6 @@ class TestCli:
 
     def test_simulate_and_sweep_print_the_same_report(self, tmp_path, capsys):
         import hashlib
-        import re
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL_DOC))
         sweep = tmp_path / "sweep.json"
