@@ -26,11 +26,22 @@ __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
 
 FAULT_MODES = ("generator-asymmetry",)
 
+
+def _at_least(read, low, strict=False):
+    """read, which then refuses a value below low, or at low if strict."""
+    def reader(key, value):
+        if (value := read(key, value)) < low or strict and value == low:
+            raise ValueError(f"{key} must be {'>' if strict else '>='} {low}, got {value!r}")
+        return value
+    return reader
+
+
 # a config's keys and the reader of each: the reference system's keys and the superposition
 # are read as in a scenario, then come the parameters of the checks
 _READERS = {**{key: _SYSTEM[key] for key in _REFERENCE_SYSTEM}, "superposition": _superposition,
-            "t_end": _real, "samples": _integer, "dt": _real, "rk4_t_end": _real,
-            "size_b": _integer, "draws": _integer, "seed": _integer}
+            "t_end": _at_least(_real, 0, strict=True), "samples": _at_least(_integer, 1),
+            "dt": _at_least(_real, 0, strict=True), "rk4_t_end": _at_least(_real, 0),
+            "size_b": _integer, "draws": _at_least(_integer, 0), "seed": _integer}
 # the default of each key but size_b, a tenth of the bath
 _DEFAULTS = {**_REFERENCE_SYSTEM, "superposition": _superposition("superposition", {}),
              "t_end": 100.0, "samples": 201, "dt": 0.01, "rk4_t_end": 10.0, "draws": 200,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PartitionSpec, SuperpositionInit
-from .propagation import AmplitudeTrajectory
+from .propagation import AmplitudeTrajectory, _row_blocks
 
 __all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
@@ -77,15 +77,15 @@ def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionI
     product against <alpha0|beta0>^theta_block.  The comparison uses the
     stored log-overlap exponent, so the identity is exact for arbitrary
     complex amplitudes; returns the max absolute deviation over all samples
-    and blocks.
+    and blocks, from chunks of rows whose |u|^2 and factors take _CHUNK_BYTES.
     """
-    w = init.log_overlap
-    re, im = traj.states.real, traj.states.imag
-    u2 = re * re + im * im  # 1-based mode k is column k
-    worst = 0.0
-    for block in partition.blocks:
-        shares = u2[:, list(block)]
-        factors = w * shares  # exponentiated in place: one complex block at a time
-        product = np.prod(np.exp(factors, out=factors), axis=1)
-        worst = max(worst, float(np.max(np.abs(product - np.exp(shares.sum(axis=1) * w)))))
+    w, worst = init.log_overlap, 0.0
+    for rows in _row_blocks(traj.times.size, 3 * traj.states.shape[1]):
+        re, im = traj.states[rows].real, traj.states[rows].imag
+        u2 = re * re + im * im  # 1-based mode k is column k
+        for block in partition.blocks:
+            shares = u2[:, list(block)]
+            factors = w * shares  # exponentiated in place
+            product = np.prod(np.exp(factors, out=factors), axis=1)
+            worst = max(worst, float(np.max(np.abs(product - np.exp(shares.sum(axis=1) * w)))))
     return worst

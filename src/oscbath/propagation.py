@@ -8,7 +8,7 @@ it.  For du/dt = Zu, Z = -i dt A, its step u + sum_{k<=4} Z^k u / k! is built on
 arrow as u plus a diagonal and a rank-5 map, q u + (M L u) R with L and R 5 x (N+1), and a
 block of k steps as u plus a diagonal and a rank-5k map.  Neither solver forms an (N+1)^2
 array: the eigenvectors enter through their closed form v_kj = gamma_k v_0j / (lam_j - d_k),
-one block of rows at a time.
+one panel of modes k at a time.
 
 Only the slowly varying amplitudes are stored; the pure phase prefactors
 exp(-i*omega0*t) / exp(-i*omega_k*t) of the lab-frame coherent amplitudes
@@ -36,6 +36,8 @@ RK4_NORM_LIMIT = 1e-4
 # each real (rows, N+1) array of a spectral chunk takes about this many bytes, and a share
 # chunk's complex (rows, N+1) amplitudes and phase table together
 _CHUNK_BYTES = 2 ** 21
+# a Cauchy chunk takes at least this many time rows: fewer run slower (BENCH_cauchy_panels.json)
+_PANEL_ROWS = 256
 # a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
 # its end row is an anchor instead
 _MAX_NODES = 16
@@ -135,12 +137,11 @@ def _phase_table(h: float, rows: int, freq: np.ndarray) -> np.ndarray:
 
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of exp(-i lam t) c for a real c, stacked as
-    (2, times, lam): cos c - i sin c, cos + i sin = exp(i lam t)."""
-    phases = _phases(times, lam)
-    parts = np.empty((2, *phases.shape))
-    np.multiply(phases.real, c, out=parts[0])
-    np.multiply(phases.imag, -c, out=parts[1])
+    """exp(-i lam t) c for a real c as its stacked (2, times, lam) cos c and -sin c of t lam."""
+    parts = np.empty((2, times.size, lam.size))
+    np.sin(np.multiply.outer(times, lam, out=parts[0]), out=parts[1])
+    np.cos(parts[0], out=parts[0])
+    parts *= np.array([c, -c])[:, None]
     return parts
 
 
@@ -257,31 +258,34 @@ class SpectralSolution:
     def n_bath(self) -> int:
         return self.v0.size - 1
 
-    def _amplitudes(self, times: np.ndarray) -> np.ndarray:
-        """Real and imaginary parts of u(times), stacked as (2, times, N+1): with
-        p = exp(-i lam t) v0^2, f = sum_j p_j and g_k = gamma_k sum_j p_j / (lam_j - d_k),
-        from one pass over the Cauchy blocks; re and im take separate real products."""
+    def _amplitudes(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """u(times) written into the complex rows out: with p = exp(-i lam t) v0^2, f = sum_j p_j
+        and, for each panel of modes k whose Cauchy block takes _CHUNK_BYTES, g_k = gamma_k
+        sum_j p_j / (lam_j - d_k) from one real product of the stacked parts of p."""
         parts = _scaled_phases(times, self.lam, self.v0 * self.v0)
-        out, part = np.zeros_like(parts), None
-        np.sum(parts, axis=2, out=out[:, :, 0])
-        for rows, block in _cauchy_blocks(self.pole, self.tau, self.diag):
-            for src, dst in zip(parts, out[:, :, 1:]):
-                part = np.matmul(src[:, rows], block, out=part)
-                dst += part
-        out[:, :, 1:] *= self.gamma
+        pairs = out.view(float).reshape(times.size, -1, 2).transpose(2, 0, 1)  # re, im of out
+        np.sum(parts, axis=2, out=pairs[:, :, 0])
+        for panel in _row_blocks(self.diag.size, self.v0.size):  # (N+1) x panel: _CHUNK_BYTES
+            _, block = next(_cauchy_blocks(self.pole, self.tau, self.diag[panel]))  # every root
+            product = (parts.reshape(2 * times.size, -1) @ block).reshape(2, times.size, -1)
+            np.multiply(product, self.gamma[panel], out=pairs[:, :, 1:][:, :, panel])
+            del block, product  # so that the next panel's are not made beside them
         return out
 
-    def chunks(self):
-        """Yield (rows, re, im): real and imaginary parts of u(times[rows])."""
-        for rows in _row_blocks(self.times.size, self.v0.size):
-            re, im = self._amplitudes(self.times[rows])
-            yield rows, re, im
+    def chunks(self, out=None):
+        """Yield (rows, u): the complex u(times[rows]), written into out[rows], or else into one
+        buffer; a chunk takes _PANEL_ROWS rows, or a real (rows, N+1) _CHUNK_BYTES if more."""
+        n, buf = self.v0.size, out
+        for rows in _row_blocks(self.times.size, n, max(_CHUNK_BYTES, 8 * _PANEL_ROWS * n)):
+            times = self.times[rows]  # the first chunk is the largest
+            buf = np.empty((times.size, n), dtype=complex) if buf is None else buf
+            yield rows, self._amplitudes(times, buf[:times.size] if out is None else out[rows])
 
     def trajectory(self) -> AmplitudeTrajectory:
-        """The materialised T x (N+1) state."""
+        """The materialised T x (N+1) state, each chunk written into its rows."""
         states = np.empty((self.times.size, self.v0.size), dtype=complex)
-        for rows, re, im in self.chunks():
-            states[rows].real, states[rows].imag = re, im
+        for _ in self.chunks(states):
+            pass
         return AmplitudeTrajectory(self.times, states)
 
     @property
@@ -312,8 +316,7 @@ class SpectralSolution:
         quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
         steps, table = (_phase_table(h, sizes.max(initial=0), c) for c in (-lam, diag))
         cauchy = replace(self, times=times[anchor][int(times[0] == 0):])  # the Cauchy rows
-        anchors = ((re[0] + 1j * im[0], re[1:] + 1j * im[1:])
-                   for _, *parts in cauchy.chunks() for re, im in zip(*parts))
+        anchors = ((u[0], u[1:]) for _, chunk in cauchy.chunks() for u in chunk)
 
         # f[i] and g[1 + i] hold row lo + i of the chunk, g[0] the row before, carried over;
         # g is contiguous, which halves the time of each operation on a block of it

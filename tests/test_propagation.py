@@ -10,9 +10,9 @@ import pytest
 from conftest import dense_matrix
 
 from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, IntegrationFailure,
-                     SystemConfig, build_bath_grid, build_generator,
-                     evolve_exact, evolve_rk4, gershgorin_bound,
-                     norm_residual, spectral_solution)
+                     SystemConfig, build_bath_grid, build_generator, centered_bipartition,
+                     evolve_exact, evolve_rk4, gershgorin_bound, normalize_superposition,
+                     norm_residual, spectral_solution, verify_overlap_factorization)
 
 
 class TestGenerator:
@@ -117,19 +117,28 @@ class TestEvolveExact:
         with pytest.raises(ValueError, match=message):
             solve(gen, [0.0, 1.0])
 
-    def test_materialised_state_is_held_once(self):
+    @pytest.mark.parametrize("step, bound", [("evolve_exact", 1.75),
+                                              ("verify_overlap_factorization", 0.25)])
+    def test_materialised_state_is_held_once(self, step, bound):
+        # the traced peak of the step, in state bytes: evolve_exact holds the state once
+        # beside one chunk's work, and the overlap check adds only chunks of rows
         grid = build_bath_grid(SystemConfig(n_bath=400))
         gen = build_generator(grid)
         times = np.linspace(0.0, 100.0, 4000)
         state_bytes = times.size * 401 * np.dtype(complex).itemsize  # 24.5 MiB
+        traj = None if step == "evolve_exact" else evolve_exact(gen, times)
         tracemalloc.start()
         try:
-            traj = evolve_exact(gen, times)
+            if traj is None:
+                traj = evolve_exact(gen, times)
+            else:
+                verify_overlap_factorization(traj, normalize_superposition(1, -1, 3, -3),
+                                             centered_bipartition(grid, 40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert traj.states.nbytes == state_bytes
-        assert peak < 1.75 * state_bytes, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < bound * state_bytes, f"peak {peak / 2**20:.1f} MiB"
 
     def test_rejects_bad_times(self, two_mode_grid):
         gen = build_generator(two_mode_grid)

@@ -268,6 +268,9 @@ class TestScenarioParsing:
                              "blocks": [list(range(1, 11)), list(range(11, 41))]},
          "each label must be text, got None"),
         # a section or a whole document that is not an object
+        # a scheme that takes no key names none as allowed
+        ("partition", None, {"scheme": "interleaved", "size_b": 5}, "size_b; allowed: none"),
+        ("partition", None, {"scheme": "none", "size_b": 5}, "size_b; allowed: none"),
         ("superposition", None, 5, "superposition must be an object"),
         ("time", None, [1], "time must be an object"),
         ("system", None, None, "system must be an object"),
@@ -734,7 +737,12 @@ class TestCli:
         ("band", 5, "band must be a list"), ("band", [0.5, "x"], "band must be a number"),
         ("t_end", math.nan, "t_end must be a number"),
         ("superposition", {"a": None}, "a must be a number"),
-        ("superposition", 5, "superposition must be an object")])
+        ("superposition", 5, "superposition must be an object"),
+        # out of range: no time rows, or a check that would fail or do nothing for it
+        ("t_end", 0, "t_end must be > 0, got 0.0"), ("t_end", -5, "t_end must be > 0"),
+        ("samples", 0, "samples must be >= 1, got 0"), ("samples", -3, "samples must be >= 1"),
+        ("dt", 0, "dt must be > 0"), ("rk4_t_end", -1, "rk4_t_end must be >= 0, got -1.0"),
+        ("draws", -1, "draws must be >= 0")])
     def test_verify_non_number_config_exits_bad_input(self, tmp_path, capsys, key, value,
                                                      message):
         cfg = tmp_path / "verify.json"

@@ -145,6 +145,46 @@ def test_finite_bath_revival(reference_gen):
     assert 0 < peak < times.size - 1
 
 
+@pytest.fixture()
+def panel_calls(monkeypatch, small_grid):
+    """A byte budget of 4 panels of 10 modes at N = 40 (row chunks of _PANEL_ROWS), and
+    the rows of each block of scaled phases and the (roots, modes) of each Cauchy block."""
+    monkeypatch.setattr(propagation, "_CHUNK_BYTES", 8 * (small_grid.n + 1) * 10)
+    calls = {"phases": [], "blocks": []}
+    scaled, blocks = propagation._scaled_phases, propagation._cauchy_blocks
+    monkeypatch.setattr(propagation, "_scaled_phases", lambda times, lam, c: calls[
+        "phases"].append(times.size) or scaled(times, lam, c))
+    monkeypatch.setattr(propagation, "_cauchy_blocks", lambda pole, tau, diag: calls[
+        "blocks"].append((pole.size, diag.size)) or blocks(pole, tau, diag))
+    return calls
+
+
+def test_trajectory_by_panels_and_row_chunks(small_grid, panel_calls):
+    # bound fixed before the first run: TOL.  600 rows take chunks of 256, 256 and 88
+    # rows, each of them four panel products over all 41 roots
+    gen = build_generator(small_grid)
+    times = np.linspace(0.0, 40.0, 600)
+    solution = spectral_solution(gen, times)
+    panel_calls["blocks"].clear()  # the solver's passes
+    traj = solution.trajectory()
+    assert np.abs(traj.states - _dense_reference(gen, times)[3]).max() <= TOL
+    assert panel_calls["phases"] == [256, 256, 88]
+    assert panel_calls["blocks"] == [(41, 10)] * 4 * 3
+
+
+@pytest.mark.parametrize("budget", ["default", "panels"])
+def test_chunk_rows_are_trajectory_rows(small_grid, request, budget):
+    if budget == "panels":
+        request.getfixturevalue("panel_calls")
+    solution = spectral_solution(build_generator(small_grid), np.linspace(0.0, 40.0, 600))
+    traj = solution.trajectory()
+    covered = 0
+    for rows, u in solution.chunks():  # one buffer, refilled per chunk
+        assert np.array_equal(u, traj.states[rows])
+        covered += u.shape[0]
+    assert covered == 600
+
+
 def _direct_scaled_phases(times, lam, c):
     """exp(-i lam t) c from cos and sin of the whole t lam block."""
     phase = np.outer(times, lam)
