@@ -15,7 +15,7 @@ import numpy as np
 __all__ = [
     "SystemConfig", "BathGrid", "PartitionSpec", "SuperpositionInit", "coherent_log_overlap",
     "build_bath_grid", "centered_bipartition", "banded_blocks", "interleaved_bipartition",
-    "normalize_superposition",
+    "explicit_partition", "normalize_superposition",
 ]
 
 
@@ -134,45 +134,59 @@ def build_bath_grid(config: SystemConfig) -> BathGrid:
     return BathGrid(w0, freqs, gams)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionSpec:
-    """Disjoint blocks of 1-based bath indices, one label per block."""
+    """Labelled blocks of bath modes: member[k - 1] is the block of mode k, or -1 for a
+    mode in no block.  A label heads the CSV column theta_<label, lower-cased>, so it is
+    non-empty text without ',', '\n' or '\r', and no two labels lower-case alike."""
 
-    blocks: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    member: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
         labels = tuple(str(lbl) for lbl in self.labels)
-        object.__setattr__(self, "blocks", blocks)
+        member = _readonly(np.array(self.member, dtype=int))
         object.__setattr__(self, "labels", labels)
-        if len(labels) != len(blocks):
-            raise ValueError("need exactly one label per block")
-        seen: set[int] = set()
-        for blk in blocks:
-            for idx in blk:
-                if idx < 1:
-                    raise ValueError(f"bath indices are 1-based, got {idx}")
-                if idx in seen:
-                    raise ValueError(f"blocks overlap at index {idx}")
-                seen.add(idx)
+        object.__setattr__(self, "member", member)
+        if member.ndim != 1 or not np.all((-1 <= member) & (member < len(labels))):
+            raise ValueError(f"member must be a vector of blocks -1..{len(labels) - 1}")
+        first: dict[str, int] = {}  # lower-cased label -> the index of its first label
+        for j, lbl in enumerate(labels):
+            if not lbl or any(c in lbl for c in ",\n\r"):
+                raise ValueError(f"label {lbl!r} must be non-empty, without ',', '\\n' or '\\r'")
+            if first.setdefault(lbl.lower(), j) != j:
+                raise ValueError(f"labels {labels[first[lbl.lower()]]!r} and {lbl!r} are equal "
+                                 "after lower-casing")
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def validate_range(self, n_bath: int) -> None:
-        for blk in self.blocks:
-            for idx in blk:
-                if idx > n_bath:
-                    raise ValueError(f"index {idx} exceeds bath size {n_bath}")
-
-    def covers(self, n_bath: int) -> bool:
-        """True when the blocks exactly tile {1..n_bath}."""
-        return set().union(*self.blocks) == set(range(1, n_bath + 1))
+        return len(self.labels)
 
     def is_bipartition_of(self, n_bath: int) -> bool:
-        return self.n_blocks == 2 and self.covers(n_bath)
+        """True when the two blocks exactly tile {1..n_bath}."""
+        return self.n_blocks == 2 and self.member.size == n_bath and bool(np.all(self.member >= 0))
+
+
+def explicit_partition(grid: BathGrid, blocks, labels) -> PartitionSpec:
+    """Blocks of 1-based bath indices, one label per block.  A block may be empty and the
+    blocks need not cover the bath.  A label count other than the block count, an index
+    below 1 or in two blocks, and an index above grid.n raise ValueError, in that order,
+    each naming its first offender."""
+    if len(labels) != len(blocks):
+        raise ValueError("need exactly one label per block")
+    flat = np.array([i for block in blocks for i in block], dtype=object)  # ints of any size
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    bad = (flat < 1) | ~first  # an index below 1, or one seen before
+    if bad.any():
+        idx = flat[bad.argmax()]
+        raise ValueError(f"bath indices are 1-based, got {idx}" if idx < 1
+                         else f"blocks overlap at index {idx}")
+    if np.any(flat > grid.n):
+        raise ValueError(f"index {flat[(flat > grid.n).argmax()]} exceeds bath size {grid.n}")
+    member = np.full(grid.n, -1)
+    member[flat.astype(int) - 1] = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    return PartitionSpec(labels, member)
 
 
 def _resonance_order(grid: BathGrid) -> np.ndarray:
@@ -184,10 +198,9 @@ def centered_bipartition(grid: BathGrid, size_b: int) -> PartitionSpec:
     """Block B = the size_b modes nearest resonance, block C = the rest."""
     if not 1 <= size_b <= grid.n:
         raise ValueError(f"size_b must be in [1, {grid.n}], got {size_b}")
-    order = _resonance_order(grid)
-    block_b = tuple(sorted(int(i) + 1 for i in order[:size_b]))
-    block_c = tuple(sorted(int(i) + 1 for i in order[size_b:]))
-    return PartitionSpec((block_b, block_c), ("B", "C"))
+    member = np.empty(grid.n, dtype=int)
+    member[_resonance_order(grid)] = np.arange(grid.n) >= size_b
+    return PartitionSpec(("B", "C"), member)
 
 
 def banded_blocks(grid: BathGrid, n_blocks: int) -> PartitionSpec:
@@ -199,13 +212,9 @@ def banded_blocks(grid: BathGrid, n_blocks: int) -> PartitionSpec:
     """
     if n_blocks < 1 or grid.n % n_blocks != 0:
         raise ValueError(f"n_blocks must divide the bath size {grid.n}, got {n_blocks}")
-    order = _resonance_order(grid)
-    size = grid.n // n_blocks
-    blocks = tuple(
-        tuple(sorted(int(i) + 1 for i in order[j * size:(j + 1) * size]))
-        for j in range(n_blocks)
-    )
-    return PartitionSpec(blocks, tuple(str(j + 1) for j in range(n_blocks)))
+    member = np.empty(grid.n, dtype=int)
+    member[_resonance_order(grid)] = np.arange(grid.n) // (grid.n // n_blocks)
+    return PartitionSpec(tuple(str(j + 1) for j in range(n_blocks)), member)
 
 
 def interleaved_bipartition(grid: BathGrid) -> PartitionSpec:
@@ -214,9 +223,7 @@ def interleaved_bipartition(grid: BathGrid) -> PartitionSpec:
     On a symmetric band the two combs mirror each other about resonance, so
     both halves absorb the same excitation share.
     """
-    odd = tuple(range(1, grid.n + 1, 2))
-    even = tuple(range(2, grid.n + 1, 2))
-    return PartitionSpec((odd, even), ("B", "C"))
+    return PartitionSpec(("B", "C"), np.arange(grid.n) % 2)
 
 
 @dataclass(frozen=True)

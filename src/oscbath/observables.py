@@ -35,32 +35,28 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
 
     source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
     different partitions may overlap and a partition need not cover the
-    bath, whose every mode enters theta.  Each chunk's squared real and
-    imaginary parts of the g_k are reduced to theta and every block sum by one
-    product with a 0/1 indicator that holds each mode's row twice; xi is |f|^2.
+    bath, whose every mode enters theta; a partition of another bath size
+    raises ValueError.  Each chunk's squared real and imaginary parts of the
+    g_k are reduced to theta and every block sum by one product with a 0/1
+    indicator that holds each mode's row twice; xi is |f|^2.
     """
-    blocks = []
-    for partition in partitions:
-        if partition is not None:
-            partition.validate_range(source.n_bath)
-            blocks.extend(partition.blocks)
-    indicator = np.zeros((source.n_bath + 1, 1 + len(blocks)))  # theta, then each block
-    indicator[:, 0] = 1.0
-    for j, block in enumerate(blocks):
-        indicator[list(block), 1 + j] = 1.0
-    indicator = np.repeat(indicator[1:], 2, axis=0)  # mode k: rows 2k - 2 and 2k - 1
+    given = [p for p in partitions if p is not None]
+    for partition in given:
+        if partition.member.size != source.n_bath:
+            raise ValueError(f"partition of {partition.member.size} modes on a bath of "
+                             f"{source.n_bath}")
+    # theta, then each block; mode k: rows 2k - 2 and 2k - 1
+    indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
+        p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
     shares = np.empty((source.times.size, 1 + indicator.shape[1]))
     for rows, xi, pairs in source.share_chunks():
         shares[rows, 0] = xi
         shares[rows, 1:] = pairs @ indicator
-    xi, theta, sums = shares[:, 0], shares[:, 1], shares[:, 2:].T
-    profiles, at = [], 0
-    for partition in partitions:
-        size = 0 if partition is None else partition.n_blocks
-        profiles.append(ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
-                                          None if partition is None else sums[at:at + size]))
-        at += size
-    return profiles
+    xi, theta = shares[:, 0], shares[:, 1]
+    sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])[:-1]))
+    return [ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
+                              None if partition is None else next(sums))
+            for partition in partitions]
 
 
 def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
@@ -82,9 +78,9 @@ def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionI
     w, worst = init.log_overlap, 0.0
     for rows in _row_blocks(traj.times.size, 3 * traj.states.shape[1]):
         re, im = traj.states[rows].real, traj.states[rows].imag
-        u2 = re * re + im * im  # 1-based mode k is column k
-        for block in partition.blocks:
-            shares = u2[:, list(block)]
+        u2 = re * re + im * im  # mode k is column k
+        for j in range(partition.n_blocks):
+            shares = u2[:, 1:][:, partition.member == j]
             factors = w * shares  # exponentiated in place
             product = np.prod(np.exp(factors, out=factors), axis=1)
             worst = max(worst, float(np.max(np.abs(product - np.exp(shares.sum(axis=1) * w)))))

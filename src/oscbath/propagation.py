@@ -220,12 +220,12 @@ def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float, limit: 
     return np.array(runs, dtype=int).reshape(-1, 3).T
 
 
-def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray):
-    """Yield (rows, block): block = 1/(lam_j - d_k) for lam_j = pole_j + tau_j,
-    j in rows, with lam_j - d_k taken as (pole_j - d_k) + tau_j so that it stays
-    accurate next to the pole; one buffer serves every block."""
+def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray, budget=None):
+    """Yield (rows, block): block = 1/(lam_j - d_k) for lam_j = pole_j + tau_j, j in rows
+    whose block takes budget bytes (_row_blocks), with lam_j - d_k taken as (pole_j - d_k)
+    + tau_j so that it stays accurate next to the pole; one buffer serves every block."""
     buf = None
-    for rows in _row_blocks(pole.size, diag.size):
+    for rows in _row_blocks(pole.size, diag.size, budget):
         size = min(rows.stop, pole.size) - rows.start
         buf = np.empty((size, diag.size)) if buf is None else buf  # the first block is the largest
         block = np.subtract(pole[rows, None], diag, out=buf[:size])
@@ -266,7 +266,8 @@ class SpectralSolution:
         pairs = out.view(float).reshape(times.size, -1, 2).transpose(2, 0, 1)  # re, im of out
         np.sum(parts, axis=2, out=pairs[:, :, 0])
         for panel in _row_blocks(self.diag.size, self.v0.size):  # (N+1) x panel: _CHUNK_BYTES
-            _, block = next(_cauchy_blocks(self.pole, self.tau, self.diag[panel]))  # every root
+            d = self.diag[panel]  # one block of every root, even one over _CHUNK_BYTES
+            _, block = next(_cauchy_blocks(self.pole, self.tau, d, 8 * self.pole.size * d.size))
             product = (parts.reshape(2 * times.size, -1) @ block).reshape(2, times.size, -1)
             np.multiply(product, self.gamma[panel], out=pairs[:, :, 1:][:, :, panel])
             del block, product  # so that the next panel's are not made beside them

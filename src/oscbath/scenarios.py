@@ -20,7 +20,7 @@ import numpy as np
 
 from .concurrence import _require_bipartition, concurrence_series
 from .model import (BathGrid, PartitionSpec, SuperpositionInit, SystemConfig,
-                    banded_blocks, build_bath_grid, centered_bipartition,
+                    banded_blocks, build_bath_grid, centered_bipartition, explicit_partition,
                     interleaved_bipartition, normalize_superposition)
 from .observables import ExcitationProfile, _excitation_profiles, excitation_profile
 from .propagation import (_row_count, _step_count, build_generator, evolve_rk4, gershgorin_bound,
@@ -207,12 +207,6 @@ _SUPERPOSITION = dict.fromkeys(_CAT_INIT, _as_complex)
 _TIME = {"t_end": _real, "dt": _real, "samples": _integer}
 
 
-def _explicit(grid: BathGrid, blocks: list, labels: list) -> PartitionSpec:
-    spec = PartitionSpec(blocks, labels)
-    spec.validate_range(grid.n)
-    return spec
-
-
 # partition scheme -> the reader of each key it takes, every one required, and the builder of
 # its PartitionSpec from the grid and those keys.  Integers and text, as the run reads them,
 # so that the manifest echoes what ran
@@ -225,7 +219,7 @@ _SCHEMES = {"none": ({}, lambda grid: None),
                                                         for block in _listed(key, value)],
                           "labels": lambda key, value: [_text("each label", label)
                                                         for label in _listed(key, value)]},
-                         _explicit)}
+                         explicit_partition)}
 _PARTITION = {"scheme": _text, **{key: read for readers, _ in _SCHEMES.values()
                                   for key, read in readers.items()}}
 _SCENARIO = {"name": _text, "system": _system, "superposition": _superposition,

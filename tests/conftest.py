@@ -15,6 +15,11 @@ def dense_matrix(gen):
     return a
 
 
+def block_modes(partition):
+    """The 1-based modes of each block of partition, ascending, for dense oracles."""
+    return [np.flatnonzero(partition.member == j) + 1 for j in range(partition.n_blocks)]
+
+
 @pytest.fixture(scope="session")
 def reference_grid():
     return build_bath_grid(SystemConfig(n_bath=1000, coupling_amplitude=0.1,

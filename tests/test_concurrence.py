@@ -208,9 +208,9 @@ class TestSeries:
             assert np.all(column == 0.0) and not np.signbit(column).any()
 
     def test_rejects_partial_bipartition(self, small_grid, cat_init):
-        from oscbath import PartitionSpec
+        from oscbath import explicit_partition
         gen = build_generator(small_grid)
-        part = PartitionSpec(((1, 2), (3, 4)), ("B", "C"))
+        part = explicit_partition(small_grid, ((1, 2), (3, 4)), ("B", "C"))
         # at t = 0 alone every bath share is 0, so no share sum can tell
         for times in ([0.0, 1.0], [0.0]):
             traj = evolve_exact(gen, times)

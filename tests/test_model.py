@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbath import (PartitionSpec, SystemConfig, banded_blocks,
                      build_bath_grid, centered_bipartition,
-                     coherent_log_overlap,
+                     coherent_log_overlap, explicit_partition,
                      interleaved_bipartition, normalize_superposition)
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
@@ -87,24 +87,25 @@ class TestPartitions:
     def test_centered_paper_block(self, reference_grid):
         part = centered_bipartition(reference_grid, 100)
         assert part.labels == ("B", "C")
-        assert set(part.blocks[0]) == set(range(451, 551))
-        assert set(part.blocks[1]) == set(range(1, 1001)) - set(part.blocks[0])
+        modes = np.arange(1, 1001)
+        assert set(modes[part.member == 0]) == set(range(451, 551))
+        assert set(modes[part.member == 1]) == set(range(1, 1001)) - set(range(451, 551))
         assert part.is_bipartition_of(1000)
 
     def test_centered_single_resonant_index(self):
         grid = build_bath_grid(SystemConfig(n_bath=3, band=(0.5, 1.5)))
         part = centered_bipartition(grid, 1)
-        assert part.blocks == ((2,), (1, 3))
+        assert part.member.tolist() == [1, 0, 1]  # blocks (2,) and (1, 3)
 
     def test_centered_tie_breaks_toward_lower_index(self):
         # frequencies 0.5, 0.75, 1.0, 1.25, 1.5 give exact detuning ties
         grid = build_bath_grid(SystemConfig(n_bath=5, band=(0.5, 1.5)))
-        assert centered_bipartition(grid, 2).blocks[0] == (2, 3)
-        assert centered_bipartition(grid, 4).blocks[0] == (1, 2, 3, 4)
+        assert centered_bipartition(grid, 2).member.tolist() == [1, 0, 0, 1, 1]  # B = (2, 3)
+        assert centered_bipartition(grid, 4).member.tolist() == [0, 0, 0, 0, 1]
 
     def test_centered_middle_pair(self):
         grid = build_bath_grid(SystemConfig(n_bath=4, band=(0.5, 1.5)))
-        assert set(centered_bipartition(grid, 2).blocks[0]) == {2, 3}
+        assert set(np.flatnonzero(centered_bipartition(grid, 2).member == 0) + 1) == {2, 3}
 
     def test_centered_size_out_of_range(self, small_grid):
         with pytest.raises(ValueError):
@@ -115,24 +116,27 @@ class TestPartitions:
     def test_banded_paper_blocks(self, reference_grid):
         part = banded_blocks(reference_grid, 10)
         assert part.n_blocks == 10
-        assert all(len(b) == 100 for b in part.blocks)
-        assert part.covers(1000)
+        assert np.bincount(part.member).tolist() == [100] * 10
+        assert part.member.size == 1000 and part.member.min() == 0  # covers the bath
         # first block is exactly the 100-mode centered block
-        assert part.blocks[0] == centered_bipartition(reference_grid, 100).blocks[0]
+        assert np.array_equal(part.member == 0,
+                              centered_bipartition(reference_grid, 100).member == 0)
         assert part.labels == tuple(str(i) for i in range(1, 11))
 
     def test_banded_whole_bath(self):
         grid = build_bath_grid(SystemConfig(n_bath=2, band=(0.5, 1.5)))
         part = banded_blocks(grid, 1)
-        assert part.blocks == ((1, 2),)
+        assert part.member.tolist() == [0, 0]  # one block (1, 2)
 
     def test_banded_half_above_half_below(self):
         grid = build_bath_grid(SystemConfig(n_bath=6, band=(0.5, 1.5)))
         part = banded_blocks(grid, 3)
-        assert set(part.blocks[0]) == {3, 4}
-        assert set(part.blocks[1]) == {2, 5}
-        assert set(part.blocks[2]) == {1, 6}
-        for block in part.blocks:
+        modes = np.arange(1, 7)
+        assert set(modes[part.member == 0]) == {3, 4}
+        assert set(modes[part.member == 1]) == {2, 5}
+        assert set(modes[part.member == 2]) == {1, 6}
+        for j in range(3):
+            block = modes[part.member == j]
             above = sum(grid.frequencies[k - 1] > 1.0 for k in block)
             assert above == len(block) // 2
 
@@ -142,21 +146,54 @@ class TestPartitions:
 
     def test_interleaved(self, small_grid):
         part = interleaved_bipartition(small_grid)
-        assert part.blocks[0][:3] == (1, 3, 5)
-        assert part.blocks[1][:3] == (2, 4, 6)
+        assert tuple(np.flatnonzero(part.member == 0)[:3] + 1) == (1, 3, 5)
+        assert tuple(np.flatnonzero(part.member == 1)[:3] + 1) == (2, 4, 6)
         assert part.is_bipartition_of(small_grid.n)
 
     def test_partition_validation(self):
+        grid = build_bath_grid(SystemConfig(n_bath=4, band=(0.5, 1.5)))
         with pytest.raises(ValueError):
-            PartitionSpec(((1, 2), (2, 3)), ("B", "C"))  # overlapping
+            explicit_partition(grid, ((1, 2), (2, 3)), ("B", "C"))  # overlapping
         with pytest.raises(ValueError):
-            PartitionSpec(((0, 1),), ("B",))  # indices are 1-based
+            explicit_partition(grid, ((0, 1),), ("B",))  # indices are 1-based
         with pytest.raises(ValueError):
-            PartitionSpec(((1,),), ("B", "C"))  # label count mismatch
-        part = PartitionSpec(((1, 2), (4,)), ("B", "C"))
+            explicit_partition(grid, ((1,),), ("B", "C"))  # label count mismatch
         with pytest.raises(ValueError):
-            part.validate_range(3)
-        assert not part.covers(4)
+            explicit_partition(build_bath_grid(SystemConfig(n_bath=3)), ((1, 2), (4,)), "BC")
+        part = explicit_partition(grid, ((1, 2), (4,)), ("B", "C"))
+        assert part.member.tolist() == [0, 0, -1, 1]
+        assert not part.is_bipartition_of(4)  # mode 3 is in no block
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_member_of_every_builder(data):
+    n = data.draw(st.integers(1, 60), label="n_bath")
+    grid = build_bath_grid(SystemConfig(n_bath=n, band=(0.5, 1.5)))
+    # disjoint blocks: a shuffle of the modes, its first `kept` cut at sorted points; a
+    # repeated cut makes an empty block, and the modes past `kept` are in none
+    order = data.draw(st.permutations(range(1, n + 1)))
+    kept = data.draw(st.integers(0, n))
+    cuts = sorted(data.draw(st.lists(st.integers(0, kept), max_size=5)))
+    blocks = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, kept])]
+    part = explicit_partition(grid, blocks, [f"L{j}" for j in range(len(blocks))])
+    expected = np.full(n, -1)
+    for j, block in enumerate(blocks):
+        for k in block:
+            expected[k - 1] = j
+    assert np.array_equal(part.member, expected)
+
+    size_b = data.draw(st.integers(1, n), label="size_b")
+    n_blocks = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    centered = centered_bipartition(grid, size_b)
+    banded = banded_blocks(grid, n_blocks)
+    interleaved = interleaved_bipartition(grid)
+    assert np.bincount(centered.member, minlength=2).tolist() == [size_b, n - size_b]
+    assert np.bincount(banded.member, minlength=n_blocks).tolist() == [n // n_blocks] * n_blocks
+    assert np.bincount(interleaved.member, minlength=2).tolist() == [(n + 1) // 2, n // 2]
+    for tiling in (centered, banded, interleaved):  # each tiles the bath
+        assert tiling.member.size == n and tiling.member.min() >= 0
+    assert centered.is_bipartition_of(n) and interleaved.is_bipartition_of(n)
 
 
 class TestSuperposition:

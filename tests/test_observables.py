@@ -43,9 +43,20 @@ class TestExcitationProfile:
     def test_rejects_out_of_range_partition(self, small_grid):
         from oscbath import PartitionSpec
         traj = evolve_exact(build_generator(small_grid), [0.0, 1.0])
-        bad = PartitionSpec(((1, 99),), ("B",))
+        bad = PartitionSpec(("B",), np.zeros(99))  # mode 99 of a bath of 40
         with pytest.raises(ValueError):
             excitation_profile(traj, bad)
+
+
+    def test_rejects_partition_of_another_bath_size(self, small_grid):
+        from oscbath import SystemConfig, build_bath_grid, spectral_solution
+        grid = build_bath_grid(SystemConfig(n_bath=20))
+        assert small_grid.n == 40
+        part = centered_bipartition(small_grid, 10)
+        for source in (spectral_solution(build_generator(grid), [0.0, 1.0]),
+                       evolve_exact(build_generator(grid), [0.0, 1.0])):
+            with pytest.raises(ValueError, match="partition of 40 modes on a bath of 20"):
+                excitation_profile(source, part)
 
 
 class TestOverlapFactorization:
@@ -60,8 +71,8 @@ class TestOverlapFactorization:
 
     def test_full_transfer_single_mode(self, two_mode_grid, cat_init):
         traj = evolve_exact(build_generator(two_mode_grid), [0.0, 5 * math.pi])
-        from oscbath import PartitionSpec
-        part = PartitionSpec(((1,),), ("B",))
+        from oscbath import explicit_partition
+        part = explicit_partition(two_mode_grid, ((1,),), ("B",))
         assert verify_overlap_factorization(traj, cat_init, part) < 1e-12
         # at full transfer the block overlap equals the initial one
         g2 = abs(traj.states[-1, 1]) ** 2

@@ -301,7 +301,8 @@ class TestScenarioParsing:
         s = scenario_from_dict(doc)
         assert (s.system.n_bath, s.samples) == (40, 50)
         from oscbath import build_bath_grid
-        assert s.partition_spec(build_bath_grid(s.system)).blocks[0] == tuple(range(16, 26))
+        member = s.partition_spec(build_bath_grid(s.system)).member
+        assert tuple(np.flatnonzero(member == 0) + 1) == tuple(range(16, 26))
 
     def test_integral_floats_save_the_config_hash_of_integers(self, tmp_path):
         doc = json.loads(json.dumps(SMALL_DOC))
@@ -320,7 +321,7 @@ class TestScenarioParsing:
         s = scenario_from_dict(doc)
         from oscbath import build_bath_grid
         part = s.partition_spec(build_bath_grid(s.system))
-        assert part.blocks == ((1, 2, 3), (4, 5))
+        assert part.member.tolist() == [0, 0, 0, 1, 1] + [-1] * 35  # (1, 2, 3), (4, 5)
 
 
 class TestRunScenario:
@@ -856,7 +857,13 @@ class TestCli:
         ({"scheme": "centered", "size_b": 0}, "size_b must be in"),
         ({"scheme": "centered", "size_b": 41}, "size_b must be in"),
         ({"scheme": "explicit", "blocks": [[1, 41], list(range(2, 41))],
-          "labels": ["B", "C"]}, "exceeds bath size")])
+          "labels": ["B", "C"]}, "exceeds bath size"),
+        ({"scheme": "explicit", "blocks": [[1, 10 ** 20]], "labels": ["B"]}, "exceeds bath size"),
+        # each label heads a CSV column theta_<label, lower-cased>
+        *(({"scheme": "explicit", "blocks": [list(range(1, 21)), list(range(21, 41))],
+            "labels": labels}, message) for labels, message in [
+            (["B", "b"], "labels 'B' and 'b'"), (["x,y", "z"], "label 'x,y'"),
+            (["a\nb", "c"], "label 'a\\nb'"), (["", "c"], "label ''")])])
     def test_simulate_partition_out_of_range_exits_before_output(self, tmp_path, capsys,
                                                                  partition, message):
         cfg = tmp_path / "cfg.json"

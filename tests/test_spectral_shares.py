@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_matrix
+from conftest import block_modes, dense_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbath import (Arrowhead, BathGrid, PartitionSpec, SystemConfig, banded_blocks,
-                     build_bath_grid, build_generator, centered_bipartition,
+                     build_bath_grid, build_generator, centered_bipartition, explicit_partition,
                      evolve_exact, evolve_rk4, excitation_profile,
                      interleaved_bipartition, preset_document, run_scenario,
                      run_verification, scenario_from_dict, spectral_solution)
@@ -69,7 +69,7 @@ def test_partition_shares_match_dense_path(small_grid, chunking, scheme):
             "banded": banded_blocks(small_grid, 4),
             "interleaved": interleaved_bipartition(small_grid)}[scheme]
     chunked = excitation_profile(spectral_solution(gen, times), part)
-    reference = _dense_reference(gen, times, groups=part.blocks)
+    reference = _dense_reference(gen, times, groups=block_modes(part))
     _assert_shares(chunked, reference)
     traj = evolve_exact(gen, times)
     assert np.abs(traj.states - reference[3]).max() <= TOL
@@ -81,9 +81,9 @@ def test_partition_shares_match_dense_path(small_grid, chunking, scheme):
 def test_uncovered_modes_still_enter_theta(small_grid, chunking):
     gen = build_generator(small_grid)
     times = np.linspace(0.0, 40.0, 50)
-    part = PartitionSpec(((18, 19, 20), (21, 22)), ("B", "C"))
+    part = explicit_partition(small_grid, ((18, 19, 20), (21, 22)), ("B", "C"))
     profile = excitation_profile(spectral_solution(gen, times), part)
-    _assert_shares(profile, _dense_reference(gen, times, groups=part.blocks))
+    _assert_shares(profile, _dense_reference(gen, times, groups=block_modes(part)))
     # the 35 modes outside both blocks carry a third of the share at t = 40,
     # and the norm counts them
     outside = profile.theta - profile.theta_blocks.sum(axis=0)
@@ -96,14 +96,14 @@ def _assert_profiles(gen, times, partitions):
     profiles = _excitation_profiles(spectral_solution(gen, times), partitions)
     for partition, profile in zip(partitions, profiles):
         assert profile.partition is partition
-        _assert_shares(profile, _dense_reference(gen, times, groups=partition.blocks))
+        _assert_shares(profile, _dense_reference(gen, times, groups=block_modes(partition)))
 
 
 def test_overlapping_groups_in_one_call(small_grid, chunking):
     times = np.linspace(0.0, 40.0, 50)
     # mode 20 lies in both B blocks as well
     partitions = [centered_bipartition(small_grid, 10), centered_bipartition(small_grid, 30),
-                  PartitionSpec(((20,),), ("X",))]
+                  explicit_partition(small_grid, ((20,),), ("X",))]
     _assert_profiles(build_generator(small_grid), times, partitions)
 
 
@@ -113,7 +113,7 @@ def test_single_sample(small_grid, chunking, times):
     part = centered_bipartition(small_grid, 10)
     profile = excitation_profile(spectral_solution(gen, times), part)
     assert profile.xi.shape == (1,)
-    _assert_shares(profile, _dense_reference(gen, np.array(times), groups=part.blocks))
+    _assert_shares(profile, _dense_reference(gen, np.array(times), groups=block_modes(part)))
 
 
 def test_reference_scale_sweep_groups(reference_gen, reference_grid):
@@ -154,8 +154,8 @@ def panel_calls(monkeypatch, small_grid):
     scaled, blocks = propagation._scaled_phases, propagation._cauchy_blocks
     monkeypatch.setattr(propagation, "_scaled_phases", lambda times, lam, c: calls[
         "phases"].append(times.size) or scaled(times, lam, c))
-    monkeypatch.setattr(propagation, "_cauchy_blocks", lambda pole, tau, diag: calls[
-        "blocks"].append((pole.size, diag.size)) or blocks(pole, tau, diag))
+    monkeypatch.setattr(propagation, "_cauchy_blocks", lambda pole, tau, diag, *budget: calls[
+        "blocks"].append((pole.size, diag.size)) or blocks(pole, tau, diag, *budget))
     return calls
 
 
@@ -170,6 +170,17 @@ def test_trajectory_by_panels_and_row_chunks(small_grid, panel_calls):
     assert np.abs(traj.states - _dense_reference(gen, times)[3]).max() <= TOL
     assert panel_calls["phases"] == [256, 256, 88]
     assert panel_calls["blocks"] == [(41, 10)] * 4 * 3
+
+
+def test_trajectory_with_panels_narrower_than_a_mode(monkeypatch):
+    # bound fixed before the first run: TOL.  At N = 60 one mode's column of 61 roots
+    # takes more than the 50-root budget, so each panel is one mode wide and its Cauchy
+    # block must still hold every root
+    grid = build_bath_grid(SystemConfig(n_bath=60, coupling_amplitude=0.1, band=(0.5, 1.5)))
+    solution = spectral_solution(build_generator(grid), np.linspace(0.0, 40.0, 300))
+    reference = solution.trajectory()
+    monkeypatch.setattr(propagation, "_CHUNK_BYTES", 8 * 50)
+    assert np.abs(solution.trajectory().states - reference.states).max() <= TOL
 
 
 @pytest.mark.parametrize("budget", ["default", "panels"])
@@ -274,7 +285,7 @@ def test_coarse_grid_takes_many_nodes(small_grid, chunking, anchor_rows):
     assert _reach(solution, 5.0) >= 5 and 8 <= nodes <= propagation._MAX_NODES
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
-                   _dense_reference(gen, times, groups=part.blocks))
+                   _dense_reference(gen, times, groups=block_modes(part)))
     assert sum(anchor_rows) < times.size // 2  # most rows come from the integral
 
 
@@ -284,7 +295,7 @@ def test_all_distinct_increments_are_anchor_rows(small_grid, chunking, anchor_ro
     assert np.unique(np.diff(times)).size == times.size - 1
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(spectral_solution(gen, times), part),
-                   _dense_reference(gen, times, groups=part.blocks))
+                   _dense_reference(gen, times, groups=block_modes(part)))
     assert sum(anchor_rows) == times.size  # one Cauchy product row per sample, as before
 
 
@@ -295,7 +306,7 @@ def test_window_far_from_zero(small_grid, anchor_rows):
     for start in (0.0, 400.0):
         times = np.linspace(start, start + 40.0, 50)
         _assert_shares(excitation_profile(spectral_solution(gen, times), part),
-                       _dense_reference(gen, times, groups=part.blocks))
+                       _dense_reference(gen, times, groups=block_modes(part)))
         costs.append(sum(anchor_rows))
         anchor_rows.clear()
     # Cauchy rows: none from t = 0 (row 0 is e_0), the first row of the far window
@@ -343,7 +354,7 @@ def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunki
     times = np.arange(4 * 256 + 1) / 16.0
     part = centered_bipartition(reference_grid, 100)
     _assert_shares(excitation_profile(spectral_solution(reference_gen, times), part),
-                   _dense_reference(reference_gen, times, groups=part.blocks))
+                   _dense_reference(reference_gen, times, groups=block_modes(part)))
     assert sum(anchor_rows) == 0
 
 
@@ -391,7 +402,7 @@ def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
     solution = spectral_solution(gen, times)
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
-                   _dense_reference(gen, times, groups=part.blocks))
+                   _dense_reference(gen, times, groups=block_modes(part)))
     anchor, h, _, (_, _, origins) = _kernel_blocks(solution, times)
     if grid == "drifting":
         # only row 0, at t = 0.1, is an anchor and a Cauchy row: the others are
@@ -416,7 +427,7 @@ def test_no_drift_over_10000_one_row_chunks(small_grid, monkeypatch):
     times = np.linspace(0.0, 500.0, 10001)
     part = centered_bipartition(small_grid, 10)
     profile = excitation_profile(spectral_solution(gen, times), part)
-    xi, theta, sums, _ = _dense_reference(gen, times, groups=part.blocks)
+    xi, theta, sums, _ = _dense_reference(gen, times, groups=block_modes(part))
     assert np.abs(profile.xi - xi).max() <= 5e-14
     assert np.abs(profile.theta - theta).max() <= 5e-14
     assert np.abs(profile.theta_blocks - np.array(sums)).max() <= 5e-14
@@ -439,7 +450,7 @@ def test_many_spacings_hold_bounded_memory(reference_gen, reference_grid):
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
-    _assert_shares(profile, _dense_reference(reference_gen, times, groups=part.blocks))
+    _assert_shares(profile, _dense_reference(reference_gen, times, groups=block_modes(part)))
 
 
 def test_fig10a_style_run_at_4000_modes_holds_no_square_array(tmp_path):
@@ -546,10 +557,10 @@ def test_solver_against_dense_eigh(request, case):
     assert np.abs(vec.T @ vec - np.eye(lam.size)).max() <= 1e-13
     n = lam.size - 1
     half = max(1, n // 2)
-    blocks = tuple(b for b in (tuple(range(1, half + 1)), tuple(range(half + 1, n + 1))) if b)
-    part = PartitionSpec(blocks, ("B", "C")[:len(blocks)])
+    member = (np.arange(n) >= half).astype(int)  # modes 1..half, then half + 1..n if any
+    part = PartitionSpec(("B", "C")[:member.max() + 1], member)
     _assert_shares(excitation_profile(solution, part),
-                   _dense_reference(gen, times, groups=part.blocks))
+                   _dense_reference(gen, times, groups=block_modes(part)))
 
 
 def test_solver_pass_count_on_the_reference_generator(reference_gen, monkeypatch):
