@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PartitionSpec, SuperpositionInit
-from .propagation import AmplitudeTrajectory, _row_blocks
 
 __all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
@@ -29,6 +28,14 @@ class ExcitationProfile:
         return float(np.abs(1.0 - self.xi - self.theta).max())
 
 
+def _sized(partitions: list[PartitionSpec], n_bath: int) -> list[PartitionSpec]:
+    """partitions; ValueError if one is of another bath size than n_bath."""
+    for partition in partitions:
+        if partition.member.size != n_bath:
+            raise ValueError(f"partition of {partition.member.size} modes on a bath of {n_bath}")
+    return partitions
+
+
 def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     """Excitation profiles of source for each partition (None: no blocks),
     from one pass over its share chunks.
@@ -40,11 +47,7 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     g_k are reduced to theta and every block sum by one product with a 0/1
     indicator that holds each mode's row twice; xi is |f|^2.
     """
-    given = [p for p in partitions if p is not None]
-    for partition in given:
-        if partition.member.size != source.n_bath:
-            raise ValueError(f"partition of {partition.member.size} modes on a bath of "
-                             f"{source.n_bath}")
+    given = _sized([p for p in partitions if p is not None], source.n_bath)
     # theta, then each block; mode k: rows 2k - 2 and 2k - 1
     indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
         p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
@@ -64,23 +67,23 @@ def excitation_profile(source, partition: PartitionSpec | None = None) -> Excita
     return _excitation_profiles(source, [partition])[0]
 
 
-def verify_overlap_factorization(traj: AmplitudeTrajectory, init: SuperpositionInit,
+def verify_overlap_factorization(source, init: SuperpositionInit,
                                  partition: PartitionSpec) -> float:
     """Residual of the per-block overlap identity.
 
-    Multiplies the per-mode coherent overlaps of the two branch amplitudes
-    lambda_k = alpha0*g_k and chi_k = beta0*g_k directly, and compares the
-    product against <alpha0|beta0>^theta_block.  The comparison uses the
-    stored log-overlap exponent, so the identity is exact for arbitrary
-    complex amplitudes; returns the max absolute deviation over all samples
-    and blocks, from chunks of rows whose |u|^2 and factors take _CHUNK_BYTES.
+    Multiplies the per-mode coherent overlaps of the two branch amplitudes lambda_k =
+    alpha0*g_k and chi_k = beta0*g_k directly, and compares the product against
+    <alpha0|beta0>^theta_block.  The comparison uses the stored log-overlap exponent, so the
+    identity is exact for arbitrary complex amplitudes; returns the max absolute deviation
+    over all samples and blocks, from one pass over the share chunks of source, a trajectory
+    or a spectral solution.  A partition of another bath size raises ValueError.
     """
+    _sized([partition], source.n_bath)
     w, worst = init.log_overlap, 0.0
-    for rows in _row_blocks(traj.times.size, 3 * traj.states.shape[1]):
-        re, im = traj.states[rows].real, traj.states[rows].imag
-        u2 = re * re + im * im  # mode k is column k
+    for _, _, pairs in source.share_chunks():
+        u2 = pairs[:, 0::2] + pairs[:, 1::2]  # |g_k|^2, mode k in column k - 1
         for j in range(partition.n_blocks):
-            shares = u2[:, 1:][:, partition.member == j]
+            shares = u2[:, partition.member == j]
             factors = w * shares  # exponentiated in place
             product = np.prod(np.exp(factors, out=factors), axis=1)
             worst = max(worst, float(np.max(np.abs(product - np.exp(shares.sum(axis=1) * w)))))

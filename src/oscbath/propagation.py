@@ -86,9 +86,10 @@ class AmplitudeTrajectory:
         return self.states[:, 0]
 
     def share_chunks(self):
-        """The whole state as one chunk (rows, xi, pairs), as SpectralSolution.share_chunks."""
+        """As SpectralSolution.share_chunks, by its chunk rule: one chunk is squared at a time."""
         parts = self.states.view(float)
-        yield slice(None), parts[:, 0] ** 2 + parts[:, 1] ** 2, np.square(parts[:, 2:])
+        for rows in _row_blocks(self.times.size, 4 * self.states.shape[1]):
+            yield rows, parts[rows, 0] ** 2 + parts[rows, 1] ** 2, np.square(parts[rows, 2:])
 
 
 class Arrowhead(NamedTuple):

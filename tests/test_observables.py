@@ -5,7 +5,7 @@ import pytest
 
 from oscbath import (banded_blocks, build_generator, centered_bipartition,
                      evolve_exact, excitation_profile, normalize_superposition,
-                     verify_overlap_factorization)
+                     spectral_solution, verify_overlap_factorization)
 
 
 class TestExcitationProfile:
@@ -49,7 +49,7 @@ class TestExcitationProfile:
 
 
     def test_rejects_partition_of_another_bath_size(self, small_grid):
-        from oscbath import SystemConfig, build_bath_grid, spectral_solution
+        from oscbath import SystemConfig, build_bath_grid
         grid = build_bath_grid(SystemConfig(n_bath=20))
         assert small_grid.n == 40
         part = centered_bipartition(small_grid, 10)
@@ -57,6 +57,8 @@ class TestExcitationProfile:
                        evolve_exact(build_generator(grid), [0.0, 1.0])):
             with pytest.raises(ValueError, match="partition of 40 modes on a bath of 20"):
                 excitation_profile(source, part)
+            with pytest.raises(ValueError, match="partition of 40 modes on a bath of 20"):
+                verify_overlap_factorization(source, normalize_superposition(1, -1, 3, -3), part)
 
 
 class TestOverlapFactorization:
@@ -78,9 +80,10 @@ class TestOverlapFactorization:
         g2 = abs(traj.states[-1, 1]) ** 2
         assert g2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_holds_for_complex_amplitudes(self, small_grid):
+    @pytest.mark.parametrize("solve", [evolve_exact, spectral_solution])
+    def test_holds_for_complex_amplitudes(self, small_grid, solve):
         init = normalize_superposition(0.7 + 0.2j, -0.5j, 1.0 + 2.0j, -0.5 - 1.0j)
         gen = build_generator(small_grid)
-        traj = evolve_exact(gen, np.linspace(0.0, 30.0, 60))
+        source = solve(gen, np.linspace(0.0, 30.0, 60))
         part = centered_bipartition(small_grid, 13)
-        assert verify_overlap_factorization(traj, init, part) < 1e-10
+        assert verify_overlap_factorization(source, init, part) < 1e-10

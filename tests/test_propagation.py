@@ -11,8 +11,9 @@ from conftest import dense_matrix
 
 from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, IntegrationFailure,
                      SystemConfig, build_bath_grid, build_generator, centered_bipartition,
-                     evolve_exact, evolve_rk4, gershgorin_bound, normalize_superposition,
-                     norm_residual, spectral_solution, verify_overlap_factorization)
+                     evolve_exact, evolve_rk4, excitation_profile, gershgorin_bound,
+                     normalize_superposition, norm_residual, spectral_solution,
+                     verify_overlap_factorization)
 
 
 class TestGenerator:
@@ -118,10 +119,12 @@ class TestEvolveExact:
             solve(gen, [0.0, 1.0])
 
     @pytest.mark.parametrize("step, bound", [("evolve_exact", 1.75),
-                                              ("verify_overlap_factorization", 0.25)])
+                                              ("verify_overlap_factorization", 0.25),
+                                              ("excitation_profile", 0.25)])
     def test_materialised_state_is_held_once(self, step, bound):
         # the traced peak of the step, in state bytes: evolve_exact holds the state once
-        # beside one chunk's work, and the overlap check adds only chunks of rows
+        # beside one chunk's work, and the overlap check and the share reducer add only
+        # chunks of rows
         grid = build_bath_grid(SystemConfig(n_bath=400))
         gen = build_generator(grid)
         times = np.linspace(0.0, 100.0, 4000)
@@ -131,6 +134,8 @@ class TestEvolveExact:
         try:
             if traj is None:
                 traj = evolve_exact(gen, times)
+            elif step == "excitation_profile":
+                excitation_profile(traj, centered_bipartition(grid, 40))
             else:
                 verify_overlap_factorization(traj, normalize_superposition(1, -1, 3, -3),
                                              centered_bipartition(grid, 40))
