@@ -41,7 +41,7 @@ def _at_least(read, low, strict=False):
 _READERS = {**{key: _SYSTEM[key] for key in _REFERENCE_SYSTEM}, "superposition": _superposition,
             "t_end": _at_least(_real, 0, strict=True), "samples": _at_least(_integer, 1),
             "dt": _at_least(_real, 0, strict=True), "rk4_t_end": _at_least(_real, 0),
-            "size_b": _integer, "draws": _at_least(_integer, 0), "seed": _integer}
+            "size_b": _integer, "draws": _at_least(_integer, 0), "seed": _at_least(_integer, 0)}
 # the default of each key but size_b, a tenth of the bath
 _DEFAULTS = {**_REFERENCE_SYSTEM, "superposition": _superposition("superposition", {}),
              "t_end": 100.0, "samples": 201, "dt": 0.01, "rk4_t_end": 10.0, "draws": 200,

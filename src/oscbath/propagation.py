@@ -221,17 +221,13 @@ def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float, limit: 
     return np.array(runs, dtype=int).reshape(-1, 3).T
 
 
-def _cauchy_blocks(pole: np.ndarray, tau: np.ndarray, diag: np.ndarray, budget=None):
-    """Yield (rows, block): block = 1/(lam_j - d_k) for lam_j = pole_j + tau_j, j in rows
-    whose block takes budget bytes (_row_blocks), with lam_j - d_k taken as (pole_j - d_k)
-    + tau_j so that it stays accurate next to the pole; one buffer serves every block."""
-    buf = None
-    for rows in _row_blocks(pole.size, diag.size, budget):
-        size = min(rows.stop, pole.size) - rows.start
-        buf = np.empty((size, diag.size)) if buf is None else buf  # the first block is the largest
-        block = np.subtract(pole[rows, None], diag, out=buf[:size])
-        block += tau[rows, None]
-        yield rows, np.reciprocal(block, out=block)
+def _cauchy(pole: np.ndarray, tau: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
+    """1/(lam_j - d_k) for lam_j = pole_j + tau_j, against one row d or one row of d per root,
+    taken as (pole_j - d_k) + tau_j so that it stays accurate next to the pole; written into
+    out if given."""
+    out = np.subtract(pole[:, None], d, out=out)
+    out += tau[:, None]
+    return np.reciprocal(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +263,7 @@ class SpectralSolution:
         pairs = out.view(float).reshape(times.size, -1, 2).transpose(2, 0, 1)  # re, im of out
         np.sum(parts, axis=2, out=pairs[:, :, 0])
         for panel in _row_blocks(self.diag.size, self.v0.size):  # (N+1) x panel: _CHUNK_BYTES
-            d = self.diag[panel]  # one block of every root, even one over _CHUNK_BYTES
-            _, block = next(_cauchy_blocks(self.pole, self.tau, d, 8 * self.pole.size * d.size))
+            block = _cauchy(self.pole, self.tau, self.diag[panel])  # all N+1 roots in one block
             product = (parts.reshape(2 * times.size, -1) @ block).reshape(2, times.size, -1)
             np.multiply(product, self.gamma[panel], out=pairs[:, :, 1:][:, :, panel])
             del block, product  # so that the next panel's are not made beside them
@@ -417,11 +412,10 @@ def _comb_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
         sums = sums * x + moments[:, m]
     for rows in _row_blocks(index.size, 2 * _NEAR + 1, _NEAR_BYTES):
         p = index[rows]
-        q = poles.near[0][p]
-        np.subtract(poles.d[p, None], q, out=q)
-        q += tau[rows, None]
+        window = poles.near[0][p]
+        q = _cauchy(poles.d[p], tau[rows], window, out=window)  # q = 1 / (lam - d_k)
         w = poles.near[1][p]
-        w *= np.reciprocal(q, out=q)  # q = 1 / (lam - d_k)
+        w *= q
         sums[0, rows] -= w.sum(axis=1)
         sums[1, rows] += np.einsum("ij,ij->i", w, q)
     return sums
@@ -433,11 +427,13 @@ def _secular_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarr
     from the Cauchy blocks, O(N) a root."""
     sums = np.empty((2, tau.size))
     fast = np.zeros(tau.size, dtype=bool) if poles.far is None else np.abs(tau) <= poles.step
-    dense = np.flatnonzero(~fast)
-    for rows, q in _cauchy_blocks(poles.d[index[dense]], tau[dense], poles.d):
-        # q = 1 / (lam - d_k)
-        sums[0, dense[rows]] = -(q @ poles.g2)
-        sums[1, dense[rows]] = np.square(q, out=q) @ poles.g2
+    dense, buf = np.flatnonzero(~fast), None
+    for rows in _row_blocks(dense.size, poles.d.size):
+        j = dense[rows]  # the first block is the largest
+        buf = np.empty((j.size, poles.d.size)) if buf is None else buf
+        q = _cauchy(poles.d[index[j]], tau[j], poles.d, out=buf[:j.size])  # 1 / (lam - d_k)
+        sums[0, j] = -(q @ poles.g2)
+        sums[1, j] = np.square(q, out=q) @ poles.g2
     if fast.any():
         sums[:, fast] = _comb_sums(poles, index[fast], tau[fast])
     return sums

@@ -33,11 +33,11 @@ _ENTRY = np.array([[0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2], [0, 1, 1, 0]])
 
 @dataclass(frozen=True)
 class QubitEmbedding:
-    """Orthonormal-basis weights for two branch states with overlap magnitude o.
+    """Orthonormal-basis weights for two branch states whose overlap is exp(z).
 
-    s_plus/s_minus = sqrt((1 +- o)/2); phase is the unit complex argument of
-    the overlap (fixed to 1 when the branches are orthogonal).  Fields are
-    scalars, or arrays for a stack of overlaps.
+    s_plus/s_minus = sqrt((1 +- o)/2) with o = exp(Re z); phase = exp(i Im z)
+    is the unit complex argument of the overlap.  Fields are scalars, or
+    arrays for a stack of overlaps.
     """
 
     s_plus: float | np.ndarray
@@ -54,22 +54,20 @@ class QubitEmbedding:
             raise ValueError("phase must be a unit complex number")
 
 
-def qubit_embedding(overlap) -> QubitEmbedding:
-    """Embedding weights and phase for a (reversed-order) branch overlap,
-    or for each entry of an array of them.
+def qubit_embedding(exponent) -> QubitEmbedding:
+    """Embedding weights and phase for a (reversed-order) branch overlap exp(z),
+    or for each entry of an array of them, from its exponent z.
 
-    Pass <second branch | first branch>, whose argument fixes the relative
-    phase of the basis states.  Only the magnitude enters the weights.
+    Pass z of <second branch | first branch>, theta conj(w) for a block; its
+    imaginary part fixes the relative phase of the basis states, and -inf is
+    orthogonal branches.  s_minus takes 1 - o as -expm1(Re z), accurate as o -> 1.
     """
-    overlap = np.asarray(overlap, dtype=complex)
-    o = np.abs(overlap)
-    if np.any(o > 1.0 + 1e-12):
-        raise ValueError(f"overlap magnitude {o.max()} exceeds 1")
-    o = np.minimum(o, 1.0)
-    # atan2 keeps the phase exactly unit even for subnormal overlaps
-    phase = np.where(o > 0, np.exp(1j * np.angle(overlap)), 1.0)
-    return QubitEmbedding(np.sqrt((1.0 + o) / 2.0)[()], np.sqrt((1.0 - o) / 2.0)[()],
-                          phase[()])
+    z = np.asarray(exponent, dtype=complex)
+    if np.any(z.real > 1e-12):
+        raise ValueError(f"overlap magnitude exp({z.real.max()}) exceeds 1")
+    r = np.minimum(z.real, 0.0)
+    return QubitEmbedding(np.sqrt((1.0 + np.exp(r)) / 2.0)[()],
+                          np.sqrt(-np.expm1(r) / 2.0)[()], np.exp(1j * z.imag)[()])
 
 
 def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
@@ -152,9 +150,10 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
 
     init is one SuperpositionInit, or a sequence with one per row.  Clips the
     shares to [0, 1] (roundoff can push them past by up to the norm drift),
-    builds the block overlaps o^theta and the branch factor from the stored
-    log-overlap, runs the stacked numeric pipeline (embedding, density
-    matrix, spin flip, spectrum), and compares against the closed form.
+    embeds the block overlaps by their exponents theta conj(w) and builds the
+    branch factor from the stored log-overlap w, runs the stacked numeric
+    pipeline (density matrix, spin flip, spectrum), and compares against the
+    closed form.
     """
     xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
                             for v in (xi, theta_b, theta_c))
@@ -162,8 +161,7 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
         i.norm_const ** 2, abs(i.a) ** 2, abs(i.b) ** 2, i.a * i.b.conjugate(),
         i.log_overlap.conjugate()))
     rho = build_density_matrix(weight, p, q, ab * np.exp(xi * wc),
-                               qubit_embedding(np.exp(theta_b * wc)),
-                               qubit_embedding(np.exp(theta_c * wc)))
+                               qubit_embedding(theta_b * wc), qubit_embedding(theta_c * wc))
     closed = concurrence_closed_form(init, xi, theta_b, theta_c)
     return np.abs(wootters_concurrence(rho) - closed)
 

@@ -743,7 +743,7 @@ class TestCli:
         ("t_end", 0, "t_end must be > 0, got 0.0"), ("t_end", -5, "t_end must be > 0"),
         ("samples", 0, "samples must be >= 1, got 0"), ("samples", -3, "samples must be >= 1"),
         ("dt", 0, "dt must be > 0"), ("rk4_t_end", -1, "rk4_t_end must be >= 0, got -1.0"),
-        ("draws", -1, "draws must be >= 0")])
+        ("draws", -1, "draws must be >= 0"), ("seed", -1, "seed must be >= 0")])
     def test_verify_non_number_config_exits_bad_input(self, tmp_path, capsys, key, value,
                                                      message):
         cfg = tmp_path / "verify.json"
@@ -790,7 +790,7 @@ class TestCli:
     def test_sweep_cli(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"name": "scan", "base": SMALL_DOC,
-                                   "sizes_b": [10], "overlaps": [0.5]}))
+                                   "sizes_b": [10], "overlaps": [0.5, 0.99999999]}))
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "scan_index.csv").exists()
 

@@ -151,11 +151,11 @@ def panel_calls(monkeypatch, small_grid):
     the rows of each block of scaled phases and the (roots, modes) of each Cauchy block."""
     monkeypatch.setattr(propagation, "_CHUNK_BYTES", 8 * (small_grid.n + 1) * 10)
     calls = {"phases": [], "blocks": []}
-    scaled, blocks = propagation._scaled_phases, propagation._cauchy_blocks
+    scaled, cauchy = propagation._scaled_phases, propagation._cauchy
     monkeypatch.setattr(propagation, "_scaled_phases", lambda times, lam, c: calls[
         "phases"].append(times.size) or scaled(times, lam, c))
-    monkeypatch.setattr(propagation, "_cauchy_blocks", lambda pole, tau, diag, *budget: calls[
-        "blocks"].append((pole.size, diag.size)) or blocks(pole, tau, diag, *budget))
+    monkeypatch.setattr(propagation, "_cauchy", lambda pole, tau, d, out=None: calls[
+        "blocks"].append((pole.size, d.size)) or cauchy(pole, tau, d, out))
     return calls
 
 
@@ -671,19 +671,20 @@ def test_far_field_is_as_accurate_as_the_dense_pass(request, case):
 
 
 def _dense_rows(monkeypatch):
-    """Row counts of the Cauchy blocks each _secular_sums call takes, beside its size."""
+    """Row counts of the Cauchy blocks against every pole (one row d) each _secular_sums
+    call takes, beside its size."""
     passes = []
-    blocks, sums = propagation._cauchy_blocks, propagation._secular_sums
+    cauchy, sums = propagation._cauchy, propagation._secular_sums
 
-    def counted_blocks(pole, tau, diag):
-        passes[-1][1] += pole.size
-        return blocks(pole, tau, diag)
+    def counted_blocks(pole, tau, d, out=None):
+        passes[-1][1] += pole.size if d.ndim == 1 else 0
+        return cauchy(pole, tau, d, out)
 
     def counted_sums(poles, index, tau):
         passes.append([tau.size, 0])
         return sums(poles, index, tau)
 
-    monkeypatch.setattr(propagation, "_cauchy_blocks", counted_blocks)
+    monkeypatch.setattr(propagation, "_cauchy", counted_blocks)
     monkeypatch.setattr(propagation, "_secular_sums", counted_sums)
     return passes
 

@@ -22,10 +22,10 @@ def _random_state_params(rng, normalized=True):
     q = 1.0 - p if normalized else rng.uniform(0.05, 1.0)
     weight = 1.0 if normalized else rng.uniform(0.2, 2.0)
     z = rng.uniform(0.0, math.sqrt(p * q)) * cmath.exp(2j * math.pi * rng.uniform())
-    emb_sys = qubit_embedding(rng.uniform(0.0, 0.98)
-                              * cmath.exp(2j * math.pi * rng.uniform()))
-    emb_env = qubit_embedding(rng.uniform(0.0, 0.98)
-                              * cmath.exp(2j * math.pi * rng.uniform()))
+    emb_sys = qubit_embedding(math.log(rng.uniform(0.0, 0.98))
+                              + 2j * math.pi * rng.uniform())
+    emb_env = qubit_embedding(math.log(rng.uniform(0.0, 0.98))
+                              + 2j * math.pi * rng.uniform())
     return weight, p, q, z, emb_sys, emb_env
 
 
@@ -37,34 +37,34 @@ def _build(params):
 
 class TestQubitEmbedding:
     def test_orthogonal_branches(self):
-        emb = qubit_embedding(0.0)
+        emb = qubit_embedding(-math.inf)
         assert emb.s_plus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert emb.s_minus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert emb.phase == 1.0
 
     def test_tiny_overlap(self):
         o = math.exp(-18.0)
-        emb = qubit_embedding(o)
+        emb = qubit_embedding(math.log(o))
         assert emb.s_plus == pytest.approx(math.sqrt((1 + o) / 2), rel=1e-15)
         assert emb.s_minus == pytest.approx(math.sqrt((1 - o) / 2), rel=1e-15)
 
     def test_identical_branches_degenerate(self):
-        emb = qubit_embedding(1.0)
+        emb = qubit_embedding(0.0)
         assert emb.s_plus == 1.0
         assert emb.s_minus == 0.0
 
     def test_phase_from_argument(self):
-        emb = qubit_embedding(0.5j)
+        emb = qubit_embedding(math.log(0.5) + 0.5j * math.pi)
         assert emb.phase == pytest.approx(1j)
 
     def test_rejects_excess_magnitude(self):
         with pytest.raises(ValueError):
-            qubit_embedding(1.0 + 1e-6)
+            qubit_embedding(math.log(1.0 + 1e-6))
 
     @given(o=st.floats(min_value=0.0, max_value=1.0),
            angle=st.floats(min_value=0.0, max_value=2 * math.pi))
     def test_weights_normalized(self, o, angle):
-        emb = qubit_embedding(o * cmath.exp(1j * angle))
+        emb = qubit_embedding((math.log(o) if o else -math.inf) + 1j * angle)
         assert emb.s_plus ** 2 + emb.s_minus ** 2 == pytest.approx(1.0, abs=1e-12)
         assert emb.s_plus >= emb.s_minus >= 0.0
 
@@ -72,7 +72,7 @@ class TestQubitEmbedding:
 class TestDensityMatrix:
     def test_bell_state_projector(self):
         rho = build_density_matrix(1.0, 0.5, 0.5, 0.5,
-                                   qubit_embedding(0.0), qubit_embedding(0.0))
+                                   qubit_embedding(-math.inf), qubit_embedding(-math.inf))
         # equal-weight branches with orthogonal states and full coherence
         # give the projector onto (|1 up> + |0 down>)/sqrt(2)
         expected = np.outer(BELL_VECTOR, BELL_VECTOR)
@@ -83,7 +83,7 @@ class TestDensityMatrix:
 
     def test_no_coherence_is_product_mixture(self):
         rho = build_density_matrix(1.0, 0.5, 0.5, 0.0,
-                                   qubit_embedding(0.0), qubit_embedding(0.0))
+                                   qubit_embedding(-math.inf), qubit_embedding(-math.inf))
         # z = 0 leaves an equal classical mixture of the two embedded
         # product states; every asymmetry (u) entry vanishes for p = q
         v_first = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
@@ -98,7 +98,7 @@ class TestDensityMatrix:
         # identical branches on both sides collapse to a single product
         # state: a diagonal matrix with no corner coherence
         rho = build_density_matrix(1.0, 0.5, 0.5, 0.0,
-                                   qubit_embedding(1.0), qubit_embedding(1.0))
+                                   qubit_embedding(0.0), qubit_embedding(0.0))
         assert np.allclose(rho, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
         assert rho[0, 3] == 0.0
 
@@ -109,8 +109,7 @@ class TestDensityMatrix:
         z = cat_init.a * cat_init.b.conjugate() * cmath.exp(xi * wc)
         rho = build_density_matrix(cat_init.norm_const ** 2,
                                    abs(cat_init.a) ** 2, abs(cat_init.b) ** 2, z,
-                                   qubit_embedding(cmath.exp(tb * wc)),
-                                   qubit_embedding(cmath.exp(tc * wc)))
+                                   qubit_embedding(tb * wc), qubit_embedding(tc * wc))
         assert np.array_equal(rho, rho.conj().T)
         assert rho.trace().real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -118,12 +117,12 @@ class TestDensityMatrix:
     def test_warns_on_inconsistent_trace(self):
         with pytest.warns(UserWarning, match="trace"):
             build_density_matrix(2.0, 0.5, 0.5, 0.1,
-                                 qubit_embedding(0.0), qubit_embedding(0.0))
+                                 qubit_embedding(-math.inf), qubit_embedding(-math.inf))
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             build_density_matrix(-1.0, 0.5, 0.5, 0.0,
-                                 qubit_embedding(0.0), qubit_embedding(0.0))
+                                 qubit_embedding(-math.inf), qubit_embedding(-math.inf))
 
 
 class TestSpinFlip:
@@ -220,7 +219,7 @@ class TestProductSpectrum:
             assert m[1] == pytest.approx(m1, abs=1e-10)
 
     def test_no_coherence_degenerate_pair(self):
-        params = (1.0, 0.5, 0.5, 0.0, qubit_embedding(0.0), qubit_embedding(0.0))
+        params = (1.0, 0.5, 0.5, 0.0, qubit_embedding(-math.inf), qubit_embedding(-math.inf))
         m1, m2 = factored_product_eigenvalues(*params)
         # scale 16 (s+s-s+'s-')^2 = 1 here, so both roots equal pq
         assert m1 == m2 == pytest.approx(0.25, rel=1e-12)
@@ -229,7 +228,7 @@ class TestProductSpectrum:
         assert m[1] == pytest.approx(m1, abs=1e-12)
 
     def test_bell_eigenvalues(self):
-        params = (1.0, 0.5, 0.5, 0.5, qubit_embedding(0.0), qubit_embedding(0.0))
+        params = (1.0, 0.5, 0.5, 0.5, qubit_embedding(-math.inf), qubit_embedding(-math.inf))
         m1, m2 = factored_product_eigenvalues(*params)
         assert m1 == 0.0
         assert m2 == pytest.approx(1.0, rel=1e-12)
@@ -325,17 +324,18 @@ def _stacked_embedding(embeddings):
 
 class TestStackedPipeline:
     def test_embedding_of_an_array_matches_scalars(self):
-        overlaps = np.array([0.0, 0.5j, math.exp(-18.0), 1.0, 0.3 - 0.4j])
-        stacked = qubit_embedding(overlaps)
-        for i, overlap in enumerate(overlaps):
-            single = qubit_embedding(overlap)
+        exponents = np.array([-math.inf, math.log(0.5) + 0.5j * math.pi, -18.0, 0.0,
+                              cmath.log(0.3 - 0.4j)])
+        stacked = qubit_embedding(exponents)
+        for i, exponent in enumerate(exponents):
+            single = qubit_embedding(exponent)
             assert stacked.s_plus[i] == single.s_plus
             assert stacked.s_minus[i] == single.s_minus
             assert stacked.phase[i] == single.phase
 
     def test_embedding_rejects_one_excess_magnitude(self):
         with pytest.raises(ValueError, match="exceeds 1"):
-            qubit_embedding(np.array([0.5, 1.0 + 1e-6]))
+            qubit_embedding(np.log([0.5, 1.0 + 1e-6]))
 
     def test_stacked_assembly_matches_rows(self):
         rng = np.random.default_rng(14)
@@ -356,7 +356,7 @@ class TestStackedPipeline:
     def test_stack_rejects_one_negative_weight(self):
         with pytest.raises(ValueError, match="positive"):
             build_density_matrix(np.array([1.0, -1.0]), 0.5, 0.5, 0.0,
-                                 qubit_embedding(0.0), qubit_embedding(0.0))
+                                 qubit_embedding(-math.inf), qubit_embedding(-math.inf))
 
     def test_stack_matches_product_gap_per_row(self):
         rng = np.random.default_rng(12)
@@ -392,10 +392,13 @@ class TestStackedPipeline:
         with pytest.raises(ValueError, match="Hermitian"):
             wootters_concurrence(np.stack([bell, np.arange(16.0).reshape(4, 4)]))
 
-    @pytest.mark.parametrize("overlap", [math.exp(-18.0), 0.5])
-    def test_oracle_residuals_match_crosscheck(self, small_grid, overlap):
+    @pytest.mark.parametrize("overlap, a, b, shift", [
+        (math.exp(-18.0), 0.8 + 0.3j, -1.1, 0.2j), (0.5, 0.8 + 0.3j, -1.1, 0.2j),
+        # the odd cat near 1, where 1 - o0^theta cancels unless taken from the exponent
+        (1 - 1e-8, 1, -1, 0), (1 - 1e-12, 1, -1, 0), (1 - 1e-15, 1, -1, 0)])
+    def test_oracle_residuals_match_crosscheck(self, small_grid, overlap, a, b, shift):
         half = math.sqrt(-2.0 * math.log(overlap)) / 2.0
-        init = normalize_superposition(0.8 + 0.3j, -1.1, half + 0.2j, -half)
+        init = normalize_superposition(a, b, half + shift, -half)
         traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 40.0, 41))
         series = concurrence_series(
             excitation_profile(traj, centered_bipartition(small_grid, 10)), init)
