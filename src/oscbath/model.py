@@ -6,7 +6,6 @@ central oscillator frequency, times are multiples of 1/omega0).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -249,7 +248,8 @@ class SuperpositionInit:
         if a == 0 and b == 0:
             raise ValueError("at least one branch weight must be nonzero")
         w = coherent_log_overlap(self.alpha0, self.beta0)
-        n2inv = abs(a) ** 2 + abs(b) ** 2 + 2.0 * (a.conjugate() * b * cmath.exp(w)).real
+        # |a|^2 + |b|^2 + 2 Re(a* b e^w), without its cancellation as o0 -> 1
+        n2inv = abs(a + b) ** 2 + 2.0 * float((a.conjugate() * b * np.expm1(w)).real)
         if n2inv <= 0:
             raise ValueError(f"nonpositive squared inverse norm ({n2inv}); branches cancel")
         object.__setattr__(self, "log_overlap", w)

@@ -10,6 +10,9 @@ from .model import PartitionSpec, SuperpositionInit
 
 __all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
+# indicator columns per product: too few for OpenBLAS to thread it (and vary its sums)
+_COLUMNS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class ExcitationProfile:
@@ -38,23 +41,24 @@ def _sized(partitions: list[PartitionSpec], n_bath: int) -> list[PartitionSpec]:
 
 def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     """Excitation profiles of source for each partition (None: no blocks),
-    from one pass over its share chunks.
+    from one pass over its share tiles.
 
     source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
     different partitions may overlap and a partition need not cover the
     bath, whose every mode enters theta; a partition of another bath size
-    raises ValueError.  Each chunk's squared real and imaginary parts of the
-    g_k are reduced to theta and every block sum by one product with a 0/1
-    indicator that holds each mode's row twice; xi is |f|^2.
+    raises ValueError.  Each tile's squared real and imaginary parts of the g_k
+    are added to theta and every block sum by products, _COLUMNS columns each,
+    with its modes' rows of a 0/1 indicator that holds each mode's row twice.
     """
     given = _sized([p for p in partitions if p is not None], source.n_bath)
     # theta, then each block; mode k: rows 2k - 2 and 2k - 1
     indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
         p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
-    shares = np.empty((source.times.size, 1 + indicator.shape[1]))
-    for rows, xi, pairs in source.share_chunks():
-        shares[rows, 0] = xi
-        shares[rows, 1:] = pairs @ indicator
+    shares = np.zeros((source.times.size, 1 + indicator.shape[1]))
+    for rows, modes, xi, pairs in source.share_chunks():  # the panels of modes in order
+        shares[rows, 0], panel = xi, indicator[2 * modes.start:2 * modes.stop]
+        for c in range(0, panel.shape[1], _COLUMNS):
+            shares[rows, 1 + c:1 + c + _COLUMNS] += pairs @ panel[:, c:c + _COLUMNS]
     xi, theta = shares[:, 0], shares[:, 1]
     sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])[:-1]))
     return [ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
@@ -75,16 +79,17 @@ def verify_overlap_factorization(source, init: SuperpositionInit,
     alpha0*g_k and chi_k = beta0*g_k directly, and compares the product against
     <alpha0|beta0>^theta_block.  The comparison uses the stored log-overlap exponent, so the
     identity is exact for arbitrary complex amplitudes; returns the max absolute deviation
-    over all samples and blocks, from one pass over the share chunks of source, a trajectory
-    or a spectral solution.  A partition of another bath size raises ValueError.
+    over all samples and blocks, from running products and sums over the share tiles of a
+    trajectory or a spectral solution.  A partition of another bath size raises ValueError.
     """
     _sized([partition], source.n_bath)
-    w, worst = init.log_overlap, 0.0
-    for _, _, pairs in source.share_chunks():
-        u2 = pairs[:, 0::2] + pairs[:, 1::2]  # |g_k|^2, mode k in column k - 1
+    w, product = init.log_overlap, np.ones((source.times.size, partition.n_blocks), complex)
+    total = np.zeros(product.shape)
+    for rows, modes, _, pairs in source.share_chunks():
+        u2 = pairs[:, 0::2] + pairs[:, 1::2]  # |g_k|^2 of the modes 1 + modes
         for j in range(partition.n_blocks):
-            shares = u2[:, partition.member == j]
+            shares = u2[:, partition.member[modes] == j]
             factors = w * shares  # exponentiated in place
-            product = np.prod(np.exp(factors, out=factors), axis=1)
-            worst = max(worst, float(np.max(np.abs(product - np.exp(shares.sum(axis=1) * w)))))
-    return worst
+            product[rows, j] *= np.prod(np.exp(factors, out=factors), axis=1)
+            total[rows, j] += shares.sum(axis=1)
+    return float(np.max(np.abs(product - np.exp(total * w)), initial=0.0))

@@ -33,9 +33,10 @@ __all__ = [
 
 # norm drift beyond this flags the fixed-step integration as failed
 RK4_NORM_LIMIT = 1e-4
-# each real (rows, N+1) array of a spectral chunk takes about this many bytes, and a share
-# chunk's complex (rows, N+1) amplitudes and phase table together
+# each real (rows, N+1) array of a spectral chunk takes about this many bytes
 _CHUNK_BYTES = 2 ** 21
+# the share pass: tiles of _TILE_ROWS rows by _MODE_PANEL modes, f summed by _ROOT_PANEL roots
+_TILE_ROWS, _MODE_PANEL, _ROOT_PANEL = 64, 1024, 256  # BENCH_share_panels.json
 # a Cauchy chunk takes at least this many time rows: fewer run slower (BENCH_cauchy_panels.json)
 _PANEL_ROWS = 256
 # a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
@@ -86,10 +87,12 @@ class AmplitudeTrajectory:
         return self.states[:, 0]
 
     def share_chunks(self):
-        """As SpectralSolution.share_chunks, by its chunk rule: one chunk is squared at a time."""
+        """As SpectralSolution.share_chunks, by its tiles: one tile is squared at a time."""
         parts = self.states.view(float)
-        for rows in _row_blocks(self.times.size, 4 * self.states.shape[1]):
-            yield rows, parts[rows, 0] ** 2 + parts[rows, 1] ** 2, np.square(parts[rows, 2:])
+        for modes in _slices(self.n_bath, _MODE_PANEL):
+            for rows in _slices(self.times.size, _TILE_ROWS):
+                yield (rows, modes, parts[rows, 0] ** 2 + parts[rows, 1] ** 2,
+                       np.square(parts[rows, 2 + 2 * modes.start:2 + 2 * modes.stop]))
 
 
 class Arrowhead(NamedTuple):
@@ -114,10 +117,9 @@ def _arrow(gen) -> Arrowhead:
     return gen
 
 
-def _row_blocks(n_rows: int, n_cols: int, size: int | None = None):
-    """Row slices whose real (rows, n_cols) blocks fit in size bytes, or _CHUNK_BYTES."""
-    step = max(1, (size or _CHUNK_BYTES) // (8 * n_cols))
-    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+def _slices(n: int, step: int):
+    """Consecutive slices of range(n), step long but the last."""
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _phases(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
@@ -127,14 +129,6 @@ def _phases(times: np.ndarray, freq: np.ndarray) -> np.ndarray:
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     return phases
-
-
-def _phase_table(h: float, rows: int, freq: np.ndarray) -> np.ndarray:
-    """exp(i freq r h), r < rows, as exp(i freq (r - b) h) exp(i freq b h), b = r mod s,
-    s = ceil(sqrt(rows)): 2 s rows of cos and sin instead of rows."""
-    s = math.isqrt(max(rows - 1, 0)) + 1
-    coarse, fine = _phases(np.arange(0, rows, s) * h, freq), _phases(np.arange(s) * h, freq)
-    return (coarse[:, None] * fine).reshape(-1, freq.size)[:rows]
 
 
 def _scaled_phases(times: np.ndarray, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -202,22 +196,17 @@ def _spacing(times: np.ndarray, lam: np.ndarray, diag: np.ndarray):
     return anchor, h, m, tol
 
 
-def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float, limit: int):
-    """(first, size, origin) rows: runs of rows n that are no anchors (row 0 is one), each
-    within one chunk [j limit, (j + 1) limit), along which t_n stays within tol of
-    t_o + (n - o) h.  A stretch of runs starts at an anchor o, and at the row o before
-    one that strays, so that the next stretch starts at that row's exact time."""
+def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float):
+    """(first, size, origin) rows: runs of rows n that are no anchors (row 0 is one), along
+    which t_n stays within tol of t_o + (n - o) h.  A stretch of runs starts at an anchor o,
+    and at the row o before one that strays, so that the next starts at that row's exact time."""
     runs = []
     for lo, hi in np.flatnonzero(np.diff(anchor, prepend=True, append=True)).reshape(-1, 2):
-        o = lo - 1
-        while lo < hi:
-            stop = min(hi, (lo // limit + 1) * limit)
-            stray = np.abs(times[lo:stop] - (times[o] + np.arange(lo - o, stop - o) * h)) > tol
-            k = int(stray.argmax()) if stray.any() else stop - lo
-            o = lo - 1 if k == 0 else o  # row lo strays: restart before it
-            runs.append((lo, max(k, 1), o))
-            lo += max(k, 1)
-            o = lo - 1 if lo < stop else o
+        while lo < hi:  # a stretch from row lo - 1
+            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1) * h)) > tol
+            k = max(1, int(stray.argmax()) if stray.any() else hi - lo)
+            runs.append((lo, k, lo - 1))
+            lo += k
     return np.array(runs, dtype=int).reshape(-1, 3).T
 
 
@@ -262,7 +251,7 @@ class SpectralSolution:
         parts = _scaled_phases(times, self.lam, self.v0 * self.v0)
         pairs = out.view(float).reshape(times.size, -1, 2).transpose(2, 0, 1)  # re, im of out
         np.sum(parts, axis=2, out=pairs[:, :, 0])
-        for panel in _row_blocks(self.diag.size, self.v0.size):  # (N+1) x panel: _CHUNK_BYTES
+        for panel in _slices(self.diag.size, max(1, _CHUNK_BYTES // (8 * self.v0.size))):
             block = _cauchy(self.pole, self.tau, self.diag[panel])  # all N+1 roots in one block
             product = (parts.reshape(2 * times.size, -1) @ block).reshape(2, times.size, -1)
             np.multiply(product, self.gamma[panel], out=pairs[:, :, 1:][:, :, panel])
@@ -273,9 +262,9 @@ class SpectralSolution:
         """Yield (rows, u): the complex u(times[rows]), written into out[rows], or else into one
         buffer; a chunk takes _PANEL_ROWS rows, or a real (rows, N+1) _CHUNK_BYTES if more."""
         n, buf = self.v0.size, out
-        for rows in _row_blocks(self.times.size, n, max(_CHUNK_BYTES, 8 * _PANEL_ROWS * n)):
+        for rows in _slices(self.times.size, max(_CHUNK_BYTES // (8 * n), _PANEL_ROWS)):
             times = self.times[rows]  # the first chunk is the largest
-            buf = np.empty((times.size, n), dtype=complex) if buf is None else buf
+            buf = np.empty((times.size, 1 + self.diag.size), complex) if buf is None else buf
             yield rows, self._amplitudes(times, buf[:times.size] if out is None else out[rows])
 
     def trajectory(self) -> AmplitudeTrajectory:
@@ -292,53 +281,59 @@ class SpectralSolution:
                    - (self.times[0] == 0))
 
     def share_chunks(self):
-        """Yield (rows, xi, pairs): |f|^2 and (re_1^2, im_1^2, re_2^2, ...) of the g_k at
-        times[rows], O(N m) a row off the anchors of _spacing, in reused buffers.  Row 0 at
-        t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the row o before
-        one that strays (_blocks), starts a stretch, along which row n holds G_k =
+        """Yield (rows, modes, xi, pairs) tiles: |f|^2 at times[rows] and (re_1^2, im_1^2, ...) of
+        the g_{1+k}, k in modes, O(m) a mode and row off the anchors of _spacing, in reused
+        buffers.  Row 0 at t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the
+        row o before one that strays (_blocks), starts a stretch, along which row n holds G_k =
         exp(i d_k (n - o) h) g_k (|G| = |g|): the row before plus exp(i d_k (n - 1 - o) h)
         (-i gamma_k) int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s)
-        at Gauss-Legendre nodes x.  A block's rotation, the phase row exp(i d (first - 1 - o) h)
-        folded into the rule's weights times a table exp(i d r h), never touches the carry,
-        which takes a rounded phase only where a stray row restarts the stretch."""
-        lam, gamma, diag, times = self.lam, self.gamma, self.diag, self.times
-        n = lam.size
+        at Gauss-Legendre nodes x.  A tile's rotation exp(i d (first - 1 - o) h), folded into
+        the rule's weights times a table exp(i d r h), never touches the carry, which takes a
+        rounded phase only where a stray row restarts the stretch."""
+        lam, gamma, diag, times, s = self.lam, self.gamma, self.diag, self.times, _TILE_ROWS
         anchor, h, m, tol = _spacing(times, lam, diag)
-        # the amplitudes and the phase table of a chunk each take half of _CHUNK_BYTES
-        size = min(times.size, max(1, _CHUNK_BYTES // (32 * n)))  # rows per chunk
-        firsts, sizes, origins = _blocks(times, anchor, h, tol, size)
         x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
-        # v0^2 exp(-i lam (h, x)), the rule -i gamma q exp(i d x), exp(-i lam r h), exp(i d r h)
-        weighted = _phases(np.append(h, x), -lam).T * (self.v0 * self.v0)[:, None]
-        quad = -1j * gamma * (q[:, None] * np.exp(1j * np.outer(x, diag)))
-        steps, table = (_phase_table(h, sizes.max(initial=0), c) for c in (-lam, diag))
+        # tiles (first row, rows, origin) of the runs of _blocks and, origin -1, of anchor rows
+        edges = np.flatnonzero(np.diff(anchor, prepend=False, append=False)).reshape(-1, 2)
+        runs = sorted([*zip(*_blocks(times, anchor, h, tol)), *((a, b - a, -1) for a, b in edges)])
+        tiles = [(lo, min(s, a + n - lo), o) for a, n, o in runs for lo in range(a, a + n, s)]
+        integrated = [(lo, k, times[o] + (lo - 1 - o) * h) for lo, k, o in tiles if o >= 0]
+        # nodes[first + r] = f(t_b + r h + (h, x)), t_b = t_o + (first - 1 - o) h: exp(-i lam r h)
+        # times exp(-i lam (t_b + (h, x))) v0^2 by root panels, the last padded, so that each
+        # product has one shape and its sums do not depend on the BLAS thread count
+        lam, c = (np.pad(a, (0, -a.size % _ROOT_PANEL)) for a in (lam, self.v0 * self.v0))
+        nodes = np.zeros((times.size, m + 1), dtype=complex)
+        for roots in _slices(lam.size, _ROOT_PANEL):
+            fine = _phases(np.arange(s) * h, -lam[roots])
+            weighted = _phases(np.append(h, x), -lam[roots]).T * c[roots, None]
+            leads = _phases([t_b for _, _, t_b in integrated], -lam[roots])[:, :, None]
+            for (lo, k, _), lead in zip(integrated, leads):
+                nodes[lo:lo + k] += (fine @ (lead * weighted))[:k]
         cauchy = replace(self, times=times[anchor][int(times[0] == 0):])  # the Cauchy rows
-        anchors = ((u[0], u[1:]) for _, chunk in cauchy.chunks() for u in chunk)
-
-        # f[i] and g[1 + i] hold row lo + i of the chunk, g[0] the row before, carried over;
-        # g is contiguous, which halves the time of each operation on a block of it
-        f, g = np.empty(size, dtype=complex), np.empty((size + 1, n - 1), dtype=complex)
-        g_rows = list(g)
-        for rows in _row_blocks(times.size, 4 * n):
-            lo, k = rows.start, min(rows.stop, times.size) - rows.start
-            for i in np.flatnonzero(anchor[rows]):  # e_0 at row 0 and t = 0
-                f[i], g[1 + i] = next(anchors) if lo + i or times[0] else (1.0, 0.0)
-            for b in range(*np.searchsorted(firsts, (lo, lo + k))):  # the chunk's blocks
-                a, z, o = firsts[b] - lo, firsts[b] + sizes[b] - lo, origins[b]
-                if b and o > origins[b - 1] and not anchor[o]:  # a stray row restarts at o
-                    g[o - lo + 1] *= _phases([(o - origins[b - 1]) * h], -diag)[0]
-                shift = lo + a - 1 - o
-                # f at t_b + r h + (h, x), t_b = t_o + shift h, by exp(-i lam t_b) exp(-i lam r h)
-                nodes = steps[:z - a] @ (_phases([times[o] + shift * h], -lam).T * weighted)
-                f[a:z] = nodes[:, 0]  # f(t_n)
-                weights = quad * _phases([shift * h], diag)[0] if shift else quad
-                np.matmul(nodes[:, 1:], weights, out=g[1 + a:1 + z])
-                g[1 + a:1 + z] *= table[:z - a]
-                for i in range(a, z):
-                    np.add(g_rows[i], g_rows[i + 1], out=g_rows[i + 1])
-            g[0] = g[k]
-            pairs = g[1:k + 1].view(float)
-            yield rows, f[:k].real ** 2 + f[:k].imag ** 2, np.square(pairs, out=pairs)
+        for modes in _slices(diag.size, _MODE_PANEL):
+            # the panel's Cauchy rows, rule -i gamma q exp(i d x) and table exp(i d r h); g[1 + i]
+            # holds row lo + i of a tile, g[0] the row before, contiguous: twice as fast
+            d, panel = diag[modes], replace(cauchy, diag=diag[modes], gamma=gamma[modes])
+            anchors = ((u[0], u[1:]) for _, chunk in panel.chunks() for u in chunk)
+            quad = -1j * panel.gamma * (q[:, None] * np.exp(1j * np.outer(x, d)))
+            table, g, origin = _phases(np.arange(s) * h, d), np.empty((s + 1, d.size), complex), 0
+            views = list(g)  # the adds below take 2/3 as long on row views as on g[i]
+            for lo, k, o in tiles:
+                if o > origin and not anchor[o]:  # a stray row restarts the stretch at o
+                    g[0] *= _phases([(o - origin) * h], -d)[0]
+                origin = max(o, origin)
+                if o < 0:  # e_0 at row 0 and t = 0
+                    for i in range(k):
+                        nodes[lo + i, 0], g[1 + i] = next(anchors) if lo + i or times[0] else (1, 0)
+                else:
+                    np.matmul(nodes[lo:lo + k, 1:], quad * _phases([(lo - 1 - o) * h], d)[0],
+                              out=g[1:k + 1])
+                    g[1:k + 1] *= table[:k]
+                    for i in range(k):
+                        np.add(views[i], views[i + 1], out=views[i + 1])
+                g[0] = g[k]
+                f, pairs = nodes[lo:lo + k, 0], g[1:k + 1].view(float)
+                yield slice(lo, lo + k), modes, f.real ** 2 + f.imag ** 2, np.square(pairs, pairs)
 
 
 def build_generator(grid: BathGrid) -> Arrowhead:
@@ -410,7 +405,7 @@ def _comb_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarray:
     sums = moments[:, -1]
     for m in range(_MOMENTS - 1, -1, -1):  # Horner in x
         sums = sums * x + moments[:, m]
-    for rows in _row_blocks(index.size, 2 * _NEAR + 1, _NEAR_BYTES):
+    for rows in _slices(index.size, _NEAR_BYTES // (8 * (2 * _NEAR + 1))):
         p = index[rows]
         window = poles.near[0][p]
         q = _cauchy(poles.d[p], tau[rows], window, out=window)  # q = 1 / (lam - d_k)
@@ -428,7 +423,7 @@ def _secular_sums(poles: _Poles, index: np.ndarray, tau: np.ndarray) -> np.ndarr
     sums = np.empty((2, tau.size))
     fast = np.zeros(tau.size, dtype=bool) if poles.far is None else np.abs(tau) <= poles.step
     dense, buf = np.flatnonzero(~fast), None
-    for rows in _row_blocks(dense.size, poles.d.size):
+    for rows in _slices(dense.size, max(1, _CHUNK_BYTES // (8 * poles.d.size))):
         j = dense[rows]  # the first block is the largest
         buf = np.empty((j.size, poles.d.size)) if buf is None else buf
         q = _cauchy(poles.d[index[j]], tau[j], poles.d, out=buf[:j.size])  # 1 / (lam - d_k)
@@ -495,9 +490,9 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
         step = -f / ((1.0 + s2) + f / t + f / (t - other[active]))
         new, a_lo, a_hi = t + step, lo[active], hi[active]
         # keep a converged step (F = 0 steps by 0), land one past hi on it (F >= 0 there
-        # unless hi is the pole tau = 0), bisect any other leaving the bracket
+        # unless hi is the pole tau = 0) unless it is there, bisect any other leaving the bracket
         converged = np.abs(step) <= 2.0 * np.finfo(float).eps * np.abs(t)
-        past_hi = (new >= a_hi) & (a_hi != 0)
+        past_hi = (new >= a_hi) & (a_hi != 0) & (t < a_hi)
         new[past_hi] = a_hi[past_hi]
         bisect = ~(converged | past_hi | ((new > a_lo) & (new < a_hi)))
         new[bisect] = 0.5 * (a_lo + a_hi)[bisect]

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -232,6 +233,21 @@ class TestSuperposition:
             n2inv = (abs(a) ** 2 + abs(b) ** 2
                      + 2 * (np.conj(a) * b * cmath.exp(init.log_overlap)).real)
             assert init.norm_const == pytest.approx(1 / math.sqrt(n2inv), rel=1e-12)
+
+    def test_norm_of_near_identical_branches(self):
+        # bound fixed before the first run: 2 eps.  The odd cat a = 1, b = -1 with
+        # alpha0 = -beta0 = x has N^2 = 1 / (2 - 2 exp(-2 x^2)), which loses every digit to
+        # cancellation as x -> 0 unless e^w - 1 is formed directly; the reference takes
+        # 60 digits
+        worst = 0.0
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for x in np.geomspace(1e-7, 1e-2, 2000):
+                init = normalize_superposition(1.0, -1.0, x, -x)
+                exact = 1 / (2 - 2 * (-2 * decimal.Decimal(x) ** 2).exp())
+                error = (decimal.Decimal(init.norm_const) ** 2 - exact) / exact
+                worst = max(worst, abs(float(error)))
+        assert worst <= 2 * np.finfo(float).eps, worst
 
     @given(alpha=finite_complex, beta=finite_complex)
     def test_overlap_magnitude_identity(self, alpha, beta):

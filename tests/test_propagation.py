@@ -124,7 +124,7 @@ class TestEvolveExact:
     def test_materialised_state_is_held_once(self, step, bound):
         # the traced peak of the step, in state bytes: evolve_exact holds the state once
         # beside one chunk's work, and the overlap check and the share reducer add only
-        # chunks of rows
+        # tiles of rows and the per-row sums
         grid = build_bath_grid(SystemConfig(n_bath=400))
         gen = build_generator(grid)
         times = np.linspace(0.0, 100.0, 4000)

@@ -24,11 +24,12 @@ from conftest import block_modes, dense_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscbath import (Arrowhead, BathGrid, PartitionSpec, SystemConfig, banded_blocks,
-                     build_bath_grid, build_generator, centered_bipartition, explicit_partition,
-                     evolve_exact, evolve_rk4, excitation_profile,
-                     interleaved_bipartition, preset_document, run_scenario,
-                     run_verification, scenario_from_dict, spectral_solution)
+from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, PartitionSpec, SystemConfig,
+                     banded_blocks, build_bath_grid, build_generator, centered_bipartition,
+                     evolve_exact, evolve_rk4, excitation_profile, explicit_partition,
+                     interleaved_bipartition, normalize_superposition, preset_document,
+                     run_scenario, run_verification, scenario_from_dict, spectral_solution,
+                     verify_overlap_factorization)
 from oscbath import propagation
 from oscbath.observables import _excitation_profiles
 
@@ -54,10 +55,10 @@ def _assert_shares(profile, reference):
 
 
 @pytest.fixture(params=["default", "7 rows"])
-def chunking(request, monkeypatch, small_grid):
-    """The default byte budget (one chunk at N = 40) or 7-row share chunks."""
+def chunking(request, monkeypatch):
+    """The default tiles (one at N = 40 and up to 64 rows) or share tiles of 7 rows."""
     if request.param == "7 rows":
-        monkeypatch.setattr(propagation, "_CHUNK_BYTES", 32 * (small_grid.n + 1) * 7)
+        monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
     return request.param
 
 
@@ -116,10 +117,29 @@ def test_single_sample(small_grid, chunking, times):
     _assert_shares(profile, _dense_reference(gen, np.array(times), groups=block_modes(part)))
 
 
+@pytest.mark.parametrize("grid", ["linspace", "drifting", "two spacings"])
+def test_tiles_cut_modes_and_rows(small_grid, monkeypatch, grid):
+    # bound fixed before the first run: TOL.  4 panels of 10 modes by tiles of 7 rows,
+    # across stray-row restarts and Cauchy rows (_RESTART_GRIDS), for partitions whose
+    # blocks overlap and for the overlap identity, whose product and sum run over the panels
+    monkeypatch.setattr(propagation, "_MODE_PANEL", 10)
+    monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
+    gen = build_generator(small_grid)
+    times = np.linspace(0.0, 40.0, 50) if grid == "linspace" else _RESTART_GRIDS[grid]()
+    partitions = [centered_bipartition(small_grid, 10), banded_blocks(small_grid, 4),
+                  explicit_partition(small_grid, ((9, 10, 11, 20), (21, 31)), ("X", "Y")),
+                  centered_bipartition(small_grid, 30)]
+    _assert_profiles(gen, times, partitions)
+    init = normalize_superposition(1.0, -1.0, 3.0, -3.0)
+    dense = AmplitudeTrajectory(times, _dense_reference(gen, times)[3])
+    for source in (spectral_solution(gen, times), dense):
+        assert verify_overlap_factorization(source, init, partitions[1]) <= TOL
+
+
 def test_reference_scale_sweep_groups(reference_gen, reference_grid):
-    # 2000 rows are 30 full share chunks of 65 rows (the default budget at
-    # N = 1000: a complex buffer and a phase table of 65 rows) and one of 50
-    assert propagation._CHUNK_BYTES // (32 * 1001) == 65
+    # 2000 rows are 31 full share tiles of 64 rows and one of 16, all 1000 modes
+    # in one panel
+    assert (propagation._TILE_ROWS, propagation._MODE_PANEL) == (64, 1024)
     times = np.linspace(0.0, 100.0, 2000)
     partitions = [centered_bipartition(reference_grid, size) for size in (100, 500, 900)]
     _assert_profiles(reference_gen, times, partitions)
@@ -230,24 +250,21 @@ def _small_solution():
     return spectral_solution(build_generator(build_bath_grid(SystemConfig(n_bath=40))), [0.0])
 
 
-def _kernel_blocks(solution, times, limit=None):
-    """The anchors, spacing, node count and blocks share_chunks takes for times,
-    its blocks cut every limit rows (by default, at its chunk ends)."""
+def _kernel_blocks(solution, times):
+    """The anchors, spacing, node count and blocks share_chunks takes for times."""
     anchor, h, m, tol = propagation._spacing(times, solution.lam, solution.diag)
-    limit = limit or max(1, propagation._CHUNK_BYTES // (32 * solution.lam.size))
-    return anchor, h, m, propagation._blocks(times, anchor, h, tol, limit)
+    return anchor, h, m, propagation._blocks(times, anchor, h, tol)
 
 
 @pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
 def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     # bound fixed before the first run: the direct phases round t lam to
-    # eps |lam t| / 2.  Row n of a block takes exp(-i lam t_n) as
-    # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], t_b = t_o + (first - 1 - o) h,
-    # as share_chunks does, with exp(-i lam r h) = exp(-i lam (r - b) h) exp(-i lam b h)
-    # (_phase_table); each factor rounds its phase as the direct formula does, and
-    # t_b + (r + 1) h lies within _SLACK = 4 ulp of max|t| of t_n; 8 eps max|lam t|
-    # covers both while max|lam t| >= 25, as on every grid here.  Anchor rows take
-    # the direct phases.
+    # eps |lam t| / 2.  Row n of a tile from row first takes exp(-i lam t_n) as
+    # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], r < _TILE_ROWS,
+    # t_b = t_o + (first - 1 - o) h, as share_chunks does; each factor rounds its
+    # phase as the direct formula does, and t_b + (r + 1) h lies within _SLACK = 4
+    # ulp of max|t| of t_n; 8 eps max|lam t| covers both while max|lam t| >= 25, as
+    # on every grid here.  Anchor rows take the direct phases.
     times = _PHASE_GRIDS[grid](reference_gen)
     solution = spectral_solution(reference_gen, [0.0])
     lam = solution.lam
@@ -257,12 +274,15 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     anchor, h, _, (firsts, sizes, origins) = _kernel_blocks(solution, times)
     assert sizes.sum() == np.count_nonzero(~anchor)  # every integrated row, once
     worst = 0.0
+    s = propagation._TILE_ROWS
+    fine = propagation._phases(np.arange(s) * h, -lam)
     for first, size, o in zip(firsts, sizes, origins):
-        lead = propagation._phases([times[o] + (first - 1 - o) * h], -lam) * propagation._phases(
-            [h], -lam) * c
-        got = propagation._phase_table(h, size, -lam) * lead
-        re, im = _direct_scaled_phases(times[first:first + size], lam, c)
-        worst = max(worst, np.abs(got - (re + 1j * im)).max())
+        for lo in range(first, first + size, s):
+            k = min(s, first + size - lo)
+            lead = propagation._phases([times[o] + (lo - 1 - o) * h], -lam) * propagation._phases(
+                [h], -lam) * c
+            re, im = _direct_scaled_phases(times[lo:lo + k], lam, c)
+            worst = max(worst, np.abs(fine[:k] * lead - (re + 1j * im)).max())
     assert worst <= 8 * np.finfo(float).eps * lam_t
 
 
@@ -349,7 +369,7 @@ def test_finite_bath_revival_at_4000_modes():
 def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunking,
                                            anchor_rows):
     # every increment is exactly 2^-4, so every row after e_0 follows from the row
-    # before by the Duhamel integral, across chunk ends and past four times the
+    # before by the Duhamel integral, across tile ends and past four times the
     # 256-row spacing at which Cauchy rows were once taken
     times = np.arange(4 * 256 + 1) / 16.0
     part = centered_bipartition(reference_grid, 100)
@@ -373,14 +393,13 @@ def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, anchor_ro
 
 
 @settings(max_examples=200, deadline=None)
-@given(t0=st.floats(0.0, 1e4), t_end=st.floats(1e-3, 1e3), size=st.integers(2, 3000),
-       limit=st.integers(1, 4000))
-def test_linspace_grids_take_one_spacing(t0, t_end, size, limit):
+@given(t0=st.floats(0.0, 1e4), t_end=st.floats(1e-3, 1e3), size=st.integers(2, 3000))
+def test_linspace_grids_take_one_spacing(t0, t_end, size):
     # a linspace grid fine enough to integrate takes one spacing: its one anchor is
     # row 0, a Cauchy row only at t_0 > 0, and no row strays from t_0 + n h
     times = np.linspace(t0, t0 + t_end, size)
     solution = dataclasses.replace(_small_solution(), times=times)
-    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times, limit)
+    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times)
     if m > 0:
         assert np.count_nonzero(anchor) == 1
         assert solution.cauchy_rows == (1 if times[0] > 0 else 0)
@@ -420,9 +439,9 @@ def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
 
 
 def test_no_drift_over_10000_one_row_chunks(small_grid, monkeypatch):
-    # bound fixed before the first run: 5e-14.  Each row is its own chunk, so every
+    # bound fixed before the first run: 5e-14.  Each row is its own tile, so every
     # increment takes a phase row of its own and the carry is never rotated
-    monkeypatch.setattr(propagation, "_CHUNK_BYTES", 32 * (small_grid.n + 1))
+    monkeypatch.setattr(propagation, "_TILE_ROWS", 1)
     gen = build_generator(small_grid)
     times = np.linspace(0.0, 500.0, 10001)
     part = centered_bipartition(small_grid, 10)
@@ -525,6 +544,13 @@ def _eigenvectors(solution):
     return np.vstack((solution.v0, solution.gamma[:, None] * solution.v0 / gap.T))
 
 
+def _irregular(seed):
+    """500 uniformly random bath diagonal entries in [-1, 1] and couplings in [1e-3, 1e-2]."""
+    rng = np.random.default_rng(seed)
+    diag, couplings = np.sort(rng.uniform(-1, 1, 500)), rng.uniform(1e-3, 1e-2, 500)
+    return Arrowhead(0.0, couplings, couplings, diag)
+
+
 _ORACLE_CASES = {
     "reference N=1000": lambda request: request.getfixturevalue("reference_gen"),
     "explicit couplings": lambda request: build_generator(build_bath_grid(SystemConfig(
@@ -539,6 +565,9 @@ _ORACLE_CASES = {
     "N=2": lambda request: build_generator(build_bath_grid(SystemConfig(n_bath=2))),
     "a00 = 0.25": lambda request: _with_corner(
         build_generator(request.getfixturevalue("small_grid")), 0.25),
+    # a Newton step past hi from an iterate on hi once stalled the solver on these
+    "irregular diagonal, seed 1": lambda request: _irregular(1),
+    "irregular diagonal, seed 3": lambda request: _irregular(3),
 }
 
 
@@ -718,17 +747,21 @@ def test_comb_takes_the_dense_pass_at_the_outer_roots(reference_gen, monkeypatch
     assert all(rows <= 2 for _, rows in passes[2:]), passes
 
 
-def test_solution_bytes_do_not_depend_on_blas_threads():
-    script = ("import hashlib; from oscbath import *; from oscbath import propagation; "
+def test_solution_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the eigensolution of the reference generator, then the CSV of fig10a on 200 samples
+    script = ("import hashlib, sys; from oscbath import *; from oscbath import propagation; "
               "gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000))); "
               "parts = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag); "
-              "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())")
+              "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest()); "
+              "doc = preset_document('fig10a'); doc['time'] = {'samples': 200}; "
+              "manifest = run_scenario(scenario_from_dict(doc), sys.argv[1]); "
+              "print(manifest.outputs[0]['sha256'])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = set()
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         digests.add(done.stdout.strip())
     assert len(digests) == 1
