@@ -7,19 +7,20 @@ suite (that is how injected faults surface).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrence import concurrence_series
 from .model import (SystemConfig, build_bath_grid, centered_bipartition,
                     normalize_superposition)
 from .observables import excitation_profile, verify_overlap_factorization
 from .propagation import (build_generator, evolve_exact, evolve_rk4, norm_residual,
                           spectral_solution)
-from .scenarios import _REFERENCE_SYSTEM, _SYSTEM, _integer, _real, _section, _superposition
+from .scenarios import (_REFERENCE_SYSTEM, _SYSTEM, _concurrence_table, _integer, _real, _section,
+                        _superposition)
 from .wootters import oracle_residuals
 
 __all__ = ["CheckResult", "run_verification", "FAULT_MODES"]
@@ -113,14 +114,16 @@ def run_verification(config: dict | None = None,
             raise RuntimeError("needs the trajectory of failed check norm_conservation_exact")
         return state["traj"]
 
-    _guarded(results, "excitation_conservation", 1e-9,
-             lambda: excitation_profile(trajectory()).norm_residual())
+    # the one reduction of the reference state, which three checks read; theta sums every
+    # mode, whatever the partition
+    profile = functools.cache(lambda: excitation_profile(trajectory(), partition))
+    _guarded(results, "excitation_conservation", 1e-9, lambda: profile().norm_residual())
 
     def shares_vs_state():
         # the share kernel integrates the bath amplitudes from e_0 (or its Cauchy rows);
         # the materialised state takes every row from the eigenvectors.  The last user
         # of the decomposition drops it.
-        direct = excitation_profile(trajectory(), partition)
+        direct = profile()
         kernel = excitation_profile(state.pop("solution"), partition)
         return max(float(np.abs(getattr(kernel, name) - getattr(direct, name)).max())
                    for name in ("xi", "theta", "theta_blocks"))
@@ -132,21 +135,16 @@ def run_verification(config: dict | None = None,
              lambda: verify_overlap_factorization(trajectory(), init, partition))
 
     def oracle():
-        series = concurrence_series(excitation_profile(trajectory(), partition), init)
-        inits = [init] * series.xi.size
-        shares = list(zip(series.xi, series.theta_b, series.theta_c))
+        # the concurrence table simulate writes, then one stacked call over the draws of
+        # (a, b, alpha0, beta0), kept unless |a| or |b| is below 1e-6, and of the shares
+        table = _concurrence_table(init, profile())[2]
         rng = np.random.default_rng(cfg["seed"])
-        for _ in range(cfg["draws"]):
-            a = complex(rng.normal(), rng.normal())
-            b = complex(rng.normal(), rng.normal())
-            if abs(a) < 1e-6 or abs(b) < 1e-6:
-                continue
-            alpha0 = complex(rng.normal(scale=2), rng.normal(scale=2))
-            beta0 = complex(rng.normal(scale=2), rng.normal(scale=2))
-            inits.append(normalize_superposition(a, b, alpha0, beta0))
-            shares.append(rng.dirichlet([1.0, 1.0, 1.0]))
-        # one stacked oracle call: the trajectory's rows, then one row per draw
-        return oracle_residuals(inits, *np.transpose(shares)).max()
+        parts = rng.normal(0.0, [1.0, 1.0, 2.0, 2.0], size=(cfg["draws"], 2, 4))
+        draws = parts[:, 0] + 1j * parts[:, 1]
+        shares = rng.dirichlet([1.0, 1.0, 1.0], size=cfg["draws"])
+        kept = (np.abs(draws[:, 0]) >= 1e-6) & (np.abs(draws[:, 1]) >= 1e-6)
+        inits = [normalize_superposition(*draw) for draw in draws[kept]]
+        return np.max(oracle_residuals(inits, *shares[kept].T), initial=table)
 
     _guarded(results, "closed_form_vs_oracle", 1e-10, oracle)
 

@@ -46,17 +46,17 @@ def _kernel(lo: float, prefactor: float, xi, theta_b, theta_c):
     return d_b, d_c, prefactor * np.exp(xi * lo) * d_b * d_c
 
 
-def _per_row(init, terms):
-    """terms(init), or for a sequence of inits arrays of terms taken row by row in
-    Python: numpy's complex abs and product can round otherwise in the last bit."""
+def _per_row(init, *terms):
+    """Each term(init), or for a sequence of inits (none: empty) an array of each taken row
+    by row in Python: numpy's complex abs and product can round otherwise in the last bit."""
     if isinstance(init, SuperpositionInit):
-        return terms(init)
-    return tuple(np.array(v) for v in zip(*map(terms, init)))
+        return tuple(term(init) for term in terms)
+    return tuple(np.array([term(i) for i in init]) for term in terms)
 
 
 def _init_kernel(init, xi, theta_b, theta_c):
-    prefactor, lo = _per_row(init, lambda i: (2.0 * abs(i.a * i.b) * i.norm_const ** 2,
-                                              i.log_overlap.real))
+    prefactor, lo = _per_row(init, lambda i: 2.0 * abs(i.a * i.b) * i.norm_const ** 2,
+                             lambda i: i.log_overlap.real)
     return _kernel(lo, prefactor, xi, theta_b, theta_c)
 
 

@@ -134,8 +134,8 @@ def wootters_concurrence(rho):
     if not np.all(np.abs(mat - adjoint) <= 1e-12 * scale):
         raise ValueError("density matrix must be Hermitian")
     ev, basis = np.linalg.eigh(mat)
-    if ev.min() < -1e-8:
-        raise ValueError(f"density matrix eigenvalue {ev.min():.3e} is significantly negative")
+    if (low := np.min(ev, initial=0.0)) < -1e-8:
+        raise ValueError(f"density matrix eigenvalue {low:.3e} is significantly negative")
     ev = np.clip(ev, 0.0, None)
     ev[ev <= 1e-12 * ev.max(axis=-1, keepdims=True)] = 0.0
     root = (basis * np.sqrt(ev)[..., None, :]) @ basis.conj().swapaxes(-2, -1)
@@ -157,9 +157,9 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
     """
     xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
                             for v in (xi, theta_b, theta_c))
-    weight, p, q, ab, wc = _per_row(init, lambda i: (
-        i.norm_const ** 2, abs(i.a) ** 2, abs(i.b) ** 2, i.a * i.b.conjugate(),
-        i.log_overlap.conjugate()))
+    weight, p, q, ab, wc = _per_row(
+        init, lambda i: i.norm_const ** 2, lambda i: abs(i.a) ** 2, lambda i: abs(i.b) ** 2,
+        lambda i: i.a * i.b.conjugate(), lambda i: i.log_overlap.conjugate())
     rho = build_density_matrix(weight, p, q, ab * np.exp(xi * wc),
                                qubit_embedding(theta_b * wc), qubit_embedding(theta_c * wc))
     closed = concurrence_closed_form(init, xi, theta_b, theta_c)

@@ -984,3 +984,74 @@ def test_every_reader_refuses_null_true_lists_and_nan(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "residual" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+class TestVerifyReferenceState:
+    """verify reduces the reference state once and checks the table simulate writes."""
+
+    def test_reference_state_is_reduced_once(self, monkeypatch):
+        from oscbath.propagation import AmplitudeTrajectory
+        calls = []
+        share_chunks = AmplitudeTrajectory.share_chunks
+        monkeypatch.setattr(AmplitudeTrajectory, "share_chunks", lambda self: calls.append(
+            self.states.shape) or share_chunks(self))
+        assert all(r.passed for r in run_verification())
+        # the shared profile, then overlap_factorization
+        assert calls == [(201, 1001)] * 2
+
+    def test_no_draws_checks_the_trajectory_table(self, tmp_path, capsys, reference_grid,
+                                                  reference_gen, cat_init):
+        from oscbath import centered_bipartition, evolve_exact, excitation_profile
+        from oscbath.scenarios import _concurrence_table
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"draws": 0}))
+        assert main(["verify", "--config", str(cfg), "--json"]) == 0
+        results = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+        traj = evolve_exact(reference_gen, np.linspace(0.0, 100.0, 201))
+        profile = excitation_profile(traj, centered_bipartition(reference_grid, 100))
+        assert results["closed_form_vs_oracle"]["residual"] == _concurrence_table(
+            cat_init, profile)[2]
+
+    @staticmethod
+    def _draws(monkeypatch, rng=None):
+        """The inits and shares of verify's drawn oracle rows, from rng(seed) if given."""
+        from oscbath import checks, oracle_residuals
+        seen = []
+        monkeypatch.setattr(checks, "oracle_residuals", lambda init, *shares: seen.append(
+            (init, np.array(shares))) or oracle_residuals(init, *shares))
+        if rng is not None:
+            monkeypatch.setattr(np.random, "default_rng", rng)
+        results = run_verification({"n_bath": 60, "samples": 41, "draws": 20,
+                                    "rk4_t_end": 1.0})
+        assert all(r.passed for r in results)
+        (inits, shares), = seen
+        return inits, shares.T, {r.name: r.residual for r in results}
+
+    def test_same_seed_same_residuals(self, monkeypatch):
+        inits, shares, residuals = self._draws(monkeypatch)
+        again, again_shares, again_residuals = self._draws(monkeypatch)
+        assert len(inits) == 20 and again == inits
+        assert np.array_equal(again_shares, shares)
+        assert again_residuals == residuals
+
+    def test_draw_with_tiny_a_is_left_out(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class TinyFirstA:
+            """default_rng(seed), but the first draw has a = 1e-7 (1 + i)."""
+
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def normal(self, *args, **kwargs):
+                parts = self.rng.normal(*args, **kwargs)  # draw, (re, im), (a, b, alpha0, beta0)
+                parts[0, :, 0] = 1e-7
+                return parts
+
+            def dirichlet(self, *args, **kwargs):
+                return self.rng.dirichlet(*args, **kwargs)
+
+        inits, shares, _ = self._draws(monkeypatch)
+        kept, kept_shares, _ = self._draws(monkeypatch, TinyFirstA)
+        assert kept == inits[1:]
+        assert np.array_equal(kept_shares, shares[1:])

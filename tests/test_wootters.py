@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from spin_flip_oracles import factored_product_eigenvalues, product_eigenvalues, spin_flip
 
 from oscbath import (QubitEmbedding, build_density_matrix, build_generator,
-                     centered_bipartition, concurrence_series, crosscheck,
-                     evolve_exact, excitation_profile, normalize_superposition,
+                     centered_bipartition, concurrence_closed_form, concurrence_series,
+                     crosscheck, evolve_exact, excitation_profile, normalize_superposition,
                      oracle_residuals, qubit_embedding, wootters_concurrence)
 
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -302,19 +302,13 @@ class TestCrosscheck:
 
 def _oracle_draws(seed, count=200):
     """Initial states and shares drawn as verify's closed_form_vs_oracle draws
-    them: the same rng calls in the same order, tiny weights skipped."""
+    them: the same rng calls in the same order, tiny weights left out."""
     rng = np.random.default_rng(seed)
-    inits, shares = [], []
-    for _ in range(count):
-        a = complex(rng.normal(), rng.normal())
-        b = complex(rng.normal(), rng.normal())
-        if abs(a) < 1e-6 or abs(b) < 1e-6:
-            continue
-        alpha0 = complex(rng.normal(scale=2), rng.normal(scale=2))
-        beta0 = complex(rng.normal(scale=2), rng.normal(scale=2))
-        inits.append(normalize_superposition(a, b, alpha0, beta0))
-        shares.append(rng.dirichlet([1.0, 1.0, 1.0]))
-    return inits, np.array(shares)
+    parts = rng.normal(0.0, [1.0, 1.0, 2.0, 2.0], size=(count, 2, 4))
+    draws = parts[:, 0] + 1j * parts[:, 1]
+    shares = rng.dirichlet([1.0, 1.0, 1.0], size=count)
+    kept = (np.abs(draws[:, 0]) >= 1e-6) & (np.abs(draws[:, 1]) >= 1e-6)
+    return [normalize_superposition(*draw) for draw in draws[kept]], shares[kept]
 
 
 def _stacked_embedding(embeddings):
@@ -417,6 +411,12 @@ class TestStackedPipeline:
         assert stacked.shape == (len(inits),)
         assert np.abs(stacked - rows).max() <= 1e-15
         assert stacked.max() < 1e-10
+
+    def test_empty_stacks_give_empty_arrays(self, cat_init):
+        for init in ([], cat_init):
+            for residuals in (concurrence_closed_form(init, [], [], []),
+                              oracle_residuals(init, [], [], [])):
+                assert isinstance(residuals, np.ndarray) and residuals.shape == (0,)
 
     def test_stacked_inits_warn_off_the_physical_set(self):
         inits, shares = _oracle_draws(1, count=5)
