@@ -103,8 +103,7 @@ def run_verification(config: dict | None = None,
     state: dict = {}
 
     def norm_conservation():
-        state["solution"] = spectral_solution(gen, times)
-        state["traj"] = state["solution"].trajectory()
+        state["traj"] = spectral_solution(gen, times).trajectory()
         return norm_residual(state["traj"])
 
     _guarded(results, "norm_conservation_exact", 1e-9, norm_conservation)
@@ -120,11 +119,9 @@ def run_verification(config: dict | None = None,
     _guarded(results, "excitation_conservation", 1e-9, lambda: profile().norm_residual())
 
     def shares_vs_state():
-        # the share kernel integrates the bath amplitudes from e_0 (or its Cauchy rows);
-        # the materialised state takes every row from the eigenvectors.  The last user
-        # of the decomposition drops it.
+        # the share kernel integrates from e_0 (or Cauchy rows), the state takes eigenvector rows
         direct = profile()
-        kernel = excitation_profile(state.pop("solution"), partition)
+        kernel = excitation_profile(spectral_solution(gen, times), partition)
         return max(float(np.abs(getattr(kernel, name) - getattr(direct, name)).max())
                    for name in ("xi", "theta", "theta_blocks"))
 

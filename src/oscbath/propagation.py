@@ -17,6 +17,7 @@ cancel in every observable built here and are left to the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -277,26 +278,18 @@ class SpectralSolution:
     @property
     def cauchy_rows(self) -> int:
         """The rows share_chunks takes from the Cauchy product."""
-        return int(np.count_nonzero(_spacing(self.times, self.lam, self.diag)[0])
-                   - (self.times[0] == 0))
+        return int(np.count_nonzero(self._plan[0]) - (self.times[0] == 0))
 
-    def share_chunks(self):
-        """Yield (rows, modes, xi, pairs) tiles: |f|^2 at times[rows] and (re_1^2, im_1^2, ...) of
-        the g_{1+k}, k in modes, O(m) a mode and row off the anchors of _spacing, in reused
-        buffers.  Row 0 at t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the
-        row o before one that strays (_blocks), starts a stretch, along which row n holds G_k =
-        exp(i d_k (n - o) h) g_k (|G| = |g|): the row before plus exp(i d_k (n - 1 - o) h)
-        (-i gamma_k) int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s)
-        at Gauss-Legendre nodes x.  A tile's rotation exp(i d (first - 1 - o) h), folded into
-        the rule's weights times a table exp(i d r h), never touches the carry, which takes a
-        rounded phase only where a stray row restarts the stretch."""
-        lam, gamma, diag, times, s = self.lam, self.gamma, self.diag, self.times, _TILE_ROWS
-        anchor, h, m, tol = _spacing(times, lam, diag)
+    @functools.cached_property
+    def _plan(self):
+        """What share_chunks reads of the solution alone, cut by tiles of s = _TILE_ROWS rows."""
+        lam, times, s = self.lam, self.times, _TILE_ROWS
+        anchor, h, m, tol = _spacing(times, lam, self.diag)
         x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
         # tiles (first row, rows, origin) of the runs of _blocks and, origin -1, of anchor rows
         edges = np.flatnonzero(np.diff(anchor, prepend=False, append=False)).reshape(-1, 2)
         runs = sorted([*zip(*_blocks(times, anchor, h, tol)), *((a, b - a, -1) for a, b in edges)])
-        tiles = [(lo, min(s, a + n - lo), o) for a, n, o in runs for lo in range(a, a + n, s)]
+        tiles = tuple((lo, min(s, a + n - lo), o) for a, n, o in runs for lo in range(a, a + n, s))
         integrated = [(lo, k, times[o] + (lo - 1 - o) * h) for lo, k, o in tiles if o >= 0]
         # nodes[first + r] = f(t_b + r h + (h, x)), t_b = t_o + (first - 1 - o) h: exp(-i lam r h)
         # times exp(-i lam (t_b + (h, x))) v0^2 by root panels, the last padded, so that each
@@ -309,6 +302,20 @@ class SpectralSolution:
             leads = _phases([t_b for _, _, t_b in integrated], -lam[roots])[:, :, None]
             for (lo, k, _), lead in zip(integrated, leads):
                 nodes[lo:lo + k] += (fine @ (lead * weighted))[:k]
+        return _readonly(anchor), h, x, q, tiles, _readonly(nodes), s
+
+    def share_chunks(self):
+        """Yield (rows, modes, xi, pairs) tiles: |f|^2 at times[rows] and (re_1^2, im_1^2, ...) of
+        the g_{1+k}, k in modes, O(m) a mode and row off the anchors of _spacing, in reused
+        buffers.  Row 0 at t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the
+        row o before one that strays (_blocks), starts a stretch, along which row n holds G_k =
+        exp(i d_k (n - o) h) g_k (|G| = |g|): the row before plus exp(i d_k (n - 1 - o) h)
+        (-i gamma_k) int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s)
+        at Gauss-Legendre nodes x.  A tile's rotation exp(i d (first - 1 - o) h), folded into
+        the rule's weights times a table exp(i d r h), never touches the carry, which takes a
+        rounded phase only where a stray row restarts the stretch; _plan holds the tiles and f."""
+        (anchor, h, x, q, tiles, nodes, s), gamma, diag = self._plan, self.gamma, self.diag
+        times, f0 = self.times, nodes[:, 0].copy()  # f at the anchors is written in below
         cauchy = replace(self, times=times[anchor][int(times[0] == 0):])  # the Cauchy rows
         for modes in _slices(diag.size, _MODE_PANEL):
             # the panel's Cauchy rows, rule -i gamma q exp(i d x) and table exp(i d r h); g[1 + i]
@@ -324,7 +331,7 @@ class SpectralSolution:
                 origin = max(o, origin)
                 if o < 0:  # e_0 at row 0 and t = 0
                     for i in range(k):
-                        nodes[lo + i, 0], g[1 + i] = next(anchors) if lo + i or times[0] else (1, 0)
+                        f0[lo + i], g[1 + i] = next(anchors) if lo + i or times[0] else (1, 0)
                 else:
                     np.matmul(nodes[lo:lo + k, 1:], quad * _phases([(lo - 1 - o) * h], d)[0],
                               out=g[1:k + 1])
@@ -332,7 +339,7 @@ class SpectralSolution:
                     for i in range(k):
                         np.add(views[i], views[i + 1], out=views[i + 1])
                 g[0] = g[k]
-                f, pairs = nodes[lo:lo + k, 0], g[1:k + 1].view(float)
+                f, pairs = f0[lo:lo + k], g[1:k + 1].view(float)
                 yield slice(lo, lo + k), modes, f.real ** 2 + f.imag ** 2, np.square(pairs, pairs)
 
 
@@ -505,8 +512,8 @@ def _arrowhead_eigh(a00: float, gamma: np.ndarray, diag: np.ndarray):
 
 
 def spectral_solution(gen: Arrowhead, times) -> SpectralSolution:
-    """The normal modes of the symmetric arrowhead gen, sampled at times, from
-    u(0) = e_0; raises ValueError for a degenerate or asymmetric gen."""
+    """The normal modes of the symmetric arrowhead gen at times, from u(0) = e_0, read-only and
+    kept for the next call on the same arrays; ValueError for a degenerate or asymmetric gen."""
     gen = _arrow(gen)
     if not np.array_equal(gen.row, gen.col):
         raise ValueError("generator is not symmetric; refusing to eigendecompose")
@@ -517,8 +524,14 @@ def spectral_solution(gen: Arrowhead, times) -> SpectralSolution:
         raise ValueError("times must start at t >= 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    return SpectralSolution(times, *_arrowhead_eigh(gen.a00, gen.row, gen.diag),
-                            gen.row, gen.diag)
+    return _solution(float(gen.a00), *(np.asarray(a, float).tobytes()
+                                       for a in (gen.row, gen.diag, times)))
+
+
+@functools.lru_cache(maxsize=1)  # the last solution, for the next run on its system and grid
+def _solution(a00: float, row: bytes, diag: bytes, times: bytes) -> SpectralSolution:
+    row, diag, times = (np.frombuffer(b) for b in (row, diag, times))  # read-only copies
+    return SpectralSolution(times, *map(_readonly, _arrowhead_eigh(a00, row, diag)), row, diag)
 
 
 def evolve_exact(gen: Arrowhead, times) -> AmplitudeTrajectory:

@@ -29,6 +29,7 @@ _SY2 = np.kron(_SY, _SY).real
 # basis state, and which of r, u, u*, v sits at each matrix entry
 _SYS, _ENV = np.divmod(np.arange(4), 2)
 _ENTRY = np.array([[0, 1, 1, 0], [2, 3, 3, 2], [2, 3, 3, 2], [0, 1, 1, 0]])
+_ORACLE_ROWS = 1024  # oracle_residuals' rows at a time: O(1) memory in the rows; 64 ran slower
 
 
 @dataclass(frozen=True)
@@ -152,18 +153,21 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
     shares to [0, 1] (roundoff can push them past by up to the norm drift),
     embeds the block overlaps by their exponents theta conj(w) and builds the
     branch factor from the stored log-overlap w, runs the stacked numeric
-    pipeline (density matrix, spin flip, spectrum), and compares against the
-    closed form.
+    pipeline (density matrix, spin flip, spectrum) by tiles of _ORACLE_ROWS
+    rows, and compares against the closed form.
     """
     xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
                             for v in (xi, theta_b, theta_c))
     weight, p, q, ab, wc = _per_row(
         init, lambda i: i.norm_const ** 2, lambda i: abs(i.a) ** 2, lambda i: abs(i.b) ** 2,
         lambda i: i.a * i.b.conjugate(), lambda i: i.log_overlap.conjugate())
-    rho = build_density_matrix(weight, p, q, ab * np.exp(xi * wc),
-                               qubit_embedding(theta_b * wc), qubit_embedding(theta_c * wc))
-    closed = concurrence_closed_form(init, xi, theta_b, theta_c)
-    return np.abs(wootters_concurrence(rho) - closed)
+    terms = np.broadcast_arrays(weight, p, q, ab, wc, xi, theta_b, theta_c)
+    numeric = np.empty(terms[0].shape)
+    for rows in (slice(lo, lo + _ORACLE_ROWS) for lo in range(0, len(numeric), _ORACLE_ROWS)):
+        weight, p, q, ab, wc, x, b, c = (term[rows] for term in terms)
+        numeric[rows] = wootters_concurrence(build_density_matrix(
+            weight, p, q, ab * np.exp(x * wc), qubit_embedding(b * wc), qubit_embedding(c * wc)))
+    return np.abs(numeric - concurrence_closed_form(init, xi, theta_b, theta_c))
 
 
 def crosscheck(init: SuperpositionInit, xi: float,

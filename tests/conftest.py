@@ -20,6 +20,14 @@ def block_modes(partition):
     return [np.flatnonzero(partition.member == j) + 1 for j in range(partition.n_blocks)]
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_solution():
+    """Each test starts with no spectral solution kept from an earlier one, so that what it
+    counts (decompositions, node tables) is its own."""
+    from oscbath import propagation
+    propagation._solution.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def reference_grid():
     return build_bath_grid(SystemConfig(n_bath=1000, coupling_amplitude=0.1,

@@ -301,6 +301,21 @@ class TestAmplitudeTrajectory:
             traj.states[0, 0] = 0.0
 
 
+class TestSpectralSolution:
+    def test_arrays_are_read_only(self, small_grid):
+        # runs on one system and grid share one solution: no caller may write into it
+        solution = spectral_solution(build_generator(small_grid), np.linspace(0.0, 5.0, 11))
+        for name in ("times", "pole", "tau", "v0"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(solution, name)[0] = 1.0
+
+    def test_times_are_a_copy(self, small_grid):
+        times = np.linspace(0.0, 5.0, 11)
+        solution = spectral_solution(build_generator(small_grid), times)
+        times[3] = 99.0
+        assert np.array_equal(solution.times, np.linspace(0.0, 5.0, 11))
+
+
 class TestNormResidual:
     def test_exactly_zero_for_unit_sample(self):
         traj = AmplitudeTrajectory([0.0], [[1.0 + 0j, 0.0, 0.0]])

@@ -986,6 +986,51 @@ def test_every_reader_refuses_null_true_lists_and_nan(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture()
+def node_tables(monkeypatch):
+    """Row counts of the share plans (node tables) cut during a test."""
+    from oscbath import propagation
+    calls = []
+    spacing = propagation._spacing
+    monkeypatch.setattr(propagation, "_spacing", lambda times, lam, diag: calls.append(
+        times.size) or spacing(times, lam, diag))
+    return calls
+
+
+class TestSolutionMemo:
+    """Runs on one system and time grid share one decomposition and one node table."""
+
+    def test_presets_share_one_solution_and_write_fresh_bytes(self, tmp_path, decompositions,
+                                                             node_tables):
+        run_scenario(preset("fig7"), out_dir=tmp_path / "fig7")
+        manifest = run_scenario(preset("fig10a"), out_dir=tmp_path / "fig10a")
+        assert decompositions == [1000] and node_tables == [2000]
+        # fig10a in a fresh process, which solves its own
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-m", "oscbath", "simulate", "--preset", "fig10a",
+                               "--out", str(tmp_path / "fresh")], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fresh = json.loads((tmp_path / "fresh" / "fig10a_manifest.json").read_text())
+        assert fresh["outputs"] == manifest.outputs
+
+    def test_other_times_or_system_solve_again(self, decompositions):
+        from oscbath import SystemConfig, build_bath_grid, build_generator, spectral_solution
+        gen = build_generator(build_bath_grid(SystemConfig(n_bath=40)))
+        other = build_generator(build_bath_grid(SystemConfig(n_bath=41)))
+        times = np.linspace(0.0, 20.0, 50)
+        first = spectral_solution(gen, times)
+        assert spectral_solution(gen, list(times)) is first  # the same bytes
+        assert decompositions == [40]
+        spectral_solution(gen, times[:-1])
+        spectral_solution(other, times[:-1])
+        spectral_solution(gen._replace(a00=0.01), times[:-1])
+        again = spectral_solution(gen, times)  # only the last solution is kept
+        assert decompositions == [40, 40, 41, 40, 40]
+        assert again is not first and np.array_equal(again.tau, first.tau)
+
+
 class TestVerifyReferenceState:
     """verify reduces the reference state once and checks the table simulate writes."""
 

@@ -414,6 +414,26 @@ _RESTART_GRIDS = {
 }
 
 
+def test_plan_keeps_the_tile_rows_it_was_cut_by(small_grid, monkeypatch):
+    # the kept solution's plan, cut by 64-row tiles, still serves after _TILE_ROWS changes, with
+    # the same bytes; a plan cut afterwards takes the new rows (bound fixed before the first
+    # run: TOL).  The grid has stray-row restarts and Cauchy rows.
+    gen, part = build_generator(small_grid), centered_bipartition(small_grid, 10)
+    times = _RESTART_GRIDS["two spacings"]()
+    cut = excitation_profile(spectral_solution(gen, times), part)
+    monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
+    kept = spectral_solution(gen, times)
+    assert kept._plan[-1] == 64
+    again = excitation_profile(kept, part)
+    for name in ("xi", "theta", "theta_blocks"):
+        assert np.array_equal(getattr(again, name), getattr(cut, name))
+    propagation._solution.cache_clear()
+    fresh = spectral_solution(gen, times)
+    assert fresh is not kept and fresh._plan[-1] == 7
+    _assert_shares(excitation_profile(fresh, part),
+                   (cut.xi, cut.theta, list(cut.theta_blocks), None))
+
+
 @pytest.mark.parametrize("grid", list(_RESTART_GRIDS))
 def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
     gen = build_generator(small_grid)

@@ -412,6 +412,43 @@ class TestStackedPipeline:
         assert np.abs(stacked - rows).max() <= 1e-15
         assert stacked.max() < 1e-10
 
+    @staticmethod
+    def _reference_shares(traj, grid, init, copies):
+        """fig10a's concurrence shares (xi, theta_b, theta_c), repeated copies times."""
+        series = concurrence_series(excitation_profile(traj, centered_bipartition(grid, 100)),
+                                    init)
+        return [np.tile(v, copies) for v in (series.xi, series.theta_b, series.theta_c)]
+
+    def test_tiles_match_one_stack(self, reference_traj, reference_grid, cat_init,
+                                   monkeypatch):
+        from oscbath import wootters
+        shares = self._reference_shares(reference_traj, reference_grid, cat_init, 2)
+        inits, drawn = _oracle_draws(1, count=1500)
+        results = {}
+        for rows in (wootters._ORACLE_ROWS, 64, 10 ** 6):  # 10^6: one stack
+            monkeypatch.setattr(wootters, "_ORACLE_ROWS", rows)
+            results[rows] = (oracle_residuals(cat_init, *shares),
+                             oracle_residuals(inits, *drawn.T))
+        assert results[10 ** 6][0].shape == (4000,)
+        for rows in (1024, 64):
+            for tiled, stack in zip(results[rows], results[10 ** 6]):
+                assert np.array_equal(tiled, stack)
+
+    def test_memory_does_not_grow_with_the_rows(self, reference_traj, reference_grid,
+                                                cat_init):
+        # bound fixed before the first run: 6 MiB at 20000 rows, where one stack of every row
+        # peaked at 30.7 MiB
+        import tracemalloc
+        shares = self._reference_shares(reference_traj, reference_grid, cat_init, 10)
+        tracemalloc.start()
+        try:
+            residuals = oracle_residuals(cat_init, *shares)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residuals.shape == (20000,) and residuals.max() < 1e-10
+        assert peak <= 6 * 2 ** 20
+
     def test_empty_stacks_give_empty_arrays(self, cat_init):
         for init in ([], cat_init):
             for residuals in (concurrence_closed_form(init, [], [], []),
