@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PartitionSpec, SuperpositionInit
+from .model import PartitionSpec, SuperpositionInit, _readonly
+from .propagation import SpectralSolution
 
 __all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
 # indicator columns per product: too few for OpenBLAS to thread it (and vary its sums)
 _COLUMNS = 4
+_PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # solution -> {key: profile}
+_KEPT = 8  # partitions a solution keeps, the oldest dropped first
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +63,7 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
         shares[rows, 0], panel = xi, indicator[2 * modes.start:2 * modes.stop]
         for c in range(0, panel.shape[1], _COLUMNS):
             shares[rows, 1 + c:1 + c + _COLUMNS] += pairs @ panel[:, c:c + _COLUMNS]
-    xi, theta = shares[:, 0], shares[:, 1]
+    xi, theta = _readonly(shares)[:, 0], shares[:, 1]
     sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])[:-1]))
     return [ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
                               None if partition is None else next(sums))
@@ -67,8 +71,15 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
 
 
 def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
-    """Excitation shares of a trajectory or spectral solution, optionally per block."""
-    return _excitation_profiles(source, [partition])[0]
+    """Excitation shares of a trajectory or spectral solution, optionally per block; a solution
+    keeps the shares of its last _KEPT partitions, by block count and member, not labels."""
+    kept = _PROFILES.setdefault(source, {}) if isinstance(source, SpectralSolution) else {}
+    key = None if partition is None else (partition.n_blocks, partition.member.tobytes())
+    if key not in kept:  # kept without its partition, so with no labels
+        kept[key] = replace(_excitation_profiles(source, [partition])[0], partition=None)
+        if len(kept) > _KEPT:
+            del kept[next(iter(kept))]
+    return replace(kept[key], partition=partition)
 
 
 def verify_overlap_factorization(source, init: SuperpositionInit,

@@ -84,6 +84,12 @@ def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
     physically inconsistent parameters with a warning; raw parameter scans
     are still allowed.
     """
+    mat = _density_matrix(weight, p, q, z, emb_sys, emb_env)
+    _warn_off_trace(mat.trace(axis1=-2, axis2=-1).real)
+    return mat
+
+
+def _density_matrix(weight, p, q, z, emb_sys, emb_env) -> np.ndarray:
     weight, p, q = (np.asarray(v, dtype=float) for v in (weight, p, q))
     if np.any(weight <= 0) or np.any(p < 0) or np.any(q < 0):
         raise ValueError("weight must be positive and p, q nonnegative")
@@ -99,13 +105,14 @@ def build_density_matrix(weight, p, q, z, emb_sys: QubitEmbedding,
     coeff = s[..., _SYS[:, None]] * s[..., _SYS[None, :]] * t[..., lo] * t[..., hi]
     mat = weight[..., None, None] * (coeff * x)
     mat.flags.writeable = False
-    trace = np.trace(mat, axis1=-2, axis2=-1).real
-    off = np.abs(trace - 1.0) > 1e-8
-    if off.any():
-        warnings.warn(f"density matrix trace {np.extract(off, trace)[0]:.6g} differs "
-                      "from 1; parameters are not a normalized physical state",
-                      stacklevel=2)
     return mat
+
+
+def _warn_off_trace(trace: np.ndarray) -> None:
+    """One warning, at the caller's caller, if a trace differs from 1 by more than 1e-8."""
+    if (off := np.extract(np.abs(trace - 1.0) > 1e-8, trace)).size:
+        warnings.warn(f"density matrix trace {off[0]:.6g} differs from 1 (off-trace rows: "
+                      f"{off.size}); parameters are not a normalized physical state", stacklevel=3)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -154,7 +161,7 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
     embeds the block overlaps by their exponents theta conj(w) and builds the
     branch factor from the stored log-overlap w, runs the stacked numeric
     pipeline (density matrix, spin flip, spectrum) by tiles of _ORACLE_ROWS
-    rows, and compares against the closed form.
+    rows, and compares against the closed form; off-trace rows warn once a call.
     """
     xi, theta_b, theta_c = (np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
                             for v in (xi, theta_b, theta_c))
@@ -162,11 +169,13 @@ def oracle_residuals(init, xi, theta_b, theta_c) -> np.ndarray:
         init, lambda i: i.norm_const ** 2, lambda i: abs(i.a) ** 2, lambda i: abs(i.b) ** 2,
         lambda i: i.a * i.b.conjugate(), lambda i: i.log_overlap.conjugate())
     terms = np.broadcast_arrays(weight, p, q, ab, wc, xi, theta_b, theta_c)
-    numeric = np.empty(terms[0].shape)
+    numeric, trace = np.empty(terms[0].shape), np.empty(terms[0].shape)
     for rows in (slice(lo, lo + _ORACLE_ROWS) for lo in range(0, len(numeric), _ORACLE_ROWS)):
         weight, p, q, ab, wc, x, b, c = (term[rows] for term in terms)
-        numeric[rows] = wootters_concurrence(build_density_matrix(
-            weight, p, q, ab * np.exp(x * wc), qubit_embedding(b * wc), qubit_embedding(c * wc)))
+        rho = _density_matrix(weight, p, q, ab * np.exp(x * wc), qubit_embedding(b * wc),
+                              qubit_embedding(c * wc))
+        numeric[rows], trace[rows] = wootters_concurrence(rho), rho.trace(axis1=1, axis2=2).real
+    _warn_off_trace(trace)  # once for every tile
     return np.abs(numeric - concurrence_closed_form(init, xi, theta_b, theta_c))
 
 

@@ -1031,6 +1031,98 @@ class TestSolutionMemo:
         assert again is not first and np.array_equal(again.tau, first.tau)
 
 
+@pytest.fixture()
+def share_passes(monkeypatch):
+    """Row counts of the spectral share passes run during a test."""
+    from oscbath.propagation import SpectralSolution
+    calls = []
+    share_chunks = SpectralSolution.share_chunks
+    monkeypatch.setattr(SpectralSolution, "share_chunks",
+                        lambda self: calls.append(self.times.size) or share_chunks(self))
+    return calls
+
+
+def _explicit_doc(labels, blocks=((1, 2, 3), (4, 5))) -> dict:
+    return {**SMALL_DOC, "emit": "bipartition" if len(blocks) == 2 else "blocks",
+            "partition": {"scheme": "explicit", "blocks": [list(b) for b in blocks],
+                          "labels": list(labels)}}
+
+
+class TestProfileMemo:
+    """A spectral solution keeps the shares of the partitions it was reduced for."""
+
+    def test_fig10a_after_fig7_reads_its_shares(self, tmp_path, share_passes):
+        run_scenario(preset("fig7"), out_dir=tmp_path)
+        assert run_scenario(preset("fig10a"), out_dir=tmp_path).status == "ok"
+        assert share_passes == [2000]
+
+    def test_kept_shares_are_read_only(self, small_grid):
+        from oscbath import (build_generator, centered_bipartition, excitation_profile,
+                             spectral_solution)
+        solution = spectral_solution(build_generator(small_grid), np.linspace(0.0, 20.0, 50))
+        for partition in (None, centered_bipartition(small_grid, 10)):
+            for _ in range(2):  # reduced, then read from the solution
+                profile = excitation_profile(solution, partition)
+                for name in ("xi", "theta", "theta_blocks")[:2 + (partition is not None)]:
+                    with pytest.raises(ValueError, match="read-only"):
+                        getattr(profile, name)[...] = 0.0
+
+    def test_callers_labels_head_the_csv(self, tmp_path, share_passes):
+        run_scenario(scenario_from_dict(_explicit_doc(["B", "C"])), out_dir=tmp_path / "bc")
+        run_scenario(scenario_from_dict(_explicit_doc(["Left", "right"])), out_dir=tmp_path / "lr")
+        (bc, bc_rows), (lr, lr_rows) = (_read_csv(tmp_path / d / "small.csv") for d in ("bc", "lr"))
+        assert bc == ["t", "xi", "theta_b", "theta_c"]
+        assert lr == ["t", "xi", "theta_left", "theta_right"]
+        assert np.array_equal(bc_rows, lr_rows) and share_passes == [50]
+        # the same member with one more (empty) block is another partition
+        run_scenario(scenario_from_dict(_explicit_doc("BCD", ((1, 2, 3), (4, 5), ()))),
+                     out_dir=tmp_path / "bcd")
+        header, rows = _read_csv(tmp_path / "bcd" / "small.csv")
+        assert header == ["t", "theta_b", "theta_c", "theta_d"] and not rows[:, 3].any()
+        assert share_passes == [50, 50]
+
+    def test_a_ninth_partition_drops_the_oldest(self, small_grid, share_passes):
+        from oscbath import (build_generator, centered_bipartition, excitation_profile,
+                             observables, spectral_solution)
+        solution = spectral_solution(build_generator(small_grid), np.linspace(0.0, 20.0, 50))
+        partitions = [centered_bipartition(small_grid, k) for k in range(1, 10)]
+        assert observables._KEPT == 8
+        for partition in partitions:
+            excitation_profile(solution, partition)
+        assert len(observables._PROFILES[solution]) == 8 and len(share_passes) == 9
+        for partition in partitions[1:]:  # kept
+            excitation_profile(solution, partition)
+        assert len(share_passes) == 9
+        excitation_profile(solution, partitions[0])  # dropped, so reduced again
+        assert len(share_passes) == 10
+
+    def test_dropping_the_solution_drops_its_shares(self, tmp_path):
+        from oscbath import observables, propagation
+        run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
+        kept = len(observables._PROFILES)
+        assert kept >= 1
+        propagation._solution.cache_clear()
+        assert len(observables._PROFILES) == kept - 1
+
+
+def test_bytes_do_not_depend_on_run_order(tmp_path):
+    # every preset and README-sweep output against its sha256 from a run right after the kept
+    # solution is dropped: forward, in reverse, and fig7 after the sweep's joint pass
+    from oscbath import propagation
+
+    def hashes(name):
+        manifest = (run_sweep(README_SWEEP, tmp_path) if name == "sweep"
+                    else run_scenario(preset(name), tmp_path))
+        return {out["path"]: out["sha256"] for out in manifest.outputs}
+
+    fresh = {}
+    for name in [*preset_names(), "sweep"]:
+        propagation._solution.cache_clear()
+        fresh[name] = hashes(name)
+    for name in [*preset_names(), *reversed(preset_names()), "sweep", "fig7"]:
+        assert hashes(name) == fresh[name], name
+
+
 class TestVerifyReferenceState:
     """verify reduces the reference state once and checks the table simulate writes."""
 

@@ -403,6 +403,29 @@ class TestStackedPipeline:
         assert np.abs(stacked - rows).max() <= 1e-15
         assert stacked.max() < 1e-10
 
+    def test_one_trace_warning_a_call(self, small_grid):
+        # 10 000 rows of the odd cat near o0 = 1 take 10 oracle tiles, and their off-trace
+        # rows give one warning, which counts them; each row alone warns as in the stack
+        half = math.sqrt(-2.0 * math.log(1 - 1e-12)) / 2.0
+        init = normalize_superposition(1, -1, half, -half)
+        traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 40.0, 41))
+        series = concurrence_series(
+            excitation_profile(traj, centered_bipartition(small_grid, 10)), init)
+        shares = np.stack([series.xi, series.theta_b, series.theta_c], axis=1)
+
+        def traces(*columns):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                oracle_residuals(init, *columns)
+            return [str(w.message) for w in record if "density matrix trace" in str(w.message)]
+
+        off = [bool(traces(*row)) for row in shares]
+        rows = np.resize(np.arange(41), 10_000)
+        (message,) = traces(*shares[rows].T)
+        assert f"(off-trace rows: {sum(off[i] for i in rows)})" in message
+        first = traces(*shares[off.index(True)])[0]  # the first off row's own warning
+        assert sum(off) > 1 and message.split(" (")[0] == first.split(" (")[0]
+
     @pytest.mark.parametrize("seed", [20260810, 1, 2, 3])
     def test_stacked_inits_match_crosscheck(self, seed):
         inits, shares = _oracle_draws(seed)
