@@ -40,11 +40,11 @@ _CHUNK_BYTES = 2 ** 21
 _TILE_ROWS, _MODE_PANEL, _ROOT_PANEL = 64, 1024, 256  # BENCH_share_panels.json
 # a Cauchy chunk takes at least this many time rows: fewer run slower (BENCH_cauchy_panels.json)
 _PANEL_ROWS = 256
-# a sample interval that needs more Gauss-Legendre nodes than this is not integrated;
-# its end row is an anchor instead
+# a spacing that needs more Gauss-Legendre nodes than this is not integrated; every row
+# is a Cauchy row instead
 _MAX_NODES = 16
-# a row takes the spacing h, and stays in the stretch started at row o, while its
-# increment and time stay within this many ulp of max|t| of h and t_o + (n - o) h
+# the increments within this many ulp of max|t| of their median set the spacing h, and the
+# share pass integrates the rows whose times stay within it of t_0 + n h from row 0 on
 _SLACK = 4
 # on a comb the secular sums take the _NEAR poles on each side of a root's pole exactly and
 # the rest from _MOMENTS + 1 Taylor moments (truncated at (_NEAR + 1)^-(_MOMENTS + 1) of the
@@ -176,39 +176,23 @@ def _interval_nodes(h: float, m: int):
 
 
 def _spacing(times: np.ndarray, lam: np.ndarray, diag: np.ndarray):
-    """(anchor, h, m, tol): h is the mean of the increments t_n - t_{n-1} that lie
-    within tol of their median (the upper one of an even count), m its node count for
-    |omega| <= max|d_k - lam_j|, 0 unless two increments take h.  anchor[n] marks the rows whose
-    state is not integrated from the row before: row 0 and, while m > 0, a row whose
-    increment is off h by more than tol; with m = 0, every row."""
+    """(rows, h, m): h is the mean of the increments t_n - t_{n-1} that lie within tol of
+    their median (the upper one of an even count), m its node count for |omega| <=
+    max|d_k - lam_j|, 0 unless two increments take h.  Rows 1 .. rows - 1 are the grid's
+    uniform prefix, along which t_n stays within tol of t_0 + n h; none with m = 0."""
     tol = _SLACK * np.spacing(times[-1])
     steps = np.diff(times)
     # not np.median, which imports numpy.ma: about 1.8 MB more resident size
     median = np.partition(steps, steps.size // 2)[steps.size // 2] if steps.size else 0.0
     near = steps[np.abs(steps - median) <= tol]
-    anchor = np.ones(times.size, dtype=bool)
     if near.size < 2:
-        return anchor, 0.0, 0, tol
+        return 1, 0.0, 0
     base = near.min()
     h = base + (near - base).mean()  # the mean as an offset, which the sum cannot round away
     reach = h * max(diag.max() - lam[0], lam[-1] - diag.min())
     m = int(_node_counts(np.array([reach]))[0])
-    anchor[1:] = (np.abs(steps - h) > tol) | (m == 0)
-    return anchor, h, m, tol
-
-
-def _blocks(times: np.ndarray, anchor: np.ndarray, h: float, tol: float):
-    """(first, size, origin) rows: runs of rows n that are no anchors (row 0 is one), along
-    which t_n stays within tol of t_o + (n - o) h.  A stretch of runs starts at an anchor o,
-    and at the row o before one that strays, so that the next starts at that row's exact time."""
-    runs = []
-    for lo, hi in np.flatnonzero(np.diff(anchor, prepend=True, append=True)).reshape(-1, 2):
-        while lo < hi:  # a stretch from row lo - 1
-            stray = np.abs(times[lo:hi] - (times[lo - 1] + np.arange(1, hi - lo + 1) * h)) > tol
-            k = max(1, int(stray.argmax()) if stray.any() else hi - lo)
-            runs.append((lo, k, lo - 1))
-            lo += k
-    return np.array(runs, dtype=int).reshape(-1, 3).T
+    off = np.abs(times - (times[0] + np.arange(times.size) * h)) > tol
+    return int(np.append(off, True).argmax()) if m else 1, h, m
 
 
 def _cauchy(pole: np.ndarray, tau: np.ndarray, d: np.ndarray, out=None) -> np.ndarray:
@@ -278,20 +262,19 @@ class SpectralSolution:
     @property
     def cauchy_rows(self) -> int:
         """The rows share_chunks takes from the Cauchy product."""
-        return int(np.count_nonzero(self._plan[0]) - (self.times[0] == 0))
+        return self.times.size - self._plan[0] + int(self.times[0] > 0)
 
     @functools.cached_property
     def _plan(self):
-        """What share_chunks reads of the solution alone, cut by tiles of s = _TILE_ROWS rows."""
+        """What share_chunks reads of the solution alone, cut by tiles of s = _TILE_ROWS rows:
+        the tiles of row 0, of the uniform prefix 1 .. rows - 1 of _spacing and of the rest."""
         lam, times, s = self.lam, self.times, _TILE_ROWS
-        anchor, h, m, tol = _spacing(times, lam, self.diag)
+        rows, h, m = _spacing(times, lam, self.diag)
         x, q = _interval_nodes(h, m) if m else (np.empty(0), np.empty(0))
-        # tiles (first row, rows, origin) of the runs of _blocks and, origin -1, of anchor rows
-        edges = np.flatnonzero(np.diff(anchor, prepend=False, append=False)).reshape(-1, 2)
-        runs = sorted([*zip(*_blocks(times, anchor, h, tol)), *((a, b - a, -1) for a, b in edges)])
-        tiles = tuple((lo, min(s, a + n - lo), o) for a, n, o in runs for lo in range(a, a + n, s))
-        integrated = [(lo, k, times[o] + (lo - 1 - o) * h) for lo, k, o in tiles if o >= 0]
-        # nodes[first + r] = f(t_b + r h + (h, x)), t_b = t_o + (first - 1 - o) h: exp(-i lam r h)
+        tiles = tuple((lo, min(s, hi - lo)) for a, hi in ((0, 1), (1, rows), (rows, times.size))
+                      for lo in range(a, hi, s))
+        integrated = [(lo, k) for lo, k in tiles if 0 < lo < rows]
+        # nodes[first + r] = f(t_b + r h + (h, x)), t_b = t_0 + (first - 1) h: exp(-i lam r h)
         # times exp(-i lam (t_b + (h, x))) v0^2 by root panels, the last padded, so that each
         # product has one shape and its sums do not depend on the BLAS thread count
         lam, c = (np.pad(a, (0, -a.size % _ROOT_PANEL)) for a in (lam, self.v0 * self.v0))
@@ -299,45 +282,41 @@ class SpectralSolution:
         for roots in _slices(lam.size, _ROOT_PANEL):
             fine = _phases(np.arange(s) * h, -lam[roots])
             weighted = _phases(np.append(h, x), -lam[roots]).T * c[roots, None]
-            leads = _phases([t_b for _, _, t_b in integrated], -lam[roots])[:, :, None]
-            for (lo, k, _), lead in zip(integrated, leads):
+            leads = _phases([times[0] + (lo - 1) * h for lo, _ in integrated], -lam[roots])
+            for (lo, k), lead in zip(integrated, leads[:, :, None]):
                 nodes[lo:lo + k] += (fine @ (lead * weighted))[:k]
-        return _readonly(anchor), h, x, q, tiles, _readonly(nodes), s
+        return rows, h, x, q, tiles, _readonly(nodes), s
 
     def share_chunks(self):
         """Yield (rows, modes, xi, pairs) tiles: |f|^2 at times[rows] and (re_1^2, im_1^2, ...) of
-        the g_{1+k}, k in modes, O(m) a mode and row off the anchors of _spacing, in reused
-        buffers.  Row 0 at t = 0 is e_0, any other anchor a Cauchy row.  Each anchor o, and the
-        row o before one that strays (_blocks), starts a stretch, along which row n holds G_k =
-        exp(i d_k (n - o) h) g_k (|G| = |g|): the row before plus exp(i d_k (n - 1 - o) h)
-        (-i gamma_k) int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s)
-        at Gauss-Legendre nodes x.  A tile's rotation exp(i d (first - 1 - o) h), folded into
-        the rule's weights times a table exp(i d r h), never touches the carry, which takes a
-        rounded phase only where a stray row restarts the stretch; _plan holds the tiles and f."""
-        (anchor, h, x, q, tiles, nodes, s), gamma, diag = self._plan, self.gamma, self.diag
-        times, f0 = self.times, nodes[:, 0].copy()  # f at the anchors is written in below
-        cauchy = replace(self, times=times[anchor][int(times[0] == 0):])  # the Cauchy rows
+        the g_{1+k}, k in modes, in reused buffers.  Row 0 at t = 0 is e_0.  The rows 1 .. P - 1
+        of the grid's uniform prefix (_spacing) cost O(m) a mode and row: row n holds G_k =
+        exp(i d_k n h) g_k (|G| = |g|), the row before plus exp(i d_k (n - 1) h) (-i gamma_k)
+        int_0^h exp(i d_k s) f(t_{n-1} + s) ds, f(s) = sum_j v0_j^2 exp(-i lam_j s) at
+        Gauss-Legendre nodes x.  A tile's rotation exp(i d (first - 1) h), folded into the
+        rule's weights times a table exp(i d r h), never touches the carry.  Every other row
+        is a Cauchy row; _plan holds the tiles and f."""
+        (rows, h, x, q, tiles, nodes, s), gamma, diag = self._plan, self.gamma, self.diag
+        times, f0 = self.times, nodes[:, 0].copy()  # f at the Cauchy rows is written in below
+        cauchy = replace(self, times=np.delete(times, slice(int(times[0] > 0), rows)))
         for modes in _slices(diag.size, _MODE_PANEL):
             # the panel's Cauchy rows, rule -i gamma q exp(i d x) and table exp(i d r h); g[1 + i]
             # holds row lo + i of a tile, g[0] the row before, contiguous: twice as fast
             d, panel = diag[modes], replace(cauchy, diag=diag[modes], gamma=gamma[modes])
-            anchors = ((u[0], u[1:]) for _, chunk in panel.chunks() for u in chunk)
+            direct = ((u[0], u[1:]) for _, chunk in panel.chunks() for u in chunk)
             quad = -1j * panel.gamma * (q[:, None] * np.exp(1j * np.outer(x, d)))
-            table, g, origin = _phases(np.arange(s) * h, d), np.empty((s + 1, d.size), complex), 0
+            table, g = _phases(np.arange(s) * h, d), np.empty((s + 1, d.size), complex)
             views = list(g)  # the adds below take 2/3 as long on row views as on g[i]
-            for lo, k, o in tiles:
-                if o > origin and not anchor[o]:  # a stray row restarts the stretch at o
-                    g[0] *= _phases([(o - origin) * h], -d)[0]
-                origin = max(o, origin)
-                if o < 0:  # e_0 at row 0 and t = 0
-                    for i in range(k):
-                        f0[lo + i], g[1 + i] = next(anchors) if lo + i or times[0] else (1, 0)
-                else:
-                    np.matmul(nodes[lo:lo + k, 1:], quad * _phases([(lo - 1 - o) * h], d)[0],
+            for lo, k in tiles:
+                if 0 < lo < rows:
+                    np.matmul(nodes[lo:lo + k, 1:], quad * _phases([(lo - 1) * h], d)[0],
                               out=g[1:k + 1])
                     g[1:k + 1] *= table[:k]
                     for i in range(k):
                         np.add(views[i], views[i + 1], out=views[i + 1])
+                else:  # e_0 at row 0 and t = 0, else Cauchy rows
+                    for i in range(k):
+                        f0[lo + i], g[1 + i] = next(direct) if lo + i or times[0] else (1, 0)
                 g[0] = g[k]
                 f, pairs = f0[lo:lo + k], g[1:k + 1].view(float)
                 yield slice(lo, lo + k), modes, f.real ** 2 + f.imag ** 2, np.square(pairs, pairs)

@@ -4,7 +4,7 @@ The reference keeps the old arithmetic: one dense `eigh` of the densified
 generator, the full phase matrix exp(-i t lam), a complex product with V^T,
 |u|^2 and block sums by fancy indexing.  The spectral path solves the
 secular equation of the arrowhead, never forms V and rounds differently
-(Cauchy products in row blocks, the Duhamel rows between anchors, one
+(Cauchy products in row blocks, the Duhamel rows of the uniform prefix, one
 indicator product for the sums), so the bound is 1e-14 rather than
 equality.
 """
@@ -30,7 +30,7 @@ from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, PartitionSpec, Sy
                      interleaved_bipartition, normalize_superposition, preset_document,
                      run_scenario, run_verification, scenario_from_dict, spectral_solution,
                      verify_overlap_factorization)
-from oscbath import propagation
+from oscbath import checks, preset, preset_names, propagation, scenarios
 from oscbath.observables import _excitation_profiles
 
 TOL = 1e-14
@@ -120,12 +120,12 @@ def test_single_sample(small_grid, chunking, times):
 @pytest.mark.parametrize("grid", ["linspace", "drifting", "two spacings"])
 def test_tiles_cut_modes_and_rows(small_grid, monkeypatch, grid):
     # bound fixed before the first run: TOL.  4 panels of 10 modes by tiles of 7 rows,
-    # across stray-row restarts and Cauchy rows (_RESTART_GRIDS), for partitions whose
+    # across the end of the uniform prefix and Cauchy rows (_IRREGULAR_GRIDS), for partitions whose
     # blocks overlap and for the overlap identity, whose product and sum run over the panels
     monkeypatch.setattr(propagation, "_MODE_PANEL", 10)
     monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
     gen = build_generator(small_grid)
-    times = np.linspace(0.0, 40.0, 50) if grid == "linspace" else _RESTART_GRIDS[grid]()
+    times = np.linspace(0.0, 40.0, 50) if grid == "linspace" else _IRREGULAR_GRIDS[grid]()
     partitions = [centered_bipartition(small_grid, 10), banded_blocks(small_grid, 4),
                   explicit_partition(small_grid, ((9, 10, 11, 20), (21, 31)), ("X", "Y")),
                   centered_bipartition(small_grid, 30)]
@@ -250,10 +250,8 @@ def _small_solution():
     return spectral_solution(build_generator(build_bath_grid(SystemConfig(n_bath=40))), [0.0])
 
 
-def _kernel_blocks(solution, times):
-    """The anchors, spacing, node count and blocks share_chunks takes for times."""
-    anchor, h, m, tol = propagation._spacing(times, solution.lam, solution.diag)
-    return anchor, h, m, propagation._blocks(times, anchor, h, tol)
+# the uniform prefix of each phase grid: rows 1 .. rows - 1 are integrated
+_PREFIX_ROWS = {"linspace": 2000, "non-uniform": 1, "rk4 samples": 126, "revival window": 1001}
 
 
 @pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
@@ -261,35 +259,33 @@ def test_phase_recurrence_against_direct_phases(reference_gen, grid):
     # bound fixed before the first run: the direct phases round t lam to
     # eps |lam t| / 2.  Row n of a tile from row first takes exp(-i lam t_n) as
     # exp(-i lam r h) [exp(-i lam t_b) exp(-i lam h)], r < _TILE_ROWS,
-    # t_b = t_o + (first - 1 - o) h, as share_chunks does; each factor rounds its
+    # t_b = t_0 + (first - 1) h, as share_chunks does; each factor rounds its
     # phase as the direct formula does, and t_b + (r + 1) h lies within _SLACK = 4
     # ulp of max|t| of t_n; 8 eps max|lam t| covers both while max|lam t| >= 25, as
-    # on every grid here.  Anchor rows take the direct phases.
+    # on every grid here.  Cauchy rows take the direct phases.
     times = _PHASE_GRIDS[grid](reference_gen)
     solution = spectral_solution(reference_gen, [0.0])
     lam = solution.lam
     c = np.exp(2j * np.pi * np.random.default_rng(5).random(lam.size))  # |c_j| = 1
     lam_t = np.abs(lam).max() * np.abs(times).max()
     assert lam_t >= 25.0
-    anchor, h, _, (firsts, sizes, origins) = _kernel_blocks(solution, times)
-    assert sizes.sum() == np.count_nonzero(~anchor)  # every integrated row, once
+    rows, h, _ = propagation._spacing(times, lam, solution.diag)
+    assert rows == _PREFIX_ROWS[grid]
     worst = 0.0
     s = propagation._TILE_ROWS
     fine = propagation._phases(np.arange(s) * h, -lam)
-    for first, size, o in zip(firsts, sizes, origins):
-        for lo in range(first, first + size, s):
-            k = min(s, first + size - lo)
-            lead = propagation._phases([times[o] + (lo - 1 - o) * h], -lam) * propagation._phases(
-                [h], -lam) * c
-            re, im = _direct_scaled_phases(times[lo:lo + k], lam, c)
-            worst = max(worst, np.abs(fine[:k] * lead - (re + 1j * im)).max())
+    for lo in range(1, rows, s):
+        k = min(s, rows - lo)
+        lead = propagation._phases([times[0] + (lo - 1) * h], -lam) * propagation._phases(
+            [h], -lam) * c
+        re, im = _direct_scaled_phases(times[lo:lo + k], lam, c)
+        worst = max(worst, np.abs(fine[:k] * lead - (re + 1j * im)).max())
     assert worst <= 8 * np.finfo(float).eps * lam_t
 
 
 @pytest.fixture()
-def anchor_rows(monkeypatch):
-    """Row counts of the phases scaled for a Cauchy product (share_chunks: its anchors
-    but row 0 at t = 0)."""
+def product_rows(monkeypatch):
+    """Row counts of the phases scaled for a Cauchy product (share_chunks: its Cauchy rows)."""
     rows = []
     scaled = propagation._scaled_phases
     monkeypatch.setattr(propagation, "_scaled_phases",
@@ -297,7 +293,7 @@ def anchor_rows(monkeypatch):
     return rows
 
 
-def test_coarse_grid_takes_many_nodes(small_grid, chunking, anchor_rows):
+def test_coarse_grid_takes_many_nodes(small_grid, chunking, product_rows):
     gen = build_generator(small_grid)
     times = np.linspace(0.0, 200.0, 41)  # h = 5
     solution = spectral_solution(gen, times)
@@ -306,20 +302,20 @@ def test_coarse_grid_takes_many_nodes(small_grid, chunking, anchor_rows):
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
                    _dense_reference(gen, times, groups=block_modes(part)))
-    assert sum(anchor_rows) < times.size // 2  # most rows come from the integral
+    assert sum(product_rows) < times.size // 2  # most rows come from the integral
 
 
-def test_all_distinct_increments_are_anchor_rows(small_grid, chunking, anchor_rows):
+def test_all_distinct_increments_are_anchor_rows(small_grid, chunking, product_rows):
     gen = build_generator(small_grid)
     times = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, 50))
     assert np.unique(np.diff(times)).size == times.size - 1
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(spectral_solution(gen, times), part),
                    _dense_reference(gen, times, groups=block_modes(part)))
-    assert sum(anchor_rows) == times.size  # one Cauchy product row per sample, as before
+    assert sum(product_rows) == times.size  # one Cauchy product row per sample, as before
 
 
-def test_window_far_from_zero(small_grid, anchor_rows):
+def test_window_far_from_zero(small_grid, product_rows):
     gen = build_generator(small_grid)
     part = centered_bipartition(small_grid, 10)
     costs = []
@@ -327,8 +323,8 @@ def test_window_far_from_zero(small_grid, anchor_rows):
         times = np.linspace(start, start + 40.0, 50)
         _assert_shares(excitation_profile(spectral_solution(gen, times), part),
                        _dense_reference(gen, times, groups=block_modes(part)))
-        costs.append(sum(anchor_rows))
-        anchor_rows.clear()
+        costs.append(sum(product_rows))
+        product_rows.clear()
     # Cauchy rows: none from t = 0 (row 0 is e_0), the first row of the far window
     assert costs == [0, 1]
 
@@ -367,7 +363,7 @@ def test_finite_bath_revival_at_4000_modes():
 
 
 def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunking,
-                                           anchor_rows):
+                                           product_rows):
     # every increment is exactly 2^-4, so every row after e_0 follows from the row
     # before by the Duhamel integral, across tile ends and past four times the
     # 256-row spacing at which Cauchy rows were once taken
@@ -375,39 +371,63 @@ def test_share_drift_at_the_anchor_spacing(reference_gen, reference_grid, chunki
     part = centered_bipartition(reference_grid, 100)
     _assert_shares(excitation_profile(spectral_solution(reference_gen, times), part),
                    _dense_reference(reference_gen, times, groups=block_modes(part)))
-    assert sum(anchor_rows) == 0
+    assert sum(product_rows) == 0
 
 
-def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, anchor_rows):
+def test_presets_grid_takes_one_spacing(reference_gen, reference_grid, product_rows):
     # the 13 bitwise-distinct increments of the presets' grid lie within a few ulp
-    # of one spacing, so row 0 (e_0) is the only anchor and no row is a Cauchy row
+    # of one spacing, so every row after e_0 is integrated and none is a Cauchy row
     times = np.linspace(0.0, 100.0, 2000)
     assert np.unique(np.diff(times)).size == 13
     solution = spectral_solution(reference_gen, times)
     excitation_profile(solution, centered_bipartition(reference_grid, 100))
-    assert sum(anchor_rows) == solution.cauchy_rows == 0
-    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times)
+    assert sum(product_rows) == solution.cauchy_rows == 0
+    rows, _, m = propagation._spacing(times, solution.lam, solution.diag)
     assert m == 4
-    assert np.array_equal(np.flatnonzero(anchor), [0])
-    assert np.all(origins == 0)  # one stretch
+    assert rows == times.size  # one uniform prefix
 
 
 @settings(max_examples=200, deadline=None)
 @given(t0=st.floats(0.0, 1e4), t_end=st.floats(1e-3, 1e3), size=st.integers(2, 3000))
 def test_linspace_grids_take_one_spacing(t0, t_end, size):
-    # a linspace grid fine enough to integrate takes one spacing: its one anchor is
-    # row 0, a Cauchy row only at t_0 > 0, and no row strays from t_0 + n h
+    # a linspace grid fine enough to integrate takes one spacing: no row strays from
+    # t_0 + n h, so only row 0 at t_0 > 0 is a Cauchy row
     times = np.linspace(t0, t0 + t_end, size)
     solution = dataclasses.replace(_small_solution(), times=times)
-    anchor, _, m, (_, _, origins) = _kernel_blocks(solution, times)
+    rows, _, m = propagation._spacing(times, solution.lam, solution.diag)
     if m > 0:
-        assert np.count_nonzero(anchor) == 1
+        assert rows == times.size
         assert solution.cauchy_rows == (1 if times[0] > 0 else 0)
-        assert np.all(origins == 0)
 
 
-_RESTART_GRIDS = {
-    # the sums drift off n h by accumulated rounding
+def test_cauchy_rows_of_the_program_grids(reference_gen, small_grid):
+    # every grid the program builds, with the Cauchy rows it takes: the presets, the README
+    # sweep and verify sample linspace grids from t = 0 and take none; 1 to 3 samples take
+    # 0, 1 and 2 (2 and 3 are too coarse to integrate); the RK4 sample times of a fig10a
+    # `method: both` run take none, and a short last RK4 step takes one
+    reference = SystemConfig(n_bath=1000, coupling_amplitude=0.1, band=(0.5, 1.5))
+    assert all(preset(name).system == reference for name in preset_names())
+    readme_sweep = {"name": "scan", "preset": "fig10a", "sizes_b": [100, 500, 900],
+                    "overlaps": [1.523e-8, 0.5]}
+    base = scenarios._section("sweep", readme_sweep, scenarios._SWEEP)["preset"]
+    grids = [(preset(name).exact_times(), 0) for name in preset_names()]
+    grids += [(base.exact_times(), 0), (np.linspace(
+        0.0, checks._DEFAULTS["t_end"], checks._DEFAULTS["samples"]), 0)]
+    for samples, cauchy in ((1, 0), (2, 1), (3, 2)):
+        doc = preset_document("fig10a")
+        doc["time"] = {"samples": samples}
+        grids.append((scenario_from_dict(doc).exact_times(), cauchy))
+    both = scenario_from_dict({**preset_document("fig10a"), "method": "both"})
+    small = build_generator(small_grid)  # sample times depend on t_end, dt and sampling alone
+    grids += [(evolve_rk4(small, both.t_end, both.dt, both.rk4_sample_every()).times, 0),
+              (_short_last_step_times(small), 1)]
+    solution = spectral_solution(reference_gen, [0.0])
+    assert ([dataclasses.replace(solution, times=times).cauchy_rows for times, _ in grids]
+            == [cauchy for _, cauchy in grids])
+
+
+_IRREGULAR_GRIDS = {
+    # the sums drift off t_0 + n h by accumulated rounding
     "drifting": lambda: np.cumsum(np.full(400, 0.1)),
     "two spacings": lambda: np.concatenate((np.linspace(0.0, 20.0, 101),
                                             20.0 + 0.05 * np.arange(1, 151))),
@@ -417,9 +437,9 @@ _RESTART_GRIDS = {
 def test_plan_keeps_the_tile_rows_it_was_cut_by(small_grid, monkeypatch):
     # the kept solution's plan, cut by 64-row tiles, still serves after _TILE_ROWS changes, with
     # the same bytes; a plan cut afterwards takes the new rows (bound fixed before the first
-    # run: TOL).  The grid has stray-row restarts and Cauchy rows.
+    # run: TOL).  The grid has integrated and Cauchy rows.
     gen, part = build_generator(small_grid), centered_bipartition(small_grid, 10)
-    times = _RESTART_GRIDS["two spacings"]()
+    times = _IRREGULAR_GRIDS["drifting"]()
     cut = excitation_profile(spectral_solution(gen, times), part)
     monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
     kept = spectral_solution(gen, times)
@@ -434,28 +454,26 @@ def test_plan_keeps_the_tile_rows_it_was_cut_by(small_grid, monkeypatch):
                    (cut.xi, cut.theta, list(cut.theta_blocks), None))
 
 
-@pytest.mark.parametrize("grid", list(_RESTART_GRIDS))
-def test_blocks_restart_at_exact_times(small_grid, chunking, anchor_rows, grid):
+@pytest.mark.parametrize("grid", list(_IRREGULAR_GRIDS))
+def test_rows_off_the_uniform_prefix_are_cauchy_rows(small_grid, chunking, product_rows, grid):
     gen = build_generator(small_grid)
-    times = _RESTART_GRIDS[grid]()
+    times = _IRREGULAR_GRIDS[grid]()
     solution = spectral_solution(gen, times)
     part = centered_bipartition(small_grid, 10)
     _assert_shares(excitation_profile(solution, part),
                    _dense_reference(gen, times, groups=block_modes(part)))
-    anchor, h, _, (_, _, origins) = _kernel_blocks(solution, times)
+    rows, h, _ = propagation._spacing(times, solution.lam, solution.diag)
     if grid == "drifting":
-        # only row 0, at t = 0.1, is an anchor and a Cauchy row: the others are
-        # integrated, and a stretch whose origin is no anchor was started by a row
-        # that strayed from t_o + (n - o) h
-        assert sum(anchor_rows) == np.count_nonzero(anchor) == 1
-        assert np.any(~anchor[origins])
+        # row 41 is the first whose summed time lies more than 4 ulp off t_0 + n h; it,
+        # the rows after it and row 0, at t = 0.1, are Cauchy rows
+        assert rows == 41
+        assert sum(product_rows) == solution.cauchy_rows == times.size - rows + 1
     else:
-        # the 150 increments of 0.05 set the spacing; row 0 and the 100 rows of
-        # the minority spacing 0.2 are anchors, and all but row 0 (e_0) Cauchy rows
+        # the 150 increments of 0.05 set the spacing, so row 1, at 0.2, is off it and
+        # every row but e_0 is a Cauchy row
         assert abs(h - 0.05) < 1e-14
-        assert np.count_nonzero(anchor) == 1 + 100
-        assert sum(anchor_rows) == 100
-        assert np.all(anchor[:101]) and not np.any(anchor[101:])
+        assert rows == 1
+        assert sum(product_rows) == solution.cauchy_rows == times.size - rows
 
 
 def test_no_drift_over_10000_one_row_chunks(small_grid, monkeypatch):
@@ -474,8 +492,8 @@ def test_no_drift_over_10000_one_row_chunks(small_grid, monkeypatch):
 
 def test_many_spacings_hold_bounded_memory(reference_gen, reference_grid):
     # 200 distinct increments, each three times in a row, all multiples of
-    # 2^-12 so that the differences of the sampled times are exact; the rows
-    # off the one spacing are anchors, a batch of Cauchy rows at a time
+    # 2^-12 so that the differences of the sampled times are exact; the rows from
+    # the first off the one spacing on are Cauchy rows, a batch at a time
     steps = np.repeat((64.0 + np.arange(200)) / 4096.0, 3)
     times = np.concatenate(([0.0], np.cumsum(steps)))
     assert np.unique(np.diff(times)).size == 200
@@ -768,14 +786,16 @@ def test_comb_takes_the_dense_pass_at_the_outer_roots(reference_gen, monkeypatch
 
 
 def test_solution_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the eigensolution of the reference generator, then the CSV of fig10a on 200 samples
+    # the eigensolution of the reference generator, then the CSVs of fig10a, fig3 and fig5
+    # on 200 samples: the reducer's indicator has 3, 1 and 11 columns
     script = ("import hashlib, sys; from oscbath import *; from oscbath import propagation; "
               "gen = build_generator(build_bath_grid(SystemConfig(n_bath=1000))); "
               "parts = propagation._arrowhead_eigh(gen.a00, gen.row, gen.diag); "
-              "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest()); "
-              "doc = preset_document('fig10a'); doc['time'] = {'samples': 200}; "
-              "manifest = run_scenario(scenario_from_dict(doc), sys.argv[1]); "
-              "print(manifest.outputs[0]['sha256'])")
+              "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())\n"
+              "for name in ('fig10a', 'fig3', 'fig5'):\n"
+              "    doc = preset_document(name); doc['time'] = {'samples': 200}\n"
+              "    manifest = run_scenario(scenario_from_dict(doc), sys.argv[1])\n"
+              "    print(manifest.outputs[0]['sha256'])")
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = set()
     for threads in ("1", "2"):
