@@ -52,19 +52,22 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
     bath, whose every mode enters theta; a partition of another bath size
     raises ValueError.  Each tile's squared real and imaginary parts of the g_k
     are added to theta and every block sum by products, _COLUMNS columns each,
-    with its modes' rows of a 0/1 indicator that holds each mode's row twice.
+    with its modes' rows of a 0/1 indicator that holds each mode's row twice;
+    zero columns pad it to a multiple of _COLUMNS, so that every product has one
+    width and a column's sums do not depend on the columns beside it.
     """
     given = _sized([p for p in partitions if p is not None], source.n_bath)
-    # theta, then each block; mode k: rows 2k - 2 and 2k - 1
+    # theta, each block, then the padding; mode k: rows 2k - 2 and 2k - 1
     indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
         p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
+    indicator = np.pad(indicator, ((0, 0), (0, -indicator.shape[1] % _COLUMNS)))
     shares = np.zeros((source.times.size, 1 + indicator.shape[1]))
     for rows, modes, xi, pairs in source.share_chunks():  # the panels of modes in order
         shares[rows, 0], panel = xi, indicator[2 * modes.start:2 * modes.stop]
         for c in range(0, panel.shape[1], _COLUMNS):
             shares[rows, 1 + c:1 + c + _COLUMNS] += pairs @ panel[:, c:c + _COLUMNS]
     xi, theta = _readonly(shares)[:, 0], shares[:, 1]
-    sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])[:-1]))
+    sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])))
     return [ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
                               None if partition is None else next(sums))
             for partition in partitions]

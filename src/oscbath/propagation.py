@@ -41,7 +41,7 @@ _TILE_ROWS, _MODE_PANEL, _ROOT_PANEL = 64, 1024, 256  # BENCH_share_panels.json
 # a Cauchy chunk takes at least this many time rows: fewer run slower (BENCH_cauchy_panels.json)
 _PANEL_ROWS = 256
 # a spacing that needs more Gauss-Legendre nodes than this is not integrated; every row
-# is a Cauchy row instead
+# but e_0 is a Cauchy row instead
 _MAX_NODES = 16
 # the increments within this many ulp of max|t| of their median set the spacing h, and the
 # share pass integrates the rows whose times stay within it of t_0 + n h from row 0 on

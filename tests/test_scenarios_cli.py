@@ -1123,6 +1123,31 @@ def test_bytes_do_not_depend_on_run_order(tmp_path):
         assert hashes(name) == fresh[name], name
 
 
+def test_a_partition_sums_alike_alone_and_beside_others(reference_grid, reference_gen):
+    # every reducer product is 4 columns wide, so each of the presets' five partitions (fig3's
+    # none, fig5's bands, the three centered ones) reduces to the same bits alone as in one
+    # joint pass
+    from oscbath import spectral_solution
+    from oscbath.observables import _excitation_profiles
+    solution = spectral_solution(reference_gen, preset("fig3").exact_times())
+    partitions = [preset(name).partition_spec(reference_grid)
+                  for name in ("fig3", "fig5", "fig7", "fig8", "fig9")]
+    for partition, joint in zip(partitions, _excitation_profiles(solution, partitions)):
+        alone = _excitation_profiles(solution, [partition])[0]
+        for name in ("xi", "theta", "theta_blocks")[:2 + (partition is not None)]:
+            assert np.array_equal(getattr(alone, name), getattr(joint, name)), name
+
+
+def test_fig10b_shares_are_the_sweeps(tmp_path):
+    # fig10b reduces its partition alone, the README sweep with two others in one pass
+    run_scenario(preset("fig10b"), out_dir=tmp_path)
+    run_sweep(README_SWEEP, out_dir=tmp_path)
+    (header, rows), (swept, swept_rows) = (_read_csv(tmp_path / f"{stem}.csv")
+                                           for stem in ("fig10b", "scan_b500_o0"))
+    assert header == swept
+    assert np.array_equal(rows[:, :4], swept_rows[:, :4])  # t, xi, theta_b, theta_c
+
+
 class TestVerifyReferenceState:
     """verify reduces the reference state once and checks the table simulate writes."""
 
