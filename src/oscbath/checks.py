@@ -7,7 +7,6 @@ suite (that is how injected faults surface).
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -113,14 +112,14 @@ def run_verification(config: dict | None = None,
             raise RuntimeError("needs the trajectory of failed check norm_conservation_exact")
         return state["traj"]
 
-    # the one reduction of the reference state, which three checks read; theta sums every
+    # the trajectory keeps its one reduction, which three checks read; theta sums every
     # mode, whatever the partition
-    profile = functools.cache(lambda: excitation_profile(trajectory(), partition))
-    _guarded(results, "excitation_conservation", 1e-9, lambda: profile().norm_residual())
+    _guarded(results, "excitation_conservation", 1e-9,
+             lambda: excitation_profile(trajectory(), partition).norm_residual())
 
     def shares_vs_state():
         # the share kernel integrates from e_0 (or Cauchy rows), the state takes eigenvector rows
-        direct = profile()
+        direct = excitation_profile(trajectory(), partition)
         kernel = excitation_profile(spectral_solution(gen, times), partition)
         return max(float(np.abs(getattr(kernel, name) - getattr(direct, name)).max())
                    for name in ("xi", "theta", "theta_blocks"))
@@ -134,7 +133,7 @@ def run_verification(config: dict | None = None,
     def oracle():
         # the concurrence table simulate writes, then one stacked call over the draws of
         # (a, b, alpha0, beta0), kept unless |a| or |b| is below 1e-6, and of the shares
-        table = _concurrence_table(init, profile())[2]
+        table = _concurrence_table(init, excitation_profile(trajectory(), partition))[2]
         rng = np.random.default_rng(cfg["seed"])
         parts = rng.normal(0.0, [1.0, 1.0, 2.0, 2.0], size=(cfg["draws"], 2, 4))
         draws = parts[:, 0] + 1j * parts[:, 1]

@@ -8,14 +8,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import PartitionSpec, SuperpositionInit, _readonly
-from .propagation import SpectralSolution
 
 __all__ = ["ExcitationProfile", "excitation_profile", "verify_overlap_factorization"]
 
 # indicator columns per product: too few for OpenBLAS to thread it (and vary its sums)
 _COLUMNS = 4
-_PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # solution -> {key: profile}
-_KEPT = 8  # partitions a solution keeps, the oldest dropped first
+_PROFILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # source -> {key: profile}
+_KEPT = 8  # partitions a source keeps after a call, the oldest dropped first
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,45 +43,46 @@ def _sized(partitions: list[PartitionSpec], n_bath: int) -> list[PartitionSpec]:
 
 
 def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
-    """Excitation profiles of source for each partition (None: no blocks),
-    from one pass over its share tiles.
+    """Excitation profiles of source for each partition (None: no blocks); what
+    source does not keep is reduced in one pass over its share tiles.
 
-    source is an AmplitudeTrajectory or a SpectralSolution.  The blocks of
-    different partitions may overlap and a partition need not cover the
-    bath, whose every mode enters theta; a partition of another bath size
-    raises ValueError.  Each tile's squared real and imaginary parts of the g_k
-    are added to theta and every block sum by products, _COLUMNS columns each,
-    with its modes' rows of a 0/1 indicator that holds each mode's row twice;
-    zero columns pad it to a multiple of _COLUMNS, so that every product has one
-    width and a column's sums do not depend on the columns beside it.
+    source, an AmplitudeTrajectory or a SpectralSolution, keeps its profiles while it
+    lives, by block count and member, not labels: its last _KEPT partitions after a
+    call.  Partitions may overlap and need not cover the bath, whose every mode enters
+    theta; a partition of another bath size raises ValueError.  Each tile's squared
+    real and imaginary parts of the g_k are added to theta and every block sum by
+    products, _COLUMNS columns each, with its modes' rows of a 0/1 indicator that holds
+    each mode's row twice; zero columns pad it to a multiple of _COLUMNS, so that every
+    product has one width and a column's sums do not depend on the columns beside it.
     """
-    given = _sized([p for p in partitions if p is not None], source.n_bath)
-    # theta, each block, then the padding; mode k: rows 2k - 2 and 2k - 1
-    indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
-        p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
-    indicator = np.pad(indicator, ((0, 0), (0, -indicator.shape[1] % _COLUMNS)))
-    shares = np.zeros((source.times.size, 1 + indicator.shape[1]))
-    for rows, modes, xi, pairs in source.share_chunks():  # the panels of modes in order
-        shares[rows, 0], panel = xi, indicator[2 * modes.start:2 * modes.stop]
-        for c in range(0, panel.shape[1], _COLUMNS):
-            shares[rows, 1 + c:1 + c + _COLUMNS] += pairs @ panel[:, c:c + _COLUMNS]
-    xi, theta = _readonly(shares)[:, 0], shares[:, 1]
-    sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])))
-    return [ExcitationProfile(source.times, xi, theta, source.n_bath, partition,
-                              None if partition is None else next(sums))
-            for partition in partitions]
+    kept = _PROFILES.setdefault(source, {})
+    keys = [None if p is None else (p.n_blocks, p.member.tobytes()) for p in partitions]
+    if missing := {key: p for key, p in zip(keys, partitions) if key not in kept}:
+        given = _sized([p for p in missing.values() if p is not None], source.n_bath)
+        # theta, each block, then the padding; mode k: rows 2k - 2 and 2k - 1
+        indicator = np.repeat(np.column_stack([np.ones(source.n_bath), *(
+            p.member[:, None] == np.arange(p.n_blocks) for p in given)]), 2, axis=0)
+        indicator = np.pad(indicator, ((0, 0), (0, -indicator.shape[1] % _COLUMNS)))
+        shares = np.zeros((source.times.size, 1 + indicator.shape[1]))
+        for rows, modes, xi, pairs in source.share_chunks():  # the panels of modes in order
+            shares[rows, 0], panel = xi, indicator[2 * modes.start:2 * modes.stop]
+            for c in range(0, panel.shape[1], _COLUMNS):
+                shares[rows, 1 + c:1 + c + _COLUMNS] += pairs @ panel[:, c:c + _COLUMNS]
+        xi, theta = _readonly(shares)[:, 0], shares[:, 1]
+        sums = iter(np.split(shares[:, 2:].T, np.cumsum([p.n_blocks for p in given])))
+        kept.update({key: ExcitationProfile(source.times, xi, theta, source.n_bath, None,
+                                            None if p is None else next(sums))
+                     for key, p in missing.items()})  # no partition, so no labels
+    profiles = [replace(kept[key], partition=p) for key, p in zip(keys, partitions)]
+    for key in list(kept)[:-_KEPT]:
+        del kept[key]
+    return profiles
 
 
 def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
-    """Excitation shares of a trajectory or spectral solution, optionally per block; a solution
-    keeps the shares of its last _KEPT partitions, by block count and member, not labels."""
-    kept = _PROFILES.setdefault(source, {}) if isinstance(source, SpectralSolution) else {}
-    key = None if partition is None else (partition.n_blocks, partition.member.tobytes())
-    if key not in kept:  # kept without its partition, so with no labels
-        kept[key] = replace(_excitation_profiles(source, [partition])[0], partition=None)
-        if len(kept) > _KEPT:
-            del kept[next(iter(kept))]
-    return replace(kept[key], partition=partition)
+    """Excitation shares of a trajectory or spectral solution, optionally per block, as
+    _excitation_profiles reduces and keeps them."""
+    return _excitation_profiles(source, [partition])[0]
 
 
 def verify_overlap_factorization(source, init: SuperpositionInit,

@@ -22,10 +22,12 @@ def block_modes(partition):
 
 @pytest.fixture(autouse=True)
 def _no_kept_solution():
-    """Each test starts with no spectral solution kept from an earlier one, so that what it
-    counts (decompositions, node tables) is its own."""
-    from oscbath import propagation
+    """Each test starts with no spectral solution and no profiles kept from an earlier one
+    (session trajectories such as reference_traj live on), so that what it counts
+    (decompositions, node tables, share passes) is its own."""
+    from oscbath import observables, propagation
     propagation._solution.cache_clear()
+    observables._PROFILES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1096,6 +1096,59 @@ class TestProfileMemo:
         excitation_profile(solution, partitions[0])  # dropped, so reduced again
         assert len(share_passes) == 10
 
+    def test_a_sweep_after_fig7_to_fig9_reads_their_shares(self, tmp_path, share_passes):
+        for name in ("fig7", "fig8", "fig9"):
+            run_scenario(preset(name), out_dir=tmp_path)
+        run_sweep(README_SWEEP, out_dir=tmp_path)  # sizes_b 100, 500, 900: fig7-9's partitions
+        assert share_passes == [2000] * 3
+
+    def test_fig7_to_fig10c_after_the_sweep_read_its_shares(self, tmp_path, share_passes):
+        run_sweep(README_SWEEP, out_dir=tmp_path)
+        for name in ("fig7", "fig8", "fig9", "fig10a", "fig10b", "fig10c"):
+            assert run_scenario(preset(name), out_dir=tmp_path).status == "ok"
+        assert share_passes == [2000]
+
+    def test_a_sweep_of_nine_sizes_gets_every_profile(self, tmp_path, monkeypatch, share_passes):
+        # the solution keeps 8 partitions, dropping the oldest once all 9 profiles are built
+        from oscbath import observables, scenarios
+        reduce, seen = scenarios._excitation_profiles, []
+
+        def spy(source, partitions):
+            seen.append((source, partitions, reduce(source, partitions)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(scenarios, "_excitation_profiles", spy)
+        run_sweep({**SMALL_DOC, "sizes_b": list(range(1, 10))}, out_dir=tmp_path)
+        (solution, partitions, profiles), = seen
+        assert len(profiles) == 9 and len(observables._PROFILES[solution]) == 8
+        assert share_passes == [50]
+        for partition, joint in zip(partitions, profiles):
+            del observables._PROFILES[solution]  # so reduced alone
+            alone = reduce(solution, [partition])[0]
+            assert alone.partition is joint.partition is partition
+            for name in ("xi", "theta", "theta_blocks"):
+                assert np.array_equal(getattr(alone, name), getattr(joint, name)), name
+
+    def test_a_trajectory_keeps_its_shares_while_it_lives(self, small_grid, monkeypatch):
+        import gc
+        import weakref
+        from oscbath import (build_generator, centered_bipartition, evolve_exact,
+                             excitation_profile, observables)
+        from oscbath.propagation import AmplitudeTrajectory
+        calls = []
+        share_chunks = AmplitudeTrajectory.share_chunks
+        monkeypatch.setattr(AmplitudeTrajectory, "share_chunks", lambda self: calls.append(
+            self.times.size) or share_chunks(self))
+        traj = evolve_exact(build_generator(small_grid), np.linspace(0.0, 20.0, 50))
+        partition = centered_bipartition(small_grid, 10)
+        first, again = (excitation_profile(traj, partition) for _ in range(2))
+        assert calls == [50] and again.theta_blocks is first.theta_blocks
+        kept, alive = len(observables._PROFILES), weakref.ref(traj)
+        assert traj in observables._PROFILES
+        del traj, first, again  # a profile holds the times, not the trajectory
+        gc.collect()
+        assert alive() is None and len(observables._PROFILES) == kept - 1
+
     def test_dropping_the_solution_drops_its_shares(self, tmp_path):
         from oscbath import observables, propagation
         run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)
@@ -1107,7 +1160,8 @@ class TestProfileMemo:
 
 def test_bytes_do_not_depend_on_run_order(tmp_path):
     # every preset and README-sweep output against its sha256 from a run right after the kept
-    # solution is dropped: forward, in reverse, and fig7 after the sweep's joint pass
+    # solution is dropped: forward, in reverse, fig7 after the sweep, and every preset after
+    # a sweep that reduced its three partitions in one joint pass
     from oscbath import propagation
 
     def hashes(name):
@@ -1121,6 +1175,9 @@ def test_bytes_do_not_depend_on_run_order(tmp_path):
         fresh[name] = hashes(name)
     for name in [*preset_names(), *reversed(preset_names()), "sweep", "fig7"]:
         assert hashes(name) == fresh[name], name
+    propagation._solution.cache_clear()
+    for name in ["sweep", *preset_names()]:
+        assert hashes(name) == fresh[name], name
 
 
 def test_a_partition_sums_alike_alone_and_beside_others(reference_grid, reference_gen):
@@ -1128,11 +1185,12 @@ def test_a_partition_sums_alike_alone_and_beside_others(reference_grid, referenc
     # none, fig5's bands, the three centered ones) reduces to the same bits alone as in one
     # joint pass
     from oscbath import spectral_solution
-    from oscbath.observables import _excitation_profiles
+    from oscbath.observables import _PROFILES, _excitation_profiles
     solution = spectral_solution(reference_gen, preset("fig3").exact_times())
     partitions = [preset(name).partition_spec(reference_grid)
                   for name in ("fig3", "fig5", "fig7", "fig8", "fig9")]
     for partition, joint in zip(partitions, _excitation_profiles(solution, partitions)):
+        _PROFILES.clear()  # so reduced alone, not read from the joint pass
         alone = _excitation_profiles(solution, [partition])[0]
         for name in ("xi", "theta", "theta_blocks")[:2 + (partition is not None)]:
             assert np.array_equal(getattr(alone, name), getattr(joint, name)), name
@@ -1140,7 +1198,9 @@ def test_a_partition_sums_alike_alone_and_beside_others(reference_grid, referenc
 
 def test_fig10b_shares_are_the_sweeps(tmp_path):
     # fig10b reduces its partition alone, the README sweep with two others in one pass
+    from oscbath import observables
     run_scenario(preset("fig10b"), out_dir=tmp_path)
+    observables._PROFILES.clear()  # so the sweep does not read fig10b's shares
     run_sweep(README_SWEEP, out_dir=tmp_path)
     (header, rows), (swept, swept_rows) = (_read_csv(tmp_path / f"{stem}.csv")
                                            for stem in ("fig10b", "scan_b500_o0"))

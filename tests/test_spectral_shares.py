@@ -232,7 +232,9 @@ def _short_last_step_times(gen):
 
 _PHASE_GRIDS = {
     "linspace": lambda gen: np.linspace(0.0, 100.0, 2000),
-    "non-uniform": lambda gen: np.cumsum(np.random.default_rng(11).uniform(0.01, 0.1, 1000)),
+    # a uniform prefix over [0, 50], then an irregular tail of Cauchy rows
+    "non-uniform": lambda gen: np.concatenate([np.linspace(0.0, 50.0, 1001), 50.0 + np.cumsum(
+        np.random.default_rng(11).uniform(0.01, 0.1, 400))]),
     "rk4 samples": _short_last_step_times,
     # the rows of test_finite_bath_revival's grid around the peak at 6309.1
     "revival window": lambda gen: np.linspace(6269.1, 6349.1, 8001)[3500:4501],
@@ -251,7 +253,7 @@ def _small_solution():
 
 
 # the uniform prefix of each phase grid: rows 1 .. rows - 1 are integrated
-_PREFIX_ROWS = {"linspace": 2000, "non-uniform": 1, "rk4 samples": 126, "revival window": 1001}
+_PREFIX_ROWS = {"linspace": 2000, "non-uniform": 1001, "rk4 samples": 126, "revival window": 1001}
 
 
 @pytest.mark.parametrize("grid", list(_PHASE_GRIDS))
