@@ -81,7 +81,7 @@ def _excitation_profiles(source, partitions) -> list[ExcitationProfile]:
 
 def excitation_profile(source, partition: PartitionSpec | None = None) -> ExcitationProfile:
     """Excitation shares of a trajectory or spectral solution, optionally per block, as
-    _excitation_profiles reduces and keeps them."""
+    _excitation_profiles reduces and keeps them: source's arrays are read once."""
     return _excitation_profiles(source, [partition])[0]
 
 

@@ -63,7 +63,8 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
-    """Sampled amplitude vectors u(t) = (f(t), g_1(t), ..., g_N(t))."""
+    """Sampled amplitude vectors u(t) = (f(t), g_1(t), ..., g_N(t)): read-only views of the
+    arrays given, which must not be written once its shares are kept (excitation_profile)."""
 
     times: np.ndarray
     states: np.ndarray

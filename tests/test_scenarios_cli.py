@@ -1149,6 +1149,20 @@ class TestProfileMemo:
         gc.collect()
         assert alive() is None and len(observables._PROFILES) == kept - 1
 
+    def test_a_trajectory_reads_its_arrays_once(self):
+        # the shares are kept with the trajectory: what is written into its states afterwards
+        # only a new trajectory over the same array sees
+        from oscbath import excitation_profile
+        from oscbath.propagation import AmplitudeTrajectory
+        times, states = np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        traj = AmplitudeTrajectory(times, states)
+        first = excitation_profile(traj)
+        states[1] = [0.0, 1.0]
+        assert np.shares_memory(traj.states, states)
+        assert excitation_profile(traj).xi is first.xi and list(first.xi) == [1.0, 1.0]
+        fresh = excitation_profile(AmplitudeTrajectory(times, states))
+        assert list(fresh.xi) == [1.0, 0.0] and list(fresh.theta) == [0.0, 1.0]
+
     def test_dropping_the_solution_drops_its_shares(self, tmp_path):
         from oscbath import observables, propagation
         run_scenario(scenario_from_dict(SMALL_DOC), out_dir=tmp_path)

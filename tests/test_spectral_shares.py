@@ -30,7 +30,7 @@ from oscbath import (AmplitudeTrajectory, Arrowhead, BathGrid, PartitionSpec, Sy
                      interleaved_bipartition, normalize_superposition, preset_document,
                      run_scenario, run_verification, scenario_from_dict, spectral_solution,
                      verify_overlap_factorization)
-from oscbath import checks, preset, preset_names, propagation, scenarios
+from oscbath import checks, observables, preset, preset_names, propagation, scenarios
 from oscbath.observables import _excitation_profiles
 
 TOL = 1e-14
@@ -446,7 +446,12 @@ def test_plan_keeps_the_tile_rows_it_was_cut_by(small_grid, monkeypatch):
     monkeypatch.setattr(propagation, "_TILE_ROWS", 7)
     kept = spectral_solution(gen, times)
     assert kept._plan[-1] == 64
-    again = _excitation_profiles(kept, [part])[0]  # a share pass, not the shares kept with it
+    del observables._PROFILES[kept]  # so a share pass runs, not a read of cut's kept shares
+    passes, share_chunks = [], propagation.SpectralSolution.share_chunks
+    monkeypatch.setattr(propagation.SpectralSolution, "share_chunks",
+                        lambda self: passes.append(self._plan[-1]) or share_chunks(self))
+    again = _excitation_profiles(kept, [part])[0]
+    assert passes == [64] and again.xi is not cut.xi
     for name in ("xi", "theta", "theta_blocks"):
         assert np.array_equal(getattr(again, name), getattr(cut, name))
     propagation._solution.cache_clear()
@@ -454,6 +459,7 @@ def test_plan_keeps_the_tile_rows_it_was_cut_by(small_grid, monkeypatch):
     assert fresh is not kept and fresh._plan[-1] == 7
     _assert_shares(excitation_profile(fresh, part),
                    (cut.xi, cut.theta, list(cut.theta_blocks), None))
+    assert passes == [64, 7]
 
 
 @pytest.mark.parametrize("grid", list(_IRREGULAR_GRIDS))
